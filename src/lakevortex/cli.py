@@ -124,11 +124,10 @@ def flux_from(cfg: dict, lake) -> np.ndarray:
     fcfg = cfg.get("flux", {"preset": "zero"})
     preset = _require(fcfg, "preset", "flux")
     try:
-        return flux_preset(
-            lake, preset,
-            amplitude=float(fcfg.get("amplitude", 1.0)),
-            points=fcfg.get("points"),
-        )
+        amplitude = float(fcfg.get("amplitude", 1.0))
+        if not math.isfinite(amplitude):
+            raise ValueError(f"amplitude must be finite, got {amplitude}")
+        return flux_preset(lake, preset, amplitude=amplitude, points=fcfg.get("points"))
     except ValueError as exc:
         raise ConfigError(f"flux: {exc}") from exc
 
@@ -266,18 +265,24 @@ def cmd_solve(cfg: dict, out: Path, jobs: int) -> int:
     q = solve_background(handle, nu)
     vf = vf_from(cfg)
     params = params_from(cfg)
+    solver = cfg.get("solver", {})
+    try:
+        fp_tol_rel = float(solver.get("fp_tol_rel", 1e-8))
+        max_iters = int(solver.get("max_iters", 500))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"solver: {exc}") from None
+    if not 0.0 <= fp_tol_rel < math.inf or max_iters < 1:
+        raise ConfigError("solver: need 0 <= fp_tol_rel < inf and max_iters >= 1")
     try:
         params.check_nonempty(lake, vf)
     except AdmissibilityError as exc:
         raise ConfigError(str(exc)) from exc
     seed = cfg.get("seed")
-    solver = cfg.get("solver", {})
     state = solve_vortex(
         lake, q, params, vf,
         init=tuple(seed) if seed is not None else None,
         handle=handle,
-        fp_tol_rel=float(solver.get("fp_tol_rel", 1e-8)),
-        max_iters=int(solver.get("max_iters", 500)),
+        fp_tol_rel=fp_tol_rel, max_iters=max_iters,
     )
     chash = config_hash(cfg)
     diag = _diagnostics_for(lake, state, params, target=seed)

@@ -141,7 +141,9 @@ def assemble_operator(lake: Lake) -> OperatorHandle:
     vals_arr = np.concatenate([np.atleast_1d(a) for a in vals])
     matrix = csc_matrix((vals_arr, (rows_arr, cols_arr)), shape=(n, n))
     try:
-        lu = splu(matrix)
+        # exactly symmetric: minimum degree on A^T + A halves the fill of COLAMD
+        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"operator factorization failed: {exc}") from exc
     return OperatorHandle(

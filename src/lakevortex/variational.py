@@ -5,8 +5,8 @@ of fields with 0 <= zeta <= Lambda*delta/eps^2 and fixed weighted mass
 kappa0*delta, by a monotone fixed-point iteration: each step solves the
 linearized subproblem exactly, whose solution is the capped level-set
 ("bathtub") profile zeta = min((delta/eps^2) f(psi_free - mu), cap) with the
-multiplier mu chosen by bisection on the mass.  Convexity of E_q makes every
-step an ascent step.
+multiplier mu found exactly from the sorted levels of psi_free and the prefix
+sums of their weights.  Convexity of E_q makes every step an ascent step.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ log = logging.getLogger(__name__)
 MASS_TOL_REL = 1e-8
 FP_TOL_REL = 1e-8
 MAX_ITERS = 500
-BISECT_ITERS = 80
 PATCH_REL_TOL = 1e-9
 
 
@@ -142,78 +141,65 @@ def energy(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     return Energy(e_q=e_q, f_eps=f_eps)
 
 
-def _bathtub_update(psi_free: np.ndarray, mu: float, params: AdmissibleParams,
-                    vf: VorticityFunction) -> np.ndarray:
-    scale = params.delta / params.eps**2
-    return np.minimum(scale * vf.f(psi_free - mu), params.cap)
+def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
+            psi_free: np.ndarray):
+    """(mu, zeta) with zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass.
 
-
-def mu_from_mass(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
-                 psi_free: np.ndarray) -> float:
-    """Multiplier mu such that the capped level-set profile carries the target mass.
-
-    The mass-of-mu map is nonincreasing; bisection runs on the predicate
-    mass(mu) >= target over the bracket [min psi - f_inv(lam) - 1, max psi],
-    and ties (flat or jumping segments) break toward the larger mu.
-    """
-    mu, _ = _mu_with_tie_fill(lake, params, vf, psi_free)
-    return mu
-
-
-def _mu_with_tie_fill(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
-                      psi_free: np.ndarray):
-    """Return (mu, zeta) with zeta meeting the mass constraint.
-
-    When f jumps at 0+ the mass-of-mu map is discontinuous and no mu may hit
-    the target; in that case cells on the critical level set {psi_free = mu}
-    are filled fractionally (a tie set of the level-set construction), which
-    still satisfies the optimality cases because the inverse vanishes at and
-    below the jump.
+    Over the levels of psi_free sorted descending with prefix sums W of nu,
+    the cells above mu + f_inv(lam) weigh cap*W and f is evaluated on the band
+    below them only.
+    A binary search over the levels finds the segment holding the target and
+    bisection finds mu in it; a target inside the jump of f at 0+ at a level
+    sets mu to it and fills the cells exactly at that level by a fraction.
     """
     params.check_nonempty(lake, vf)
-    nuw = lake.nu_weights
-    target = params.target_mass
-    tol = MASS_TOL_REL * target
+    scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
+    reach = float(vf.f_inv(params.lam))  # psi - mu beyond which a cell is capped
+    nu_all, n = lake.nu_weights, len(psi_free)
+    order = np.argsort(psi_free)[::-1]
+    levels = psi_free[order]
+    neg_levels = -levels  # ascending, for searchsorted
+    nuw = nu_all[order]
+    prefix = np.concatenate(([0.0], np.cumsum(nuw)))
 
-    def mass_at(mu):
-        return float(np.dot(_bathtub_update(psi_free, mu, params, vf), nuw))
+    def count_above(t: float, side: str = "left") -> int:
+        return int(np.searchsorted(neg_levels, -t, side))
 
-    lo = float(psi_free.min()) - float(vf.f_inv(params.lam)) - 1.0
-    hi = float(psi_free.max())
-    if mass_at(lo) < target - tol:
-        raise AdmissibilityError(
-            "mass target unattainable at the bracket bottom; truncation level "
-            "too small for the requested circulation"
-        )
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mass_at(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    # tie-break toward larger mu (smaller vortex support)
-    for mu in (hi, lo):
-        zeta = _bathtub_update(psi_free, mu, params, vf)
-        m = float(np.dot(zeta, nuw))
-        if abs(m - target) <= tol:
-            return mu, zeta
-    # jump in the mass map between lo and hi: fill the critical level set
-    mu = hi
-    zeta = _bathtub_update(psi_free, mu, params, vf)
-    m_hi = float(np.dot(zeta, nuw))
-    deficit = target - m_hi
-    jump_value = params.delta / params.eps**2 * vf.f_at_zero_plus
-    tie = (psi_free >= lo - 1e-30) & (psi_free <= hi + (hi - lo)) & (zeta <= 0.0)
-    tie_capacity = float(np.dot(np.full(tie.sum(), jump_value), nuw[tie])) if tie.any() else 0.0
-    if deficit < -tol or tie_capacity < deficit - tol:
-        raise AdmissibilityError(
-            f"bisection could not meet the mass constraint: deficit {deficit:.3e}, "
-            f"tie capacity {tie_capacity:.3e}"
-        )
-    if tie.any() and deficit > 0.0:
-        frac = deficit / tie_capacity
-        zeta = zeta.copy()
-        zeta[tie] = frac * jump_value
+    def band(mu: float):
+        k_cap, k_sup = count_above(mu + reach), count_above(mu)
+        return k_cap, k_sup, np.minimum(scale * vf.f(levels[k_cap:k_sup] - mu), cap)
+
+    def mass_at(mu: float) -> float:
+        k_cap, k_sup, values = band(mu)
+        return cap * prefix[k_cap] + float(np.dot(values, nuw[k_cap:k_sup]))
+
+    # smallest k with mass(levels[k]) >= target (k = n: all capped, the bracket bottom)
+    lo, hi = 0, n  # mass(levels[0]) = 0 < target
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mass_at(float(levels[mid])) >= target else (mid, hi)
+    upper = float(levels[lo])  # mass(upper) < target <= mass(lower)
+    lower = float(levels[hi]) if hi < n else float(levels[-1]) - reach - 1.0
+
+    tie_lo, tie_hi = count_above(upper), count_above(upper, "right")
+    jump_value = scale * vf.f_at_zero_plus
+    deficit = target - mass_at(upper)
+    tie_capacity = jump_value * (prefix[tie_hi] - prefix[tie_lo])
+    if deficit <= tie_capacity:  # the target sits inside the jump at upper
+        mu, fill = upper, deficit / tie_capacity
+    else:  # largest mu with mass(mu) >= target, to float resolution
+        mu, fill, above = lower, 0.0, upper
+        while mu < (mid := 0.5 * (mu + above)) < above:
+            mu, above = (mid, above) if mass_at(mid) >= target else (mu, mid)
+
+    k_cap, k_sup, values = band(mu)
+    zeta = np.zeros(n)
+    zeta[order[:k_cap]] = cap
+    zeta[order[k_cap:k_sup]] = values
+    zeta[order[tie_lo:tie_hi]] += fill * jump_value
+    error = float(np.dot(zeta, nu_all)) - target
+    if abs(error) > MASS_TOL_REL * target:
+        raise AdmissibilityError(f"bathtub missed the mass target by {error:.3e}")
     return mu, zeta
 
 
@@ -261,7 +247,7 @@ def iterate_step(state: SolveState) -> SolveState:
     ctx = state.ctx
     k_zeta = state.k_zeta if state.k_zeta is not None else apply_K(ctx.handle, state.zeta)
     psi_free = k_zeta + ctx.q
-    mu, zeta_new = _mu_with_tie_fill(ctx.lake, ctx.params, ctx.vf, psi_free)
+    mu, zeta_new = bathtub(ctx.lake, ctx.params, ctx.vf, psi_free)
     k_new = apply_K(ctx.handle, zeta_new)
     e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, zeta_new, k_zeta=k_new)
     trace = state.energy_trace + [e_new.total]

@@ -3,7 +3,9 @@
 The regime-classification fixture is the interior-peaked-depth disk at
 resolution 257 with a cosine background flux and the jump vorticity family;
 each vanishing-rate regime uses its bundled flux amplitude (0.02 / 0.02 /
-0.15).  Run with `pytest tests/test_acceptance.py -v -s`.
+0.15).  Run with `pytest tests/test_acceptance.py -v -s`.  The file also
+holds the differential test of the exact bathtub against the frozen seed
+bisection on every regression state.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from bisection_reference import _mu_with_tie_fill
 
 from lakevortex.asymptotics import (
     DeltaSchedule,
@@ -36,7 +39,9 @@ from lakevortex.geometry import (
 )
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
+    MASS_TOL_REL,
     AdmissibleParams,
+    bathtub,
     brute_force_oracle,
     mass,
     mu_lower_bound,
@@ -197,6 +202,22 @@ def test_criterion_5_monotone_ascent(regression_states, acceptance_report):
     acceptance_report("5 monotone ascent", ok,
             f"{violations} violations across {len(regression_states)} runs")
     assert ok
+
+
+def test_bathtub_matches_frozen_bisection(regression_states):
+    """The exact sorted bathtub against the seed's bisection with tie fill,
+    on the next linearized problem of every regression state."""
+    assert len(regression_states) == 23
+    for lake, state in regression_states:
+        ctx = state.ctx
+        psi_free = state.k_zeta + ctx.q
+        mu_old, zeta_old = _mu_with_tie_fill(lake, ctx.params, ctx.vf, psi_free)
+        mu_new, zeta_new = bathtub(lake, ctx.params, ctx.vf, psi_free)
+        tol = MASS_TOL_REL * ctx.params.target_mass
+        assert mu_new == pytest.approx(mu_old, rel=1e-10, abs=0.0)
+        assert float(np.dot(np.abs(zeta_new - zeta_old), lake.nu_weights)) <= tol
+        for zeta in (zeta_old, zeta_new):
+            assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
 
 
 def test_criterion_6_regime_classification(regime_reports, acceptance_report):

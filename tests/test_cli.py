@@ -91,6 +91,21 @@ def test_unknown_preset_is_config_error(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("solver", [{"max_iters": 0}, {"fp_tol_rel": -1e-8},
+                                    {"fp_tol_rel": float("nan")}])
+def test_bad_solver_settings_are_config_errors(tmp_path, solver):
+    bad = dict(SMALL_SOLVE, solver=solver)
+    cfg = _write(tmp_path, bad)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_nan_flux_amplitude_is_config_error(tmp_path, capsys):
+    bad = dict(SMALL_SOLVE, flux={"preset": "cosine", "amplitude": float("nan")})
+    cfg = _write(tmp_path, bad)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "amplitude must be finite" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{\n  "lake": {,}\n}')

@@ -10,15 +10,16 @@ from lakevortex.elliptic import apply_K, assemble_operator
 from lakevortex.geometry import build_lake, disk_indicator_averaged, rect_lake
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
+    MASS_TOL_REL,
     AdmissibilityError,
     AdmissibleParams,
     SolveState,
+    bathtub,
     brute_force_oracle,
     energy,
     initial_patch,
     iterate_step,
     mass,
-    mu_from_mass,
     mu_lower_bound,
     optimality_violations,
     oracle_gap_bound,
@@ -123,7 +124,7 @@ def test_mu_closed_form_constant_stream(disk_const_64):
     vf = VorticityFunction("jump_linear", c=0.0)  # f(s) = max(s, 0)
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=50.0)
     psi = np.full(disk_const_64.n_cells, 2.0)
-    mu = mu_from_mass(disk_const_64, params, vf, psi)
+    mu, _ = bathtub(disk_const_64, params, vf, psi)
     expect = 2.0 - params.kappa0 * params.eps**2 / disk_const_64.measure_nu
     assert mu == pytest.approx(expect, abs=1e-10)
 
@@ -137,7 +138,7 @@ def test_mass_monotone_in_mu(interior_128, interior_128_q, vf_power2):
         z = np.minimum(scale * vf_power2.f(psi - mu), params.cap)
         return mass(interior_128, z)
 
-    mu0 = mu_from_mass(interior_128, params, vf_power2, psi)
+    mu0, _ = bathtub(interior_128, params, vf_power2, psi)
     assert mass_at(mu0 - 0.1) >= mass_at(mu0 + 0.1)
 
 
@@ -145,8 +146,45 @@ def test_mu_unattainable_target_rejected(disk_const_64, vf_power2):
     # lam too small for the requested circulation
     params = AdmissibleParams(eps=1.0, delta=1.0, kappa0=10.0, lam=2.5)
     psi = np.zeros(disk_const_64.n_cells)
-    with pytest.raises(AdmissibilityError):
-        mu_from_mass(disk_const_64, params, vf_power2, psi)
+    with pytest.raises(AdmissibilityError, match="empty"):
+        bathtub(disk_const_64, params, vf_power2, psi)
+    # lam <= f(0+) + 1 leaves no room above the jump
+    jump = VorticityFunction("jump_linear", c=2.0)
+    with pytest.raises(AdmissibilityError, match="truncation level"):
+        bathtub(disk_const_64, params, jump, psi)
+
+
+def test_bathtub_fills_constant_level_at_the_jump(disk_const_64, vf_jump):
+    # every cell is tied at the jump: mu is that level, and the fractional
+    # fill of all cells meets the mass exactly
+    params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=50.0)
+    psi = np.full(disk_const_64.n_cells, 0.3)
+    mu, zeta = bathtub(disk_const_64, params, vf_jump, psi)
+    assert mu == 0.3
+    jump_value = params.delta / params.eps**2 * vf_jump.f_at_zero_plus
+    frac = params.target_mass / (jump_value * disk_const_64.nu_weights.sum())
+    assert 0.0 < frac < 1.0
+    assert np.allclose(zeta, frac * jump_value, rtol=1e-14, atol=0.0)
+    assert mass(disk_const_64, zeta) == pytest.approx(params.target_mass, rel=1e-14)
+
+
+def test_bathtub_with_capped_cells(interior_128, interior_128_q, vf_jump):
+    # small lam: the top cells sit at the cap, the band below is the free
+    # profile, and the mass is met
+    params = AdmissibleParams(eps=0.2, delta=0.5, kappa0=40.0, lam=1.6)
+    psi = interior_128_q + 2.0 * np.exp(-8.0 * np.sum(interior_128.centers**2, axis=1))
+    mu, zeta = bathtub(interior_128, params, vf_jump, psi)
+    at_cap = zeta == params.cap
+    assert at_cap.any() and (zeta[~at_cap] < params.cap).all()
+    assert (psi[at_cap] - mu >= vf_jump.f_inv(params.lam) - 1e-12).all()
+    scale = params.delta / params.eps**2
+    off_level = psi != mu  # cells at the level mu may carry a jump fill
+    assert np.allclose(zeta[off_level],
+                       np.minimum(scale * vf_jump.f(psi[off_level] - mu), params.cap),
+                       rtol=1e-12, atol=0.0)
+    assert (zeta[~off_level] <= scale * vf_jump.f_at_zero_plus).all()
+    assert abs(mass(interior_128, zeta) - params.target_mass) <= \
+        MASS_TOL_REL * params.target_mass
 
 
 # ---------------------------------------------------------------------------
