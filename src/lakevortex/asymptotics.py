@@ -15,14 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import OperatorHandle, assemble_operator, solve_background
+from .elliptic import OperatorHandle, SolverError, assemble_operator, solve_background
 from .geometry import Lake, max_pairwise_distance
 from .nonlinearity import VorticityFunction
-from .variational import AdmissibleParams, SolveState, solve_vortex
+from .variational import AdmissibilityError, AdmissibleParams, SolveState, solve_vortex
 
 log = logging.getLogger(__name__)
 
 REGIMES = ("above_critical", "critical", "below_critical")
+
+# distance from the shore the above-critical support must keep when the depth
+# maximum is interior
+ETA_FLOOR = 0.2
 
 DIAG_COLUMNS = (
     "eps", "delta", "diam_supp", "xc", "yc", "dist_boundary", "mu",
@@ -232,20 +236,61 @@ def _fit_loglog_slope(eps: np.ndarray, diam: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(eps[good]), np.log(diam[good]), 1)[0])
 
 
+def diagnose(lake: Lake, state: SolveState, ties=None,
+             target_radius: float = 0.2) -> Diagnostics:
+    """Diagnostics row of one solved state.
+
+    With ties, the mass fraction is taken around the tie point nearest the
+    vorticity center and supp_target_dist is the largest distance from a
+    support cell to the ties; without, the mass fraction is taken around the
+    center itself.
+    """
+    params = state.ctx.params
+    # vorticity_center raises on a zero field, so the support is not empty
+    xc = vorticity_center(lake, state.zeta)
+    sp = lake.centers[support_cells(lake, state.zeta)]
+    try:
+        score = radial_monotonicity_score(rescale_profile(lake, state.zeta, params, xc))
+    except ValueError:
+        score = float("nan")
+    anchor, supp_dist = xc, float("nan")
+    if ties is not None:
+        ties = np.asarray(ties, dtype=float)
+        anchor = _nearest_tie(ties, xc)
+        supp_dist = float(
+            np.hypot(ties[:, 0][None, :] - sp[:, 0][:, None],
+                     ties[:, 1][None, :] - sp[:, 1][:, None]).min(axis=1).max()
+        )
+    return Diagnostics(
+        eps=params.eps,
+        delta=params.delta,
+        diam_supp=support_diameter(lake, state.zeta),
+        xc=float(xc[0]),
+        yc=float(xc[1]),
+        dist_boundary=float(lake.dist_to_boundary(sp).min()),
+        mu=float(state.mu),
+        sup_K=float(state.k_zeta.max()),
+        E_q=state.energy.e_q,
+        F_eps=state.energy.f_eps,
+        E_total=state.energy.total,
+        mass_frac=mass_fraction_near(lake, state.zeta, anchor, target_radius),
+        radial_score=score,
+        converged=state.converged,
+        supp_target_dist=supp_dist,
+    )
+
+
 def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
               kappa0: float, lam: float, eps_list,
               vf: VorticityFunction,
               handle: OperatorHandle | None = None,
               seed=None,
-              target_radius: float = 0.2,
-              rel_threshold: float = 1e-12,
-              eta_floor: float = 0.2,
-              retain_states: bool = False,
-              jobs: int = 1) -> SweepReport:
+              target_radius: float = 0.2) -> SweepReport:
     """Solve along a decreasing eps list and evaluate the regime trend checks.
 
-    Points are independent given the shared immutable lake and operator;
-    results are merged in eps order regardless of execution order.
+    A point whose solve fails with a numerical error is recorded as a row of
+    NaNs with converged=False and the sweep goes on; any other error
+    propagates.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if np.any(np.diff(eps_arr) >= 0):
@@ -262,61 +307,19 @@ def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
             delta = delta_of_eps(schedule, eps)
             params = AdmissibleParams(eps=eps, delta=delta, kappa0=kappa0, lam=lam)
             state = solve_vortex(lake, q, params, vf, init=seed_pt, handle=handle)
-            sup = support_cells(lake, state.zeta, rel_threshold)
-            xc = vorticity_center(lake, state.zeta)
-            k_zeta = state.psi_total - q + state.mu
-            try:
-                prof = rescale_profile(lake, state.zeta, params, xc)
-                score = radial_monotonicity_score(prof)
-            except ValueError:
-                score = float("nan")
-            dist_b = float(lake.dist_to_boundary(lake.centers[sup]).min()) if sup.any() else float("nan")
-            if sup.any():
-                sp = lake.centers[sup]
-                supp_dist = float(
-                    np.hypot(ties[:, 0][None, :] - sp[:, 0][:, None],
-                             ties[:, 1][None, :] - sp[:, 1][:, None]).min(axis=1).max()
-                )
-            else:
-                supp_dist = float("nan")
-            diag = Diagnostics(
-                eps=eps,
-                delta=delta,
-                diam_supp=support_diameter(lake, state.zeta, rel_threshold),
-                xc=float(xc[0]),
-                yc=float(xc[1]),
-                dist_boundary=dist_b,
-                mu=float(state.mu),
-                sup_K=float(k_zeta.max()),
-                E_q=state.energy.e_q,
-                F_eps=state.energy.f_eps,
-                E_total=state.energy.total,
-                mass_frac=mass_fraction_near(lake, state.zeta, _nearest_tie(ties, xc), target_radius),
-                radial_score=score,
-                converged=state.converged,
-                supp_target_dist=supp_dist,
-            )
-            return diag, state
-        except Exception as exc:  # keep sweeping past individual failures
+        except (ScheduleError, AdmissibilityError, SolverError) as exc:
             log.error("sweep point eps=%g failed: %s", eps, exc)
             nan = float("nan")
             return Diagnostics(eps=eps, delta=delta, diam_supp=nan, xc=nan, yc=nan,
                                dist_boundary=nan, mu=nan, sup_K=nan, E_q=nan,
                                F_eps=nan, E_total=nan, mass_frac=nan,
                                radial_score=nan, converged=False, error=str(exc)), None
+        return diagnose(lake, state, ties, target_radius), state
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_point, eps_arr))
-    else:
-        results = [solve_point(e) for e in eps_arr]
-
+    results = [solve_point(e) for e in eps_arr]
     rows = [r for r, _ in results]
     states = [s for _, s in results]
-    checks = _regime_checks(lake, q, schedule.regime, kappa0, rows, ties,
-                            target_radius, eta_floor)
+    checks = _regime_checks(lake, q, schedule.regime, kappa0, rows, ties, target_radius)
     report = SweepReport(
         regime=schedule.regime,
         rows=rows,
@@ -324,7 +327,7 @@ def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
         target_ties=ties,
         diam_slope=_fit_loglog_slope(eps_arr, np.array([r.diam_supp for r in rows])),
         checks=checks,
-        states=states if retain_states else [],
+        states=states,
     )
     report.checks["diam_slope"] = report.diam_slope
     if report.diam_slope is not None:
@@ -356,8 +359,7 @@ def _trend(first_dev: float, last_dev: float, tol: float) -> bool:
 
 
 def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
-                   rows: list, ties: np.ndarray, target_radius: float,
-                   eta_floor: float) -> dict:
+                   rows: list, ties: np.ndarray, target_radius: float) -> dict:
     checks: dict = {"all_converged": all(r.converged for r in rows)}
     ok_rows = [r for r in rows if r.converged]
     if len(ok_rows) < 2:
@@ -388,7 +390,7 @@ def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
         if checks["depth_max_interior"]:
             eta = float(min(r.dist_boundary for r in ok_rows))
             checks["eta_estimate"] = eta
-            checks["interior_distance_floor"] = bool(eta >= eta_floor)
+            checks["interior_distance_floor"] = bool(eta >= ETA_FLOOR)
         else:
             # boundary depth maximum: the support approaches the shore; record
             # the fitted decay exponent of dist vs ln(1/eps) without asserting

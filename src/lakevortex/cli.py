@@ -26,14 +26,10 @@ from . import __version__
 from .asymptotics import (
     DIAG_COLUMNS,
     DeltaSchedule,
-    Diagnostics,
-    mass_fraction_near,
-    radial_monotonicity_score,
-    rescale_profile,
+    ScheduleError,
+    delta_of_eps,
+    diagnose,
     run_sweep,
-    support_cells,
-    support_diameter,
-    vorticity_center,
 )
 from .elliptic import (
     CompatibilityError,
@@ -110,14 +106,40 @@ def _positive(value, name: str) -> float:
     return v
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    try:
+        v = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if v < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {v}")
+    return v
+
+
+def _lake(preset, resolution, where: str):
+    try:
+        return build_lake(preset, _integer(resolution, f"{where}.resolution", 16))
+    except GeometryError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def build_lake_from(cfg: dict):
     lcfg = _require(cfg, "lake")
-    preset = _require(lcfg, "preset", "lake")
-    resolution = _require(lcfg, "resolution", "lake")
+    return _lake(_require(lcfg, "preset", "lake"), _require(lcfg, "resolution", "lake"), "lake")
+
+
+def seed_from(cfg: dict):
+    """The optional seed point as two finite floats, or None."""
+    seed = cfg.get("seed")
+    if seed is None:
+        return None
     try:
-        return build_lake(preset, int(resolution))
-    except GeometryError as exc:
-        raise ConfigError(f"lake: {exc}") from exc
+        point = tuple(float(v) for v in seed) if isinstance(seed, list) else ()
+    except (TypeError, ValueError):
+        point = ()
+    if len(point) != 2 or not all(map(math.isfinite, point)):
+        raise ConfigError(f"seed must be two finite numbers, got {seed!r}")
+    return point
 
 
 def flux_from(cfg: dict, lake) -> np.ndarray:
@@ -203,7 +225,8 @@ def _jsonable(obj):
 
 
 def state_to_dict(lake, state) -> dict:
-    """Serializable solve state: full-grid row-major vorticity plus metadata."""
+    """Serializable solve state: full-grid row-major vorticity, multiplier,
+    energies, solver counters and parameters."""
     grid = lake.field_to_grid(state.zeta)
     return {
         "zeta_row_major": grid.ravel().tolist(),
@@ -222,41 +245,15 @@ def state_to_dict(lake, state) -> dict:
         "iterations": state.iterations,
         "converged": state.converged,
         "fp_residual": state.fp_residual,
-        "params": dataclasses.asdict(state.params),
+        "params": dataclasses.asdict(state.ctx.params),
     }
-
-
-def _diagnostics_for(lake, state, params, target=None, target_radius=0.2) -> Diagnostics:
-    xc = vorticity_center(lake, state.zeta)
-    anchor = np.asarray(target, dtype=float) if target is not None else xc
-    sup = support_cells(lake, state.zeta)
-    try:
-        score = radial_monotonicity_score(rescale_profile(lake, state.zeta, params, xc))
-    except ValueError:
-        score = float("nan")
-    return Diagnostics(
-        eps=params.eps,
-        delta=params.delta,
-        diam_supp=support_diameter(lake, state.zeta),
-        xc=float(xc[0]),
-        yc=float(xc[1]),
-        dist_boundary=float(lake.dist_to_boundary(lake.centers[sup]).min()) if sup.any() else float("nan"),
-        mu=state.mu,
-        sup_K=float("nan"),  # caller fills in from the solved stream parts
-        E_q=state.energy.e_q,
-        F_eps=state.energy.f_eps,
-        E_total=state.energy.total,
-        mass_frac=mass_fraction_near(lake, state.zeta, anchor, target_radius),
-        radial_score=score,
-        converged=state.converged,
-    )
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_solve(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_solve(cfg: dict, out: Path) -> int:
     lake = build_lake_from(cfg)
     handle = assemble_operator(lake)
     from .elliptic import solve_background
@@ -277,17 +274,15 @@ def cmd_solve(cfg: dict, out: Path, jobs: int) -> int:
         params.check_nonempty(lake, vf)
     except AdmissibilityError as exc:
         raise ConfigError(str(exc)) from exc
-    seed = cfg.get("seed")
+    seed = seed_from(cfg)
     state = solve_vortex(
         lake, q, params, vf,
-        init=tuple(seed) if seed is not None else None,
+        init=seed,
         handle=handle,
         fp_tol_rel=fp_tol_rel, max_iters=max_iters,
     )
     chash = config_hash(cfg)
-    diag = _diagnostics_for(lake, state, params, target=seed)
-    k_zeta = state.psi_total - q + state.mu
-    diag.sup_K = float(k_zeta.max())
+    diag = diagnose(lake, state, ties=None if seed is None else [seed])
     write_json(out / "state.json", state_to_dict(lake, state), chash)
     write_csv(out / "diag.csv", [diag], chash)
     print(f"solve: converged={state.converged} iterations={state.iterations} "
@@ -295,7 +290,7 @@ def cmd_solve(cfg: dict, out: Path, jobs: int) -> int:
     return 0 if state.converged else 1
 
 
-def cmd_sweep(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_sweep(cfg: dict, out: Path) -> int:
     lake = build_lake_from(cfg)
     scfg = _require(cfg, "sweep")
     regime = _require(scfg, "schedule", "sweep")
@@ -303,20 +298,26 @@ def cmd_sweep(cfg: dict, out: Path, jobs: int) -> int:
         schedule = DeltaSchedule(regime)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    eps_list = [float(e) for e in _require(scfg, "eps_list", "sweep")]
-    if len(eps_list) == 0 or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ConfigError("sweep: eps_list must be non-empty and strictly decreasing")
+    eps_list = _require(scfg, "eps_list", "sweep")
+    if not isinstance(eps_list, list) or not eps_list:
+        raise ConfigError("sweep: eps_list must be a non-empty list")
+    eps_list = [_positive(e, "sweep.eps_list entry") for e in eps_list]
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ConfigError("sweep: eps_list must be strictly decreasing")
+    try:
+        delta_of_eps(schedule, eps_list[0])  # the largest eps bounds the schedule's domain
+    except ScheduleError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     kappa0 = _positive(scfg.get("kappa0", 1.0), "sweep.kappa0")
     lam = _positive(scfg.get("lam", 50.0), "sweep.lam")
+    target_radius = _positive(cfg.get("target_radius", 0.2), "target_radius")
+    seed = seed_from(cfg)
     vf = vf_from(cfg)
     nu = flux_from(cfg, lake)
     handle = assemble_operator(lake)
-    seed = cfg.get("seed")
     report = run_sweep(
         lake, nu, schedule, kappa0, lam, eps_list, vf, handle=handle,
-        seed=tuple(seed) if seed is not None else None,
-        target_radius=float(cfg.get("target_radius", 0.2)),
-        jobs=jobs,
+        seed=seed, target_radius=target_radius,
     )
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
@@ -351,7 +352,7 @@ def tiny_oracle_fixtures():
     return out
 
 
-def cmd_oracle_test(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_oracle_test(cfg: dict, out: Path) -> int:
     vf = vf_from(cfg)
     results = []
     ok = True
@@ -378,13 +379,11 @@ def cmd_oracle_test(cfg: dict, out: Path, jobs: int) -> int:
     return 0 if ok else 1
 
 
-def cmd_check_hypotheses(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_check_hypotheses(cfg: dict, out: Path) -> int:
     vf = vf_from(cfg)
     hcfg = cfg.get("hypotheses", {})
     s_max = _positive(hcfg.get("s_max", 10.0), "hypotheses.s_max")
-    n = int(hcfg.get("n", 2000))
-    if n < 100:
-        raise ConfigError("hypotheses.n must be >= 100")
+    n = _integer(hcfg.get("n", 2000), "hypotheses.n", 100)
     report = verify_hypotheses(vf, s_max, n)
     payload = dataclasses.asdict(report)
     payload["preset"] = vf.preset
@@ -398,12 +397,11 @@ def cmd_check_hypotheses(cfg: dict, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_kernel_test(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_kernel_test(cfg: dict, out: Path) -> int:
     kcfg = cfg.get("kernel", {})
-    resolution = int(kcfg.get("resolution", 128))
-    n_pairs = int(kcfg.get("pairs", 1000))
-    rng = np.random.default_rng(int(kcfg.get("rng_seed", 20240801)))
-    lake = build_lake("disk_constant_b", resolution)
+    n_pairs = _integer(kcfg.get("pairs", 1000), "kernel.pairs", 1)
+    rng = np.random.default_rng(_integer(kcfg.get("rng_seed", 20240801), "kernel.rng_seed", 0))
+    lake = _lake("disk_constant_b", kcfg.get("resolution", 128), "kernel")
 
     # sample interior pairs away from coincidence
     pts = []
@@ -471,7 +469,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -483,7 +480,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.jobs)
+        return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

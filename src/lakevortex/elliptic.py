@@ -236,6 +236,8 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
         if points is None or len(points) == 0:
             raise ValueError("custom flux needs (angle, value) pairs")
         pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+            raise ValueError("custom flux needs finite (angle, value) pairs")
         order = np.argsort(pts[:, 0])
         ang = pts[order, 0]
         val = pts[order, 1]

@@ -9,7 +9,7 @@ b * h^2 per cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -24,6 +24,10 @@ PRESETS = (
     "disk_degenerate_b",
     "rect_constant_b",
 )
+
+# bounding-box cells (resolution^2) build_lake accepts; checked before any
+# array is allocated, so an oversized grid is rejected up front
+MAX_CELLS = 1 << 20
 
 
 class GeometryError(ValueError):
@@ -62,21 +66,6 @@ class DiskDomain:
         dy = p[1] - self.center[1]
         theta = math.atan2(dy, dx) % TWO_PI
         return theta * self.radius
-
-    def project_to_boundary(self, p) -> tuple[float, float]:
-        dx = p[0] - self.center[0]
-        dy = p[1] - self.center[1]
-        r = math.hypot(dx, dy)
-        if r == 0.0:
-            return (self.center[0] + self.radius, self.center[1])
-        s = self.radius / r
-        return (self.center[0] + dx * s, self.center[1] + dy * s)
-
-    def outward_normal(self, p_on_boundary) -> tuple[float, float]:
-        dx = p_on_boundary[0] - self.center[0]
-        dy = p_on_boundary[1] - self.center[1]
-        r = math.hypot(dx, dy)
-        return (dx / r, dy / r)
 
     def cut_fraction(self, p_inside, p_outside) -> float:
         """Fraction t in (0, 1] where segment p_inside -> p_outside crosses the circle."""
@@ -161,17 +150,6 @@ class RectDomain:
             return min(cands)[1]
         return (px, py)
 
-    def outward_normal(self, p_on_boundary) -> tuple[float, float]:
-        px, py = p_on_boundary
-        nx = (-1.0 if abs(px - self.x0) < 1e-12 else 0.0) + (
-            1.0 if abs(px - self.x1) < 1e-12 else 0.0
-        )
-        ny = (-1.0 if abs(py - self.y0) < 1e-12 else 0.0) + (
-            1.0 if abs(py - self.y1) < 1e-12 else 0.0
-        )
-        n = math.hypot(nx, ny)
-        return (nx / n, ny / n) if n > 0 else (1.0, 0.0)
-
     def cut_fraction(self, p_inside, p_outside) -> float:
         ts = []
         dx = p_outside[0] - p_inside[0]
@@ -205,9 +183,7 @@ class BoundaryTrace:
 
     ij: np.ndarray          # (m, 2) row, col indices into the grid
     centers: np.ndarray     # (m, 2) cell-center coordinates
-    projections: np.ndarray  # (m, 2) projections onto the true boundary
     params: np.ndarray      # (m,) arclength coordinates, increasing
-    normals: np.ndarray     # (m, 2) outward normals at the projections
     weights: np.ndarray     # (m,) arclength weights
     perimeter: float
 
@@ -230,7 +206,7 @@ class BoundaryTrace:
 
 @dataclass
 class Lake:
-    """Immutable discretized lake: grid, interior mask, depth, boundary metadata.
+    """Immutable discretized lake: grid, interior mask, depth, boundary trace.
 
     Attributes
     ----------
@@ -257,7 +233,6 @@ class Lake:
     b_int: np.ndarray
     diameter: float
     boundary: BoundaryTrace
-    meta: dict = field(default_factory=dict)
 
     @property
     def cell_area(self) -> float:
@@ -349,17 +324,13 @@ def _build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bo
 
     rows, cols, centers = rows[order], cols[order], centers[order]
     params = params[order]
-    projections = np.array([domain.project_to_boundary(p) for p in centers])
-    normals = np.array([domain.outward_normal(p) for p in projections])
     gaps = np.diff(params, append=params[0] + perim) % perim
     gaps_prev = np.roll(gaps, 1)
     weights = 0.5 * (gaps + gaps_prev)
     return BoundaryTrace(
         ij=np.column_stack([rows, cols]),
         centers=centers,
-        projections=projections,
         params=params,
-        normals=normals,
         weights=weights,
         perimeter=perim,
     )
@@ -406,7 +377,8 @@ def build_lake(preset: str, resolution: int) -> Lake:
     """Build a discretized lake for a named geometry/depth preset.
 
     resolution is the cell count per side of the bounding box; the grid
-    spacing is side/resolution.  Requires resolution >= 16.
+    spacing is side/resolution.  Requires 16 <= resolution and
+    resolution^2 <= MAX_CELLS.
     """
     if preset not in PRESETS:
         raise GeometryError(
@@ -414,6 +386,11 @@ def build_lake(preset: str, resolution: int) -> Lake:
         )
     if resolution < 16:
         raise GeometryError(f"resolution must be >= 16, got {resolution}")
+    if resolution * resolution > MAX_CELLS:
+        raise GeometryError(
+            f"resolution {resolution} exceeds the cell budget: "
+            f"{resolution}^2 > {MAX_CELLS} cells"
+        )
     domain = _domain_for(preset)
     h = 2.0 / resolution  # domain box [-1, 1]^2 for every preset
     # pad the grid two cells beyond the domain box so the ghost ring is on-grid

@@ -9,6 +9,7 @@ is F_*(t) = integral of the inverse from 0 to t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,15 +28,17 @@ class VorticityFunction:
 
     def __post_init__(self):
         if self.preset == "power":
-            if self.p <= 1.0:
-                raise ValueError("power preset needs exponent p > 1")
+            if not 1.0 < self.p < math.inf:
+                raise ValueError(f"power preset needs a finite exponent p > 1, got {self.p}")
         elif self.preset == "jump_linear":
-            if self.c < 0.0:
-                raise ValueError("jump_linear preset needs jump c >= 0")
+            if not 0.0 <= self.c < math.inf:
+                raise ValueError(f"jump_linear preset needs a finite jump c >= 0, got {self.c}")
         elif self.preset == "table":
             pts = np.asarray(self.points, dtype=float)
             if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
                 raise ValueError("table preset needs >= 2 (s, f) pairs")
+            if not np.all(np.isfinite(pts)):
+                raise ValueError("table preset needs finite (s, f) pairs")
             if np.any(np.diff(pts[:, 0]) <= 0) or pts[0, 0] < 0:
                 raise ValueError("table abscissae must be increasing and >= 0")
             s, v = pts[:, 0], pts[:, 1]
@@ -142,15 +145,6 @@ class HypothesisReport:
     h1_monotone: bool
     s_max: float
     n_samples: int
-
-
-def eval_f(vf: VorticityFunction, s: float) -> float:
-    return float(vf.f(s))
-
-
-def eval_conjugate(vf: VorticityFunction, t: float) -> tuple[float, float]:
-    """Return (f_inv(t), F_*(t))."""
-    return float(vf.f_inv(t)), float(vf.F_star(t))
 
 
 def verify_hypotheses(vf: VorticityFunction, s_max: float, n: int) -> HypothesisReport:

@@ -99,7 +99,6 @@ class SolveState:
     iterations: int
     converged: bool
     fp_residual: float
-    params: AdmissibleParams
     ctx: "SolveContext" = field(repr=False, default=None)
     k_zeta: np.ndarray = field(repr=False, default=None)  # cached K zeta
 
@@ -260,7 +259,6 @@ def iterate_step(state: SolveState) -> SolveState:
         iterations=state.iterations + 1,
         converged=False,
         fp_residual=float(np.dot(np.abs(zeta_new - state.zeta), ctx.lake.nu_weights)),
-        params=ctx.params,
         ctx=ctx,
         k_zeta=k_new,
     )
@@ -304,7 +302,6 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
         iterations=0,
         converged=False,
         fp_residual=float("inf"),
-        params=params,
         ctx=ctx,
         k_zeta=k0,
     )

@@ -73,7 +73,7 @@ def regime_reports(fixture_lake):
         flux = flux_preset(lake, "cosine", amplitude=amplitude)
         reports[regime] = run_sweep(
             lake, flux, DeltaSchedule(regime), kappa0=1.0, lam=50.0,
-            eps_list=EPS_LIST, vf=FIXTURE_VF, handle=handle, retain_states=True,
+            eps_list=EPS_LIST, vf=FIXTURE_VF, handle=handle,
         )
     elapsed = time.monotonic() - t0
     return lake, reports, elapsed
@@ -176,7 +176,7 @@ def test_criterion_4_optimality_structure(regression_states, acceptance_report):
     worst_mass = 0.0
     ok = True
     for lake, state in regression_states:
-        params = state.params
+        params = state.ctx.params
         viol = optimality_violations(state)["max"]
         mass_err = abs(mass(lake, state.zeta) - params.target_mass)
         worst_case = max(worst_case, viol)

@@ -213,8 +213,7 @@ def small_sweep():
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
     report = run_sweep(lake, flux, DeltaSchedule("critical"), kappa0=1.0, lam=50.0,
-                       eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle,
-                       retain_states=True)
+                       eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
     return lake, report
 
 
@@ -233,7 +232,7 @@ def test_sweep_rows_satisfy_solve_invariants(small_sweep):
         assert row.dist_boundary > 0
         assert 0.0 <= row.mass_frac <= 1.0
         assert np.isfinite(row.mu) and np.isfinite(row.E_total)
-        params = state.params
+        params = state.ctx.params
         from lakevortex.variational import mass, patch_measure
         assert mass(lake, state.zeta) == pytest.approx(params.target_mass, rel=1e-8)
         assert patch_measure(lake, state, params) == 0.0
@@ -288,13 +287,16 @@ def test_sweep_continues_past_failed_point():
     assert report.checks["all_converged"] is False
 
 
-def test_sweep_parallel_matches_serial(small_sweep):
-    lake, serial = small_sweep
-    handle = assemble_operator(lake)
-    flux = flux_preset(lake, "cosine", amplitude=0.02)
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # only the package's numerical errors turn into failed rows
+    import lakevortex.asymptotics as asymptotics
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(asymptotics, "solve_vortex", broken)
+    lake = build_lake("disk_interior_max_b", 32)
     vf = VorticityFunction("jump_linear", c=0.5)
-    parallel = run_sweep(lake, flux, DeltaSchedule("critical"), kappa0=1.0, lam=50.0,
-                         eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle, jobs=2)
-    for r1, r2 in zip(serial.rows, parallel.rows):
-        assert r1.mu == r2.mu
-        assert r1.E_total == r2.E_total
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        run_sweep(lake, flux_preset(lake, "zero"), DeltaSchedule("critical"), kappa0=1.0,
+                  lam=50.0, eps_list=[0.2], vf=vf)

@@ -106,6 +106,79 @@ def test_nan_flux_amplitude_is_config_error(tmp_path, capsys):
     assert "amplitude must be finite" in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": "abc"}}),
+    ("solve", {"nonlinearity": {"preset": "power", "p": NAN}}),
+    ("solve", {"seed": [0.0]}),
+    ("solve", {"flux": {"preset": "custom", "points": [1.0, 2.0]}}),
+    ("sweep", {"seed": [0.0]}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=["x"])}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, NAN])}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.4, 0.2])}),  # 0.4 >= 1/e
+    ("sweep", {"target_radius": NAN}),
+    ("check-hypotheses", {"hypotheses": {"n": "many"}}),
+    ("kernel-test", {"kernel": {"resolution": "x", "pairs": 10}}),
+    ("kernel-test", {"kernel": {"resolution": 64, "pairs": 0}}),
+], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
+        "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e", "target-radius-nan",
+        "hypotheses-n", "kernel-resolution", "kernel-pairs-0"])
+def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
+    base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
+    cfg = _write(tmp_path, dict(base, **changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 1025}}),
+    ("kernel-test", {"kernel": {"resolution": 1025, "pairs": 10}}),
+])
+def test_oversized_grid_is_rejected_before_allocation(tmp_path, monkeypatch, command, changes):
+    from lakevortex import geometry
+
+    assert 1025**2 > geometry.MAX_CELLS >= 1024**2
+
+    def allocate(*args):
+        raise AssertionError("build_lake went past the cell budget")
+
+    # the first step of build_lake after its checks; nothing is allocated before it
+    monkeypatch.setattr(geometry, "_domain_for", allocate)
+    cfg = _write(tmp_path, dict(SMALL_SOLVE, **changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):
+    # solve_critical.json sets delta = 1/ln(10) to one ulp: the critical schedule at eps = 0.1
+    import csv
+    import math
+
+    from lakevortex.asymptotics import DIAG_COLUMNS, DeltaSchedule, run_sweep
+    from lakevortex.cli import build_lake_from, flux_from, seed_from, vf_from
+    from lakevortex.elliptic import assemble_operator
+
+    path = CONFIG_DIR / "solve_critical.json"
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "diag.csv", newline="") as fh:
+        next(fh)  # provenance comment
+        (solved,) = list(csv.DictReader(fh))
+    cfg = load_config(path)
+    lake = build_lake_from(cfg)
+    report = run_sweep(lake, flux_from(cfg, lake), DeltaSchedule("critical"),
+                       kappa0=cfg["params"]["kappa0"], lam=cfg["params"]["lam"],
+                       eps_list=[cfg["params"]["eps"]], vf=vf_from(cfg),
+                       handle=assemble_operator(lake), seed=seed_from(cfg))
+    (swept,), (state,) = report.rows, report.states
+    # mass_frac differs only by its anchor: the seed in solve, the nearest tie in sweep
+    for column in DIAG_COLUMNS:
+        if column != "mass_frac":
+            assert float(solved[column]) == pytest.approx(getattr(swept, column), rel=1e-12), column
+    assert math.isfinite(swept.sup_K)
+    assert swept.sup_K == state.k_zeta.max()
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{\n  "lake": {,}\n}')

@@ -81,9 +81,9 @@ def test_boundary_trace_ordering_and_weights(disk_const_64):
     assert np.all(gaps > 0)
     assert trace.params[0] < 4 * disk_const_64.h
     assert trace.weights.sum() == pytest.approx(TWO_PI, rel=1e-12)
-    # outward normals point away from the origin for the unit disk
-    dots = np.sum(trace.normals * trace.projections, axis=1)
-    assert np.all(dots > 0.99)
+    # ghost cells sit outside the unit disk, each within one cell of an interior cell
+    r = np.hypot(trace.centers[:, 0], trace.centers[:, 1])
+    assert np.all(r >= 1.0) and np.all(r < 1.0 + disk_const_64.h)
 
 
 def test_rect_lake_places_requested_cells():

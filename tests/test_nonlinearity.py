@@ -5,40 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lakevortex.nonlinearity import (
-    VorticityFunction,
-    eval_conjugate,
-    eval_f,
-    verify_hypotheses,
-)
+from lakevortex.nonlinearity import VorticityFunction, verify_hypotheses
 
 
 def test_power_values(vf_power2):
-    assert eval_f(vf_power2, 3.0) == 9.0
-    assert eval_f(vf_power2, -1.0) == 0.0
-    assert eval_f(vf_power2, 0.0) == 0.0
+    assert vf_power2.f(3.0) == 9.0
+    assert vf_power2.f(-1.0) == 0.0
+    assert vf_power2.f(0.0) == 0.0
 
 
 def test_jump_value_at_zero_plus():
     vf = VorticityFunction("jump_linear", c=1.0)
-    assert eval_f(vf, 1e-12) == pytest.approx(1.0, abs=1e-11)
-    assert eval_f(vf, 0.0) == 0.0
+    assert vf.f(1e-12) == pytest.approx(1.0, abs=1e-11)
+    assert vf.f(0.0) == 0.0
     assert vf.f_at_zero_plus == 1.0
 
 
 def test_conjugate_power(vf_power2):
-    f_inv, f_star = eval_conjugate(vf_power2, 4.0)
-    assert f_inv == pytest.approx(2.0, abs=1e-14)
-    assert f_star == pytest.approx(16.0 / 3.0, rel=1e-14)
-    assert eval_conjugate(vf_power2, -1.0) == (0.0, 0.0)
+    assert vf_power2.f_inv(4.0) == pytest.approx(2.0, abs=1e-14)
+    assert vf_power2.F_star(4.0) == pytest.approx(16.0 / 3.0, rel=1e-14)
+    assert (vf_power2.f_inv(-1.0), vf_power2.F_star(-1.0)) == (0.0, 0.0)
 
 
 def test_conjugate_below_jump_is_zero():
     vf = VorticityFunction("jump_linear", c=1.0)
-    assert eval_conjugate(vf, 0.5) == (0.0, 0.0)
-    f_inv, f_star = eval_conjugate(vf, 3.0)
-    assert f_inv == pytest.approx(2.0)
-    assert f_star == pytest.approx(2.0)
+    assert (vf.f_inv(0.5), vf.F_star(0.5)) == (0.0, 0.0)
+    assert vf.f_inv(3.0) == pytest.approx(2.0)
+    assert vf.F_star(3.0) == pytest.approx(2.0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -226,7 +226,7 @@ def test_regression_anchor(power_fixture):
     assert state.converged
     assert state.mu == pytest.approx(ANCHOR_MU, rel=1e-9)
     assert state.energy.total == pytest.approx(ANCHOR_ENERGY, rel=1e-9)
-    assert patch_measure(state.ctx.lake, state, state.params) == 0.0
+    assert patch_measure(state.ctx.lake, state, state.ctx.params) == 0.0
 
 
 def test_seed_independence_logged(power_fixture, caplog):
@@ -273,7 +273,7 @@ def test_patch_measure_zero_field(interior_128, power_fixture):
     _, _, _, params, state = power_fixture
     empty = SolveState(zeta=np.zeros(interior_128.n_cells), psi_total=state.psi_total,
                        mu=0.0, energy=state.energy, energy_trace=[], iterations=0,
-                       converged=True, fp_residual=0.0, params=params, ctx=state.ctx)
+                       converged=True, fp_residual=0.0, ctx=state.ctx)
     assert patch_measure(interior_128, empty, params) == 0.0
 
 
@@ -345,10 +345,9 @@ def test_steady_residual_radial_case(disk_const_64, disk_const_64_handle):
     lake = disk_const_64
     zeta = disk_indicator_averaged(lake, (0.0, 0.0), 0.4)
     psi = apply_K(disk_const_64_handle, zeta)
-    params = AdmissibleParams(eps=0.4, delta=1.0, kappa0=1.0, lam=50.0)
     state = SolveState(zeta=zeta, psi_total=psi, mu=0.0, energy=None,
                        energy_trace=[], iterations=0, converged=True,
-                       fp_residual=0.0, params=params, ctx=None)
+                       fp_residual=0.0, ctx=None)
     assert steady_residual(lake, state) <= 10.0 * lake.h
 
 
@@ -364,5 +363,5 @@ def test_steady_residual_negative_control(critical_state_129):
     moved[~lake.mask] = 0.0
     fake = SolveState(zeta=moved[lake.mask], psi_total=state.psi_total, mu=state.mu,
                       energy=state.energy, energy_trace=[], iterations=0,
-                      converged=True, fp_residual=0.0, params=params, ctx=state.ctx)
+                      converged=True, fp_residual=0.0, ctx=state.ctx)
     assert steady_residual(lake, fake) >= 10.0 * base
