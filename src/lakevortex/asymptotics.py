@@ -15,10 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import OperatorHandle, SolverError, assemble_operator, solve_background
+from .elliptic import OperatorHandle, SolverError, solve_background
 from .geometry import Lake, max_pairwise_distance
 from .nonlinearity import VorticityFunction
-from .variational import AdmissibilityError, AdmissibleParams, SolveState, solve_vortex
+from .variational import (
+    AdmissibilityError,
+    AdmissibleParams,
+    SolveState,
+    solve_vortex,
+    vorticity_center,
+)
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +33,9 @@ REGIMES = ("above_critical", "critical", "below_critical")
 # distance from the shore the above-critical support must keep when the depth
 # maximum is interior
 ETA_FLOOR = 0.2
+
+# radius of the ball around the target in which mass_frac is measured
+TARGET_RADIUS = 0.2
 
 DIAG_COLUMNS = (
     "eps", "delta", "diam_supp", "xc", "yc", "dist_boundary", "mu",
@@ -62,27 +71,17 @@ def delta_of_eps(schedule: DeltaSchedule, eps: float) -> float:
     return 1.0 / (t * t)
 
 
-def support_cells(lake: Lake, zeta: np.ndarray, rel_threshold: float = 1e-12) -> np.ndarray:
+def support_cells(lake: Lake, zeta: np.ndarray) -> np.ndarray:
+    """Cells above 1e-12 of the field's maximum (none for a field without a positive value)."""
     zmax = zeta.max() if zeta.size else 0.0
     if zmax <= 0.0:
         return np.zeros(lake.n_cells, dtype=bool)
-    return zeta > rel_threshold * zmax
+    return zeta > 1e-12 * zmax
 
 
-def support_diameter(lake: Lake, zeta: np.ndarray, rel_threshold: float = 1e-12) -> float:
+def support_diameter(lake: Lake, zeta: np.ndarray) -> float:
     """Max pairwise distance among active cell centers (0 if <= 1 cell)."""
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError("rel_threshold must lie in (0, 1)")
-    return max_pairwise_distance(lake.centers[support_cells(lake, zeta, rel_threshold)])
-
-
-def vorticity_center(lake: Lake, zeta: np.ndarray) -> np.ndarray:
-    """Area-weighted first moment (plain area measure, not the depth-weighted one)."""
-    w = zeta * lake.cell_area
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("vorticity center of a zero field is undefined")
-    return np.array([np.dot(lake.centers[:, 0], w), np.dot(lake.centers[:, 1], w)]) / total
+    return max_pairwise_distance(lake.centers[support_cells(lake, zeta)])
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,12 @@ class Profile:
 
 
 def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
-                    center, res: int = 64, n_bins: int = 24,
-                    span_factor: float = 3.0) -> Profile:
+                    center) -> Profile:
     """Sample the rescaled vorticity by bilinear interpolation around a center.
 
     Requires the support to be resolved by at least 4 cells across its
-    diameter; the local grid spans span_factor times the support radius.
+    diameter; the local 64 x 64 grid spans 3 support radii and the radial
+    profile has 24 bins.
     """
     diam = support_diameter(lake, zeta)
     if diam < 4.0 * lake.h:
@@ -111,8 +110,8 @@ def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
             f"{diam / lake.h:.1f} cells, need >= 4"
         )
     center = np.asarray(center, dtype=float)
-    half_width = span_factor * (diam / 2.0) / params.eps
-    coords = np.linspace(-half_width, half_width, res)
+    half_width = 3.0 * (diam / 2.0) / params.eps
+    coords = np.linspace(-half_width, half_width, 64)
     XX, YY = np.meshgrid(coords, coords)
     px = center[0] + params.eps * XX
     py = center[1] + params.eps * YY
@@ -134,6 +133,7 @@ def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
 
     rr = np.hypot(XX, YY).ravel()
     vv = xi.ravel()
+    n_bins = 24
     edges = np.linspace(0.0, half_width, n_bins + 1)
     means = np.full(n_bins, np.nan)
     idx = np.clip(np.searchsorted(edges, rr, side="right") - 1, 0, n_bins - 1)
@@ -158,14 +158,13 @@ def radial_monotonicity_score(profile: Profile) -> float:
     return 1.0 - pos / tv
 
 
-def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str,
-                     tie_tol: float = 1e-10):
+def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str):
     """Concentration target cell center(s) for a regime.
 
     above_critical: argmax of the depth; critical: argmax of the combined
     potential kappa0*b/(4 pi) + q; below_critical: argmax of the background.
     Returns (point, tie_points) where tie_points collects every cell within
-    tie_tol of the maximum.
+    1e-10 of the maximum.
     """
     if regime == "above_critical":
         score = lake.b_int
@@ -176,7 +175,7 @@ def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str,
     else:
         raise ScheduleError(f"unknown regime {regime!r}")
     smax = score.max()
-    ties = lake.centers[score >= smax - tie_tol]
+    ties = lake.centers[score >= smax - 1e-10]
     return ties[0].copy(), ties
 
 
@@ -223,10 +222,7 @@ class SweepReport:
     target_ties: np.ndarray
     diam_slope: float | None
     checks: dict
-    states: list = field(default_factory=list, repr=False)
-
-    def ok(self) -> bool:
-        return all(v for v in self.checks.values() if isinstance(v, bool))
+    states: list = field(repr=False)
 
 
 def _fit_loglog_slope(eps: np.ndarray, diam: np.ndarray) -> float | None:
@@ -236,14 +232,13 @@ def _fit_loglog_slope(eps: np.ndarray, diam: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(eps[good]), np.log(diam[good]), 1)[0])
 
 
-def diagnose(lake: Lake, state: SolveState, ties=None,
-             target_radius: float = 0.2) -> Diagnostics:
+def diagnose(lake: Lake, state: SolveState, ties, target_radius: float) -> Diagnostics:
     """Diagnostics row of one solved state.
 
     With ties, the mass fraction is taken around the tie point nearest the
     vorticity center and supp_target_dist is the largest distance from a
-    support cell to the ties; without, the mass fraction is taken around the
-    center itself.
+    support cell to the ties; with ties None, the mass fraction is taken
+    around the center itself.
     """
     params = state.ctx.params
     # vorticity_center raises on a zero field, so the support is not empty
@@ -283,9 +278,9 @@ def diagnose(lake: Lake, state: SolveState, ties=None,
 def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
               kappa0: float, lam: float, eps_list,
               vf: VorticityFunction,
-              handle: OperatorHandle | None = None,
+              handle: OperatorHandle,
               seed=None,
-              target_radius: float = 0.2) -> SweepReport:
+              target_radius: float = TARGET_RADIUS) -> SweepReport:
     """Solve along a decreasing eps list and evaluate the regime trend checks.
 
     A point whose solve fails with a numerical error is recorded as a row of
@@ -295,8 +290,6 @@ def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if np.any(np.diff(eps_arr) >= 0):
         raise ScheduleError("eps list must be strictly decreasing")
-    if handle is None:
-        handle = assemble_operator(lake)
     q = solve_background(handle, np.asarray(flux, dtype=float))
     target, ties = predicted_target(lake, q, kappa0, schedule.regime)
     seed_pt = np.asarray(seed, dtype=float) if seed is not None else target

@@ -22,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, elliptic
 from .asymptotics import (
     DIAG_COLUMNS,
+    TARGET_RADIUS,
     DeltaSchedule,
     ScheduleError,
     delta_of_eps,
@@ -49,6 +50,8 @@ from .geometry import (
 )
 from .nonlinearity import VorticityFunction, verify_hypotheses
 from .variational import (
+    FP_TOL_REL,
+    MAX_ITERS,
     AdmissibilityError,
     AdmissibleParams,
     brute_force_oracle,
@@ -90,17 +93,38 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
+def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return cfg[key]
 
 
-def _positive(value, name: str) -> float:
+def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
+    """The JSON object cfg[key]; default if absent, required if there is none."""
+    if key not in cfg and default is not None:
+        return default
+    value = _require(cfg, key, "config")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
     try:
-        v = float(value)
-    except (TypeError, ValueError):
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _pairs(value, name: str) -> tuple:
+    """A JSON list of [x, y] number pairs as float pairs; ValueError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
+        raise ValueError(f"{name} must be a list of [x, y] pairs, got {value!r}")
+    return tuple((_number(x, name), _number(y, name)) for x, y in value)
+
+
+def _positive(value, name: str) -> float:
+    v = _number(value, name)
     if v <= 0.0 or not math.isfinite(v):
         raise ConfigError(f"{name} must be positive and finite, got {v}")
     return v
@@ -124,7 +148,7 @@ def _lake(preset, resolution, where: str):
 
 
 def build_lake_from(cfg: dict):
-    lcfg = _require(cfg, "lake")
+    lcfg = _section(cfg, "lake")
     return _lake(_require(lcfg, "preset", "lake"), _require(lcfg, "resolution", "lake"), "lake")
 
 
@@ -143,34 +167,45 @@ def seed_from(cfg: dict):
 
 
 def flux_from(cfg: dict, lake) -> np.ndarray:
-    fcfg = cfg.get("flux", {"preset": "zero"})
+    fcfg = _section(cfg, "flux", {"preset": "zero"})
     preset = _require(fcfg, "preset", "flux")
     try:
-        amplitude = float(fcfg.get("amplitude", 1.0))
+        amplitude = _number(fcfg.get("amplitude", 1.0), "amplitude")
         if not math.isfinite(amplitude):
             raise ValueError(f"amplitude must be finite, got {amplitude}")
-        return flux_preset(lake, preset, amplitude=amplitude, points=fcfg.get("points"))
+        points = _pairs(fcfg["points"], "points") if "points" in fcfg else None
+        return flux_preset(lake, preset, amplitude=amplitude, points=points)
     except ValueError as exc:
         raise ConfigError(f"flux: {exc}") from exc
 
 
 def vf_from(cfg: dict) -> VorticityFunction:
-    ncfg = _require(cfg, "nonlinearity")
+    ncfg = _section(cfg, "nonlinearity")
     preset = _require(ncfg, "preset", "nonlinearity")
     try:
         if preset == "power":
-            return VorticityFunction("power", p=float(ncfg.get("p", 2.0)))
+            return VorticityFunction("power", p=_number(ncfg.get("p", 2.0), "p"))
         if preset == "jump_linear":
-            return VorticityFunction("jump_linear", c=float(ncfg.get("c", 0.0)))
+            return VorticityFunction("jump_linear", c=_number(ncfg.get("c", 0.0), "c"))
         if preset == "table":
-            return VorticityFunction("table", points=tuple(map(tuple, _require(ncfg, "points", "nonlinearity"))))
+            points = _pairs(_require(ncfg, "points", "nonlinearity"), "points")
+            return VorticityFunction("table", points=points)
     except ValueError as exc:
         raise ConfigError(f"nonlinearity: {exc}") from exc
     raise ConfigError(f"nonlinearity: unknown preset {preset!r}")
 
 
+def solver_vf_from(cfg: dict) -> VorticityFunction:
+    """vf_from for the commands that solve: they need f strictly increasing on
+    [0, inf), which check-hypotheses only reports on."""
+    vf = vf_from(cfg)
+    if not vf.strictly_increasing:
+        raise ConfigError("nonlinearity: table f-values must strictly increase from f(0+) >= 0")
+    return vf
+
+
 def params_from(cfg: dict) -> AdmissibleParams:
-    pcfg = _require(cfg, "params")
+    pcfg = _section(cfg, "params")
     try:
         return AdmissibleParams(
             eps=_positive(_require(pcfg, "eps", "params"), "params.eps"),
@@ -219,8 +254,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, float) and math.isnan(obj):
         return None
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 
@@ -254,35 +287,28 @@ def state_to_dict(lake, state) -> dict:
 
 
 def cmd_solve(cfg: dict, out: Path) -> int:
-    lake = build_lake_from(cfg)
-    handle = assemble_operator(lake)
-    from .elliptic import solve_background
-
-    nu = flux_from(cfg, lake)
-    q = solve_background(handle, nu)
-    vf = vf_from(cfg)
+    vf = solver_vf_from(cfg)
     params = params_from(cfg)
-    solver = cfg.get("solver", {})
-    try:
-        fp_tol_rel = float(solver.get("fp_tol_rel", 1e-8))
-        max_iters = int(solver.get("max_iters", 500))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"solver: {exc}") from None
-    if not 0.0 <= fp_tol_rel < math.inf or max_iters < 1:
-        raise ConfigError("solver: need 0 <= fp_tol_rel < inf and max_iters >= 1")
+    solver = _section(cfg, "solver", {})
+    fp_tol_rel = _number(solver.get("fp_tol_rel", FP_TOL_REL), "solver.fp_tol_rel")
+    if not 0.0 <= fp_tol_rel < math.inf:
+        raise ConfigError(f"solver.fp_tol_rel must be finite and >= 0, got {fp_tol_rel}")
+    max_iters = _integer(solver.get("max_iters", MAX_ITERS), "solver.max_iters", 1)
+    seed = seed_from(cfg)
+    target_radius = _positive(cfg.get("target_radius", TARGET_RADIUS), "target_radius")
+    lake = build_lake_from(cfg)
     try:
         params.check_nonempty(lake, vf)
     except AdmissibilityError as exc:
         raise ConfigError(str(exc)) from exc
-    seed = seed_from(cfg)
-    state = solve_vortex(
-        lake, q, params, vf,
-        init=seed,
-        handle=handle,
-        fp_tol_rel=fp_tol_rel, max_iters=max_iters,
-    )
+    nu = flux_from(cfg, lake)
+    handle = assemble_operator(lake)
+    # looked up in elliptic at call time, where instrumentation can wrap it
+    q = elliptic.solve_background(handle, nu)
+    state = solve_vortex(lake, q, params, vf, handle, init=seed,
+                         fp_tol_rel=fp_tol_rel, max_iters=max_iters)
     chash = config_hash(cfg)
-    diag = diagnose(lake, state, ties=None if seed is None else [seed])
+    diag = diagnose(lake, state, None if seed is None else [seed], target_radius)
     write_json(out / "state.json", state_to_dict(lake, state), chash)
     write_csv(out / "diag.csv", [diag], chash)
     print(f"solve: converged={state.converged} iterations={state.iterations} "
@@ -291,8 +317,10 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
-    lake = build_lake_from(cfg)
-    scfg = _require(cfg, "sweep")
+    if "solver" in cfg:
+        raise ConfigError("solver: a sweep solves with the default settings; "
+                          "the section applies to solve only")
+    scfg = _section(cfg, "sweep")
     regime = _require(scfg, "schedule", "sweep")
     try:
         schedule = DeltaSchedule(regime)
@@ -310,15 +338,14 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         raise ConfigError(f"sweep: {exc}") from exc
     kappa0 = _positive(scfg.get("kappa0", 1.0), "sweep.kappa0")
     lam = _positive(scfg.get("lam", 50.0), "sweep.lam")
-    target_radius = _positive(cfg.get("target_radius", 0.2), "target_radius")
+    target_radius = _positive(cfg.get("target_radius", TARGET_RADIUS), "target_radius")
     seed = seed_from(cfg)
-    vf = vf_from(cfg)
+    vf = solver_vf_from(cfg)
+    lake = build_lake_from(cfg)
     nu = flux_from(cfg, lake)
     handle = assemble_operator(lake)
-    report = run_sweep(
-        lake, nu, schedule, kappa0, lam, eps_list, vf, handle=handle,
-        seed=seed, target_radius=target_radius,
-    )
+    report = run_sweep(lake, nu, schedule, kappa0, lam, eps_list, vf, handle,
+                       seed=seed, target_radius=target_radius)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
     summary = {
@@ -336,31 +363,24 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
 
 
 def tiny_oracle_fixtures():
-    """The bundled tiny-lake fixtures: (name, lake, q, params, m)."""
-    h = 0.5
+    """The bundled tiny-lake fixtures (name, lake, q, params, m), q = slope * x."""
+    params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0)
     out = []
-    lake1 = rect_lake(1, 1, h, preset_id="tiny1")
-    out.append(("tiny1", lake1, np.zeros(1),
-                AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0), 8))
-    lake2 = rect_lake(2, 1, h, preset_id="tiny2")
-    out.append(("tiny2", lake2, np.zeros(2),
-                AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0), 8))
-    lake4 = rect_lake(2, 2, h, preset_id="tiny4")
-    q4 = 0.1 * lake4.centers[:, 0]
-    out.append(("tiny4", lake4, q4,
-                AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0), 8))
+    for name, nx, ny, slope in (("tiny1", 1, 1, 0.0), ("tiny2", 2, 1, 0.0), ("tiny4", 2, 2, 0.1)):
+        lake = rect_lake(nx, ny, 0.5, preset_id=name)
+        out.append((name, lake, slope * lake.centers[:, 0], params, 8))
     return out
 
 
 def cmd_oracle_test(cfg: dict, out: Path) -> int:
-    vf = vf_from(cfg)
+    vf = solver_vf_from(cfg)
     results = []
     ok = True
     for name, lake, q, params, m in tiny_oracle_fixtures():
         handle = assemble_operator(lake)
-        z_star, e_star = brute_force_oracle(lake, q, params, vf, m, handle=handle)
-        gap = oracle_gap_bound(lake, q, params, vf, m, handle=handle)
-        state = solve_vortex(lake, q, params, vf, init=lake.centers[0], handle=handle)
+        z_star, e_star = brute_force_oracle(lake, q, params, vf, m, handle)
+        gap = oracle_gap_bound(lake, q, params, vf, m, handle)
+        state = solve_vortex(lake, q, params, vf, handle, init=lake.centers[0])
         passed = state.energy.total >= e_star - gap
         ok = ok and passed and state.converged
         results.append({
@@ -381,7 +401,7 @@ def cmd_oracle_test(cfg: dict, out: Path) -> int:
 
 def cmd_check_hypotheses(cfg: dict, out: Path) -> int:
     vf = vf_from(cfg)
-    hcfg = cfg.get("hypotheses", {})
+    hcfg = _section(cfg, "hypotheses", {})
     s_max = _positive(hcfg.get("s_max", 10.0), "hypotheses.s_max")
     n = _integer(hcfg.get("n", 2000), "hypotheses.n", 100)
     report = verify_hypotheses(vf, s_max, n)
@@ -398,7 +418,7 @@ def cmd_check_hypotheses(cfg: dict, out: Path) -> int:
 
 
 def cmd_kernel_test(cfg: dict, out: Path) -> int:
-    kcfg = cfg.get("kernel", {})
+    kcfg = _section(cfg, "kernel", {})
     n_pairs = _integer(kcfg.get("pairs", 1000), "kernel.pairs", 1)
     rng = np.random.default_rng(_integer(kcfg.get("rng_seed", 20240801), "kernel.rng_seed", 0))
     lake = _lake("disk_constant_b", kcfg.get("resolution", 128), "kernel")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .geometry import Lake
+from .geometry import Lake, green_disk_grid
 
 log = logging.getLogger(__name__)
 
@@ -45,11 +45,7 @@ class CompatibilityError(ValueError):
 
 @dataclass
 class OperatorHandle:
-    """Assembled weighted operator with a cached sparse factorization.
-
-    Immutable after assembly; concurrent solves are safe because the
-    factorization is read-only and each solve allocates its own vectors.
-    """
+    """Assembled weighted operator with a cached sparse factorization."""
 
     lake: Lake
     matrix: csc_matrix
@@ -61,10 +57,6 @@ class OperatorHandle:
     @property
     def n(self) -> int:
         return self.lake.n_cells
-
-    def bilinear_form(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Discrete energy form a(u, v) = sum b^{-1} grad u . grad v h^2."""
-        return float(u @ (self.matrix @ v)) * self.lake.cell_area
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         sol = self.lu.solve(rhs)
@@ -264,8 +256,6 @@ def kernel_representation_residual(handle: OperatorHandle, zeta: np.ndarray,
     correction kernel vanishes and the residual is pure discretization error;
     for variable depth it measures the bounded correction term.
     """
-    from .geometry import green_disk_grid
-
     lake = handle.lake
     psi = apply_K(handle, zeta)
     nuw = lake.nu_weights

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,7 +218,6 @@ class Lake:
     cells : (n, 2) (row, col) of interior cells
     centers : (n, 2) coordinates of interior cell centers
     b_int : (n,) depth on interior cells
-    diameter : max pairwise distance between interior cell centers
     """
 
     preset_id: str
@@ -231,7 +231,6 @@ class Lake:
     cells: np.ndarray
     centers: np.ndarray
     b_int: np.ndarray
-    diameter: float
     boundary: BoundaryTrace
 
     @property
@@ -250,6 +249,11 @@ class Lake:
     @property
     def measure_nu(self) -> float:
         return float(self.nu_weights.sum())
+
+    @cached_property
+    def diameter(self) -> float:
+        """Max pairwise distance between interior cell centers, computed on first use."""
+        return max_pairwise_distance(self.centers)
 
     def field_to_grid(self, u: np.ndarray, fill: float = 0.0) -> np.ndarray:
         g = np.full(self.mask.shape, fill, dtype=float)
@@ -296,7 +300,7 @@ def max_pairwise_distance(points: np.ndarray) -> float:
     if points.shape[0] > 16:
         try:
             hull_pts = points[ConvexHull(points).vertices]
-        except Exception:
+        except QhullError:
             # degenerate (collinear) input; exact via principal-axis extremes
             centered = points - points.mean(axis=0)
             axis = np.linalg.svd(centered, full_matrices=False)[2][0]
@@ -365,7 +369,6 @@ def _assemble_lake(preset: str, domain, xs: np.ndarray, ys: np.ndarray, h: float
         cells=np.column_stack([rows, cols]),
         centers=centers,
         b_int=b_int,
-        diameter=max_pairwise_distance(centers),
         boundary=_build_trace(domain, mask, xs, ys),
     )
     if lake.measure_nu <= 0.0:
@@ -403,7 +406,7 @@ def rect_lake(nx: int, ny: int, h: float, depth=1.0, preset_id: str = "rect_cust
     """Small rectangular lake with explicit cell counts, used for fixtures.
 
     Unlike build_lake this places exactly nx x ny interior cells and allows an
-    arbitrary positive depth (constant, callable b(x, y), or (ny, nx) array).
+    arbitrary positive depth (a constant or a callable b(x, y)).
     """
     if nx < 1 or ny < 1:
         raise GeometryError("need at least one cell in each direction")
@@ -413,14 +416,8 @@ def rect_lake(nx: int, ny: int, h: float, depth=1.0, preset_id: str = "rect_cust
     X, Y = np.meshgrid(xs, ys)
     if callable(depth):
         b_grid = np.asarray(depth(X, Y), dtype=float)
-    elif np.isscalar(depth):
-        b_grid = np.full(X.shape, float(depth))
     else:
-        depth = np.asarray(depth, dtype=float)
-        if depth.shape != (ny, nx):
-            raise GeometryError(f"depth array must have shape {(ny, nx)}")
-        b_grid = np.zeros(X.shape)
-        b_grid[1:-1, 1:-1] = depth
+        b_grid = np.full(X.shape, float(depth))
     b_grid = np.maximum(b_grid, 0.0)
     return _assemble_lake(preset_id, domain, xs, ys, h, b_grid=b_grid)
 

@@ -3,6 +3,7 @@ numerical certificates for the monotonicity and growth hypotheses.
 
 Every family satisfies f(s) = 0 for s <= 0 and is strictly increasing on
 [0, inf); f may jump at 0+ (the jump_linear preset exercises f(0+) > 0).
+A table may break this (see strictly_increasing); the solver must not get one.
 The inverse is extended by 0 at and below f(0+), and the conjugate primitive
 is F_*(t) = integral of the inverse from 0 to t.
 """
@@ -50,6 +51,14 @@ class VorticityFunction:
             self._table.update(s=s, v=v, slope=max(slope, 1e-12))
         else:
             raise ValueError(f"unknown nonlinearity preset {self.preset!r}")
+
+    @property
+    def strictly_increasing(self) -> bool:
+        """f(0+) >= 0 and rising knots; a table whose first knot is past 0 is flat below it."""
+        if self.preset != "table":
+            return True
+        v = self._table["v"]
+        return bool(v[0] >= 0.0 and np.all(np.diff(v) > 0.0))
 
     @property
     def f_at_zero_plus(self) -> float:

@@ -87,20 +87,23 @@ class Energy:
 class SolveState:
     """Converged (or best-effort) solve state.
 
-    psi_total = K zeta + q - mu is the full stream function whose level sets
-    carry the vorticity; energy_trace records the functional per iteration.
+    k_zeta caches K zeta; energy_trace records the functional per iteration.
     """
 
     zeta: np.ndarray
-    psi_total: np.ndarray
+    k_zeta: np.ndarray = field(repr=False)
     mu: float
     energy: Energy
     energy_trace: list
     iterations: int
     converged: bool
     fp_residual: float
-    ctx: "SolveContext" = field(repr=False, default=None)
-    k_zeta: np.ndarray = field(repr=False, default=None)  # cached K zeta
+    ctx: "SolveContext" = field(repr=False)
+
+    @property
+    def psi_total(self) -> np.ndarray:
+        """K zeta + q - mu, the full stream function whose level sets carry the vorticity."""
+        return self.k_zeta + self.ctx.q - self.mu
 
 
 @dataclass
@@ -120,19 +123,12 @@ def mass(lake: Lake, zeta: np.ndarray) -> float:
 
 
 def energy(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-           vf: VorticityFunction, zeta: np.ndarray,
-           handle: OperatorHandle | None = None,
-           k_zeta: np.ndarray | None = None) -> Energy:
-    """Evaluate the functional at zeta.
+           vf: VorticityFunction, zeta: np.ndarray, k_zeta: np.ndarray) -> Energy:
+    """Evaluate the functional at zeta, given k_zeta = K zeta.
 
     E_q = 0.5*sum(zeta*K zeta*b h^2) + sum(q*zeta*b h^2) and the penalty is
-    (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2).  Pass k_zeta to
-    reuse an existing solve.
+    (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2).
     """
-    if k_zeta is None:
-        if handle is None:
-            raise ValueError("need an operator handle or a precomputed K zeta")
-        k_zeta = apply_K(handle, zeta)
     nuw = lake.nu_weights
     e_q = 0.5 * float(np.dot(zeta * nuw, k_zeta)) + float(np.dot(q * nuw, zeta))
     scale = params.delta / params.eps**2
@@ -244,15 +240,14 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
 def iterate_step(state: SolveState) -> SolveState:
     """One linearize-and-rearrange step; the energy never decreases."""
     ctx = state.ctx
-    k_zeta = state.k_zeta if state.k_zeta is not None else apply_K(ctx.handle, state.zeta)
-    psi_free = k_zeta + ctx.q
+    psi_free = state.k_zeta + ctx.q
     mu, zeta_new = bathtub(ctx.lake, ctx.params, ctx.vf, psi_free)
     k_new = apply_K(ctx.handle, zeta_new)
     e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, zeta_new, k_zeta=k_new)
     trace = state.energy_trace + [e_new.total]
     return SolveState(
         zeta=zeta_new,
-        psi_total=k_new + ctx.q - mu,
+        k_zeta=k_new,
         mu=mu,
         energy=e_new,
         energy_trace=trace,
@@ -260,13 +255,11 @@ def iterate_step(state: SolveState) -> SolveState:
         converged=False,
         fp_residual=float(np.dot(np.abs(zeta_new - state.zeta), ctx.lake.nu_weights)),
         ctx=ctx,
-        k_zeta=k_new,
     )
 
 
 def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                 vf: VorticityFunction, init=None,
-                 handle: OperatorHandle | None = None,
+                 vf: VorticityFunction, handle: OperatorHandle, init=None,
                  fp_tol_rel: float = FP_TOL_REL,
                  max_iters: int = MAX_ITERS) -> SolveState:
     """Iterate the capped level-set update to a fixed point.
@@ -276,11 +269,7 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     fp_tol_rel * kappa0 * delta.  On non-convergence the best state is
     returned with converged=False.
     """
-    from .elliptic import assemble_operator
-
     params.check_nonempty(lake, vf)
-    if handle is None:
-        handle = assemble_operator(lake)
     if init is None:
         init = lake.centers[np.argmax(lake.b_int)]
     init_arr = np.asarray(init, dtype=float)
@@ -295,7 +284,7 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     e0 = energy(lake, q, params, vf, zeta0, k_zeta=k0)
     state = SolveState(
         zeta=zeta0,
-        psi_total=k0 + q,
+        k_zeta=k0,
         mu=0.0,
         energy=e0,
         energy_trace=[e0.total],
@@ -303,7 +292,6 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
         converged=False,
         fp_residual=float("inf"),
         ctx=ctx,
-        k_zeta=k0,
     )
     tol = fp_tol_rel * params.target_mass
     for _ in range(max_iters):
@@ -350,6 +338,15 @@ def optimality_violations(state: SolveState) -> dict:
     return out
 
 
+def vorticity_center(lake: Lake, zeta: np.ndarray) -> np.ndarray:
+    """Area-weighted first moment (plain area measure, not the depth-weighted one)."""
+    w = zeta * lake.cell_area
+    total = w.sum()
+    if total <= 0.0:
+        raise ValueError("vorticity center of a zero field is undefined")
+    return np.array([np.dot(lake.centers[:, 0], w), np.dot(lake.centers[:, 1], w)]) / total
+
+
 def mu_lower_bound(vf: VorticityFunction, q: np.ndarray) -> float:
     """Lower bound the multiplier must satisfy at small scales:
     -f_inv(f(0+)+1) + min q - 1."""
@@ -370,8 +367,7 @@ def _dense_quadratic(handle: OperatorHandle) -> np.ndarray:
 
 
 def brute_force_oracle(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                       vf: VorticityFunction, m: int,
-                       handle: OperatorHandle | None = None):
+                       vf: VorticityFunction, m: int, handle: OperatorHandle):
     """Enumerate quantized admissible fields and return the best (zeta, E).
 
     Cell values range over {0, cap*k/m}; fields qualify when their weighted
@@ -379,15 +375,11 @@ def brute_force_oracle(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     of the target.  Energies use a dense inverse, independent of the sparse
     iterative path.  Limits: at most 6 cells and m <= 12.
     """
-    from .elliptic import assemble_operator
-
     n = lake.n_cells
     if n > 6:
         raise ValueError("oracle enumeration is limited to lakes with <= 6 cells")
     if m > 12 or m < 1:
         raise ValueError("quantization level m must be in 1..12")
-    if handle is None:
-        handle = assemble_operator(lake)
     w = _dense_quadratic(handle)
     nuw = lake.nu_weights
     cap = params.cap
@@ -435,17 +427,12 @@ def brute_force_oracle(lake: Lake, q: np.ndarray, params: AdmissibleParams,
 
 
 def oracle_gap_bound(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                     vf: VorticityFunction, m: int,
-                     handle: OperatorHandle | None = None) -> float:
+                     vf: VorticityFunction, m: int, handle: OperatorHandle) -> float:
     """Analytic bound on |true max - quantized max| for the tiny-lake oracle.
 
     Lipschitz constant of the functional in the weighted L1 metric times the
     quantization distance (per-cell rounding plus one mass-rebalancing level).
     """
-    from .elliptic import assemble_operator
-
-    if handle is None:
-        handle = assemble_operator(lake)
     w = _dense_quadratic(handle)
     nuw = lake.nu_weights
     cap = params.cap
@@ -479,12 +466,12 @@ def _bump(p: np.ndarray, center, radius: float):
     return phi, gx, gy
 
 
-def _test_field_family(center, radii=(0.15, 0.3)):
+def _test_field_family(center):
     """Deterministic family of smooth compactly supported test fields."""
     offsets = [(0.0, 0.0), (0.12, 0.0), (-0.12, 0.0), (0.0, 0.12), (0.0, -0.12)]
     fields = []
     for ox, oy in offsets:
-        for rad in radii:
+        for rad in (0.15, 0.3):
             c = (center[0] + ox, center[1] + oy)
             fields.append(("bump", c, rad))
             fields.append(("xbump", c, rad))
@@ -511,9 +498,8 @@ def steady_residual(lake: Lake, state: SolveState) -> float:
     rot_y = -dpsi_dx[lake.mask]
 
     wz = zeta * lake.cell_area
-    center = np.array([np.dot(lake.centers[:, 0], wz), np.dot(lake.centers[:, 1], wz)]) / wz.sum()
     worst = 0.0
-    for kind, c, rad in _test_field_family(center):
+    for kind, c, rad in _test_field_family(vorticity_center(lake, zeta)):
         phi, gx, gy = _bump(lake.centers, c, rad)
         if kind == "xbump":
             sx = lake.centers[:, 0] - c[0]

@@ -132,6 +132,74 @@ def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes
     assert capsys.readouterr().err.startswith("config error:")
 
 
+FALLING_TABLE = {"preset": "table", "points": [[0, 1], [1, 0.5], [2, 0.2]]}
+NEGATIVE_JUMP_TABLE = {"preset": "table", "points": [[0, -1], [1, 0.5], [2, 2]]}
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("solve", {"lake": 5}),
+    ("solve", {"flux": 5}),
+    ("solve", {"nonlinearity": 5}),
+    ("solve", {"params": 5}),
+    ("solve", {"solver": [1]}),
+    ("sweep", {"sweep": 5}),
+    ("kernel-test", {"kernel": 5}),
+    ("check-hypotheses", {"hypotheses": 5}),
+    ("solve", {"flux": {"preset": "custom", "points": 5}}),
+    ("solve", {"flux": {"preset": "cosine", "amplitude": [1]}}),
+    ("solve", {"nonlinearity": {"preset": "table", "points": 5}}),
+    ("solve", {"nonlinearity": {"preset": "power", "p": [2]}}),
+    ("solve", {"nonlinearity": FALLING_TABLE}),
+    ("solve", {"nonlinearity": NEGATIVE_JUMP_TABLE}),
+    ("sweep", {"nonlinearity": FALLING_TABLE}),
+    ("sweep", {"nonlinearity": NEGATIVE_JUMP_TABLE}),
+    ("oracle-test", {"nonlinearity": FALLING_TABLE}),
+    ("solve", {"target_radius": -3}),
+    ("sweep", {"solver": {"max_iters": 1, "fp_tol_rel": "junk"}}),
+], ids=["lake-int", "flux-int", "nonlinearity-int", "params-int", "solver-list", "sweep-int", "kernel-int",
+        "hypotheses-int", "flux-points-int", "flux-amplitude-list", "table-points-int",
+        "power-p-list", "solve-falling-table", "solve-negative-jump-table",
+        "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table",
+        "solve-target-radius",
+        "sweep-solver"])
+def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes):
+    base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
+    cfg = _write(tmp_path, dict(base, **changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command, changes, set_up", [
+    ("solve", {"params": dict(SMALL_SOLVE["params"], eps=-0.1)}, "assemble_operator"),
+    ("solve", {"nonlinearity": FALLING_TABLE}, "assemble_operator"),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, 0.3])}, "build_lake"),
+], ids=["solve-params-eps", "solve-falling-table", "sweep-eps-list"])
+def test_config_is_checked_before_set_up(tmp_path, monkeypatch, command, changes, set_up):
+    import lakevortex.cli as cli
+
+    def expensive(*args):
+        raise AssertionError(f"{set_up} ran before the config was checked")
+
+    monkeypatch.setattr(cli, set_up, expensive)
+    base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}[command]
+    cfg = _write(tmp_path, dict(base, **changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_solve_measures_mass_fraction_within_target_radius(tmp_path):
+    import csv
+
+    fractions = []
+    for radius in (0.2, 0.01):
+        cfg = _write(tmp_path, dict(SMALL_SOLVE, target_radius=radius))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "diag.csv", newline="") as fh:
+            next(fh)  # provenance comment
+            (row,) = list(csv.DictReader(fh))
+        fractions.append(float(row["mass_frac"]))
+    assert fractions[0] > fractions[1]
+
+
 @pytest.mark.parametrize("command, changes", [
     ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 1025}}),
     ("kernel-test", {"kernel": {"resolution": 1025, "pairs": 10}}),

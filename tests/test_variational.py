@@ -13,6 +13,7 @@ from lakevortex.variational import (
     MASS_TOL_REL,
     AdmissibilityError,
     AdmissibleParams,
+    SolveContext,
     SolveState,
     bathtub,
     brute_force_oracle,
@@ -58,8 +59,9 @@ def test_params_validation():
 def test_energy_of_zero_field(interior_128, interior_128_q, vf_power2,
                               interior_128_handle):
     params = AdmissibleParams(eps=0.1, delta=0.3, kappa0=1.0, lam=50.0)
-    e = energy(interior_128, interior_128_q, params, vf_power2,
-               np.zeros(interior_128.n_cells), handle=interior_128_handle)
+    zeta = np.zeros(interior_128.n_cells)
+    e = energy(interior_128, interior_128_q, params, vf_power2, zeta,
+               apply_K(interior_128_handle, zeta))
     assert e.e_q == 0.0 and e.f_eps == 0.0 and e.total == 0.0
 
 
@@ -72,7 +74,7 @@ def test_energy_one_cell_matches_dense_quadratic():
     params = AdmissibleParams(eps=0.3, delta=0.5, kappa0=1.0, lam=50.0)
     zeta = np.zeros(lake.n_cells)
     zeta[17] = 0.7
-    e = energy(lake, q, params, vf, zeta, handle=handle)
+    e = energy(lake, q, params, vf, zeta, apply_K(handle, zeta))
     # dense-inverse oracle
     a_inv = np.linalg.inv(handle.matrix.toarray())
     nuw = lake.nu_weights
@@ -95,7 +97,7 @@ def test_seed_patch_energy_growth_coefficient_stable(
         delta = 1.0 / math.log(1.0 / eps)
         params = AdmissibleParams(eps=eps, delta=delta, kappa0=1.0, lam=50.0)
         zeta = initial_patch(lake, params, (0.0, 0.0))
-        e = energy(lake, q, params, vf_jump, zeta, handle=handle)
+        e = energy(lake, q, params, vf_jump, zeta, apply_K(handle, zeta))
         lead = lake.b_int.max() / (4.0 * math.pi) * delta**2 * math.log(1.0 / eps)
         cs.append((e.total - lead) / delta)
     assert max(cs) - min(cs) <= 0.06  # measured spread 0.024
@@ -271,7 +273,7 @@ def test_tiny_truncation_produces_patch(interior_128, interior_128_handle,
 
 def test_patch_measure_zero_field(interior_128, power_fixture):
     _, _, _, params, state = power_fixture
-    empty = SolveState(zeta=np.zeros(interior_128.n_cells), psi_total=state.psi_total,
+    empty = SolveState(zeta=np.zeros(interior_128.n_cells), k_zeta=state.k_zeta,
                        mu=0.0, energy=state.energy, energy_trace=[], iterations=0,
                        converged=True, fp_residual=0.0, ctx=state.ctx)
     assert patch_measure(interior_128, empty, params) == 0.0
@@ -297,7 +299,8 @@ def test_oracle_single_cell_closed_form(vf_jump):
     # unique feasible value: all mass in the one cell
     z_expect = params.target_mass / lake.nu_weights[0]
     assert z_star[0] == pytest.approx(z_expect, rel=1e-12)
-    e_direct = energy(lake, q, params, vf_jump, np.array([z_expect]), handle=handle)
+    z = np.array([z_expect])
+    e_direct = energy(lake, q, params, vf_jump, z, apply_K(handle, z))
     assert e_star == pytest.approx(e_direct.total, rel=1e-10)
 
 
@@ -331,23 +334,27 @@ def test_oracle_guards():
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0)
     vf = VorticityFunction("power", p=2.0)
     with pytest.raises(ValueError, match="<= 6"):
-        brute_force_oracle(lake, np.zeros(7), params, vf, m=8)
+        brute_force_oracle(lake, np.zeros(7), params, vf, m=8, handle=assemble_operator(lake))
     lake2 = rect_lake(2, 1, 0.5)
     with pytest.raises(ValueError, match="1..12"):
-        brute_force_oracle(lake2, np.zeros(2), params, vf, m=20)
+        brute_force_oracle(lake2, np.zeros(2), params, vf, m=20,
+                           handle=assemble_operator(lake2))
 
 
 # ---------------------------------------------------------------------------
 # steadiness
 
 
-def test_steady_residual_radial_case(disk_const_64, disk_const_64_handle):
+def test_steady_residual_radial_case(disk_const_64, disk_const_64_handle, vf_power2):
     lake = disk_const_64
     zeta = disk_indicator_averaged(lake, (0.0, 0.0), 0.4)
-    psi = apply_K(disk_const_64_handle, zeta)
-    state = SolveState(zeta=zeta, psi_total=psi, mu=0.0, energy=None,
-                       energy_trace=[], iterations=0, converged=True,
-                       fp_residual=0.0, ctx=None)
+    # no background flow and mu = 0: psi_total is K zeta alone
+    ctx = SolveContext(lake=lake, handle=disk_const_64_handle, q=np.zeros(lake.n_cells),
+                       params=AdmissibleParams(eps=0.1, delta=0.5, kappa0=1.0, lam=50.0),
+                       vf=vf_power2)
+    state = SolveState(zeta=zeta, k_zeta=apply_K(disk_const_64_handle, zeta), mu=0.0,
+                       energy=None, energy_trace=[], iterations=0, converged=True,
+                       fp_residual=0.0, ctx=ctx)
     assert steady_residual(lake, state) <= 10.0 * lake.h
 
 
@@ -361,7 +368,7 @@ def test_steady_residual_negative_control(critical_state_129):
     di, dj = int(round(shift[1] / lake.h)), int(round(shift[0] / lake.h))
     moved = np.roll(np.roll(grid, di, axis=0), dj, axis=1)
     moved[~lake.mask] = 0.0
-    fake = SolveState(zeta=moved[lake.mask], psi_total=state.psi_total, mu=state.mu,
+    fake = SolveState(zeta=moved[lake.mask], k_zeta=state.k_zeta, mu=state.mu,
                       energy=state.energy, energy_trace=[], iterations=0,
                       converged=True, fp_residual=0.0, ctx=state.ctx)
     assert steady_residual(lake, fake) >= 10.0 * base
