@@ -241,14 +241,17 @@ class Lake:
     def n_cells(self) -> int:
         return self.cells.shape[0]
 
-    @property
+    @cached_property
     def nu_weights(self) -> np.ndarray:
-        """Per-cell weighted measure b * h^2."""
-        return self.b_int * self.cell_area
+        """Per-cell weighted measure b * h^2, computed on first use; read-only."""
+        weights = self.b_int * self.cell_area
+        weights.flags.writeable = False
+        return weights
 
-    @property
+    @cached_property
     def measure_nu(self) -> float:
-        return float(self.nu_weights.sum())
+        """Sum of nu_weights without caching them: build_lake reads it before the LU."""
+        return float((self.b_int * self.cell_area).sum())
 
     @cached_property
     def diameter(self) -> float:

@@ -132,7 +132,10 @@ def energy(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     nuw = lake.nu_weights
     e_q = 0.5 * float(np.dot(zeta * nuw, k_zeta)) + float(np.dot(q * nuw, zeta))
     scale = params.delta / params.eps**2
-    f_eps = scale * float(np.dot(vf.F_star(zeta / scale), nuw))
+    support = np.flatnonzero(zeta > 0.0)
+    penalty = np.zeros(len(zeta))  # F_*(t) = 0 for t <= f(0+), which is >= 0
+    penalty[support] = vf.F_star(zeta[support] / scale)
+    f_eps = scale * float(np.dot(penalty, nuw))
     return Energy(e_q=e_q, f_eps=f_eps)
 
 
@@ -140,9 +143,15 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
             psi_free: np.ndarray):
     """(mu, zeta) with zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass.
 
-    Over the levels of psi_free sorted descending with prefix sums W of nu,
-    the cells above mu + f_inv(lam) weigh cap*W and f is evaluated on the band
-    below them only.
+    Only a candidate set of the highest levels is sorted: the top k cells,
+    with t the lowest level among them.  Every cell above t is a candidate,
+    so the mass at t is exact from the candidates alone; once it reaches the
+    target, mu >= t and the support lies inside the set.  Otherwise k grows
+    geometrically, up to every cell.  k starts at a lower bound on any
+    sufficient k: each cell above t weighs at most
+    (delta/eps^2) f(min(max psi_free - min psi_free, f_inv(lam))) * max nu.
+    Over the sorted levels with prefix sums W of nu, the cells above
+    mu + f_inv(lam) weigh cap*W and f is evaluated on the band below them only.
     A binary search over the levels finds the segment holding the target and
     bisection finds mu in it; a target inside the jump of f at 0+ at a level
     sets mu to it and fills the cells exactly at that level by a fraction.
@@ -151,12 +160,8 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
     reach = float(vf.f_inv(params.lam))  # psi - mu beyond which a cell is capped
     nu_all, n = lake.nu_weights, len(psi_free)
-    order = np.argsort(psi_free)[::-1]
-    levels = psi_free[order]
-    neg_levels = -levels  # ascending, for searchsorted
-    nuw = nu_all[order]
-    prefix = np.concatenate(([0.0], np.cumsum(nuw)))
 
+    # the closures read the sorted candidate set of the current rung
     def count_above(t: float, side: str = "left") -> int:
         return int(np.searchsorted(neg_levels, -t, side))
 
@@ -168,13 +173,27 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
         k_cap, k_sup, values = band(mu)
         return cap * prefix[k_cap] + float(np.dot(values, nuw[k_cap:k_sup]))
 
-    # smallest k with mass(levels[k]) >= target (k = n: all capped, the bracket bottom)
-    lo, hi = 0, n  # mass(levels[0]) = 0 < target
+    spread = min(float(psi_free.max() - psi_free.min()), reach)  # f(reach) = lam: no overflow
+    per_cell = scale * vf.f(spread) * float(nu_all.max())
+    k = n if per_cell <= 0.0 else min(n, 1 + math.ceil(min(target / per_cell, n)))
+    while True:
+        order = np.argpartition(psi_free, n - k)[n - k:]
+        order = order[np.argsort(psi_free[order])[::-1]]
+        levels = psi_free[order]
+        neg_levels = -levels  # ascending, for searchsorted
+        nuw = nu_all[order]
+        prefix = np.concatenate(([0.0], np.cumsum(nuw)))
+        if k == n or mass_at(float(levels[-1])) >= target:
+            break
+        k = min(n, 4 * k)
+
+    # smallest j with mass(levels[j]) >= target (j = n: all capped, the bracket bottom)
+    lo, hi = 0, k  # mass(levels[0]) = 0 < target
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if mass_at(float(levels[mid])) >= target else (mid, hi)
-    upper = float(levels[lo])  # mass(upper) < target <= mass(lower)
-    lower = float(levels[hi]) if hi < n else float(levels[-1]) - reach - 1.0
+    upper = float(levels[lo])  # mass(upper) < target <= mass(lower); upper > t
+    lower = float(levels[hi]) if hi < k else float(levels[-1]) - reach - 1.0
 
     tie_lo, tie_hi = count_above(upper), count_above(upper, "right")
     jump_value = scale * vf.f_at_zero_plus

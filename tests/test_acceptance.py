@@ -4,8 +4,9 @@ The regime-classification fixture is the interior-peaked-depth disk at
 resolution 257 with a cosine background flux and the jump vorticity family;
 each vanishing-rate regime uses its bundled flux amplitude (0.02 / 0.02 /
 0.15).  Run with `pytest tests/test_acceptance.py -v -s`.  The file also
-holds the differential test of the exact bathtub against the frozen seed
-bisection on every regression state.
+holds the differential tests of the exact bathtub against the frozen seed
+bisection and the frozen full-sort bathtub on every regression state, and a
+count of the cells the bathtub passes to f on a 257^2 state.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 import numpy as np
 import pytest
 from bisection_reference import _mu_with_tie_fill
+from sorted_bathtub_reference import bathtub as full_sort_bathtub
 
 from lakevortex.asymptotics import (
     DeltaSchedule,
@@ -218,6 +220,40 @@ def test_bathtub_matches_frozen_bisection(regression_states):
         assert float(np.dot(np.abs(zeta_new - zeta_old), lake.nu_weights)) <= tol
         for zeta in (zeta_old, zeta_new):
             assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
+
+
+def test_bathtub_matches_frozen_full_sort(regression_states):
+    """The candidate-set bathtub against the frozen bathtub that sorts every
+    cell, on the next linearized problem of every regression state."""
+    assert len(regression_states) == 23
+    for lake, state in regression_states:
+        ctx = state.ctx
+        psi_free = state.k_zeta + ctx.q
+        mu_full, zeta_full = full_sort_bathtub(lake, ctx.params, ctx.vf, psi_free)
+        mu_new, zeta_new = bathtub(lake, ctx.params, ctx.vf, psi_free)
+        tol = MASS_TOL_REL * ctx.params.target_mass
+        assert mu_new == pytest.approx(mu_full, rel=1e-12, abs=0.0)
+        assert float(np.dot(np.abs(zeta_new - zeta_full), lake.nu_weights)) <= tol
+        for zeta in (zeta_full, zeta_new):
+            assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
+
+
+def test_bathtub_passes_few_cells_to_f(regression_states, monkeypatch):
+    """On the smallest-support 257^2 state the bathtub hands f far fewer than
+    n cells; a full sort of all n levels costs about n in its binary search."""
+    lake, state = min(((lake, s) for lake, s in regression_states if lake.n_cells > 50_000),
+                      key=lambda pair: np.count_nonzero(pair[1].zeta))
+    ctx = state.ctx
+    cells = []
+    f = VorticityFunction.f
+
+    def counting_f(self, s):
+        cells.append(np.size(s))
+        return f(self, s)
+
+    monkeypatch.setattr(VorticityFunction, "f", counting_f)
+    bathtub(lake, ctx.params, ctx.vf, state.k_zeta + ctx.q)
+    assert 0 < sum(cells) < lake.n_cells / 4
 
 
 def test_criterion_6_regime_classification(regime_reports, acceptance_report):

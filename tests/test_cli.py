@@ -120,11 +120,13 @@ NAN = float("nan")
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.4, 0.2])}),  # 0.4 >= 1/e
     ("sweep", {"target_radius": NAN}),
     ("check-hypotheses", {"hypotheses": {"n": "many"}}),
+    ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
+                          "hypotheses": {"s_max": 1e300, "n": 100}}),
     ("kernel-test", {"kernel": {"resolution": "x", "pairs": 10}}),
     ("kernel-test", {"kernel": {"resolution": 64, "pairs": 0}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e", "target-radius-nan",
-        "hypotheses-n", "kernel-resolution", "kernel-pairs-0"])
+        "hypotheses-n", "hypotheses-s_max-overflow", "kernel-resolution", "kernel-pairs-0"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
     cfg = _write(tmp_path, dict(base, **changes))
@@ -216,6 +218,24 @@ def test_oversized_grid_is_rejected_before_allocation(tmp_path, monkeypatch, com
     monkeypatch.setattr(geometry, "_domain_for", allocate)
     cfg = _write(tmp_path, dict(SMALL_SOLVE, **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command, changes, first_allocation", [
+    ("check-hypotheses", {"hypotheses": {"n": 10**11}}, "verify_hypotheses"),
+    ("kernel-test", {"kernel": {"resolution": 64, "pairs": 10**11}}, "build_lake"),
+], ids=["hypotheses-n", "kernel-pairs"])
+def test_oversized_sample_count_is_rejected_before_allocation(tmp_path, monkeypatch, capsys,
+                                                              command, changes,
+                                                              first_allocation):
+    from lakevortex import cli
+
+    def allocate(*args):
+        raise AssertionError(f"{command} went past its sample budget")
+
+    monkeypatch.setattr(cli, first_allocation, allocate)
+    cfg = _write(tmp_path, dict(SMALL_SOLVE, **changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "must be <=" in capsys.readouterr().err
 
 
 def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sorted_bathtub_reference import bathtub as full_sort_bathtub
 
 from lakevortex.elliptic import apply_K, assemble_operator
 from lakevortex.geometry import build_lake, disk_indicator_averaged, rect_lake
@@ -187,6 +190,54 @@ def test_bathtub_with_capped_cells(interior_128, interior_128_q, vf_jump):
     assert (zeta[~off_level] <= scale * vf_jump.f_at_zero_plus).all()
     assert abs(mass(interior_128, zeta) - params.target_mass) <= \
         MASS_TOL_REL * params.target_mass
+
+
+def _random_vf(family: str, rng) -> VorticityFunction:
+    if family == "power":  # f(0+) = 0
+        return VorticityFunction("power", p=float(rng.uniform(1.2, 4.0)))
+    if family == "jump_linear":
+        return VorticityFunction("jump_linear", c=float(rng.uniform(0.05, 2.0)))
+    knots = np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, 3)])
+    values = rng.uniform(0.0, 1.0) + np.cumsum(np.r_[0.0, rng.uniform(0.1, 2.0, 3)])
+    vf = VorticityFunction("table", points=tuple(zip(knots, values)))
+    assert vf.strictly_increasing
+    return vf
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["power", "jump_linear", "table"]),
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 16), ny=st.integers(1, 16),
+    distinct=st.sampled_from([0, 1, 2, 3, 6]),  # 0: continuous levels, else ties
+    lam_excess=st.floats(0.01, 10.0),
+    log_fill=st.floats(-3.0, -0.02),  # log10 of target / (cap * |D|_nu)
+)
+def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinct,
+                                                   lam_excess, log_fill):
+    # few distinct levels put ties at the candidate floor and at the jump
+    # level; a small lam gives a short reach, so the top cells are capped
+    rng = np.random.default_rng(seed)
+    vf = _random_vf(family, rng)
+    lake = rect_lake(nx, ny, 0.1, depth=lambda x, y: rng.uniform(0.2, 2.0, x.shape))
+    lam = vf.f_at_zero_plus + 1.0 + lam_excess
+    params = AdmissibleParams(eps=1.0, delta=1.0,
+                              kappa0=10**log_fill * lam * lake.measure_nu, lam=lam)
+    spread = rng.uniform(0.1, 20.0)
+    if distinct:
+        psi = rng.choice(spread * np.linspace(0.0, 1.0, distinct + 1)[1:], lake.n_cells)
+    else:
+        psi = spread * rng.standard_normal(lake.n_cells)
+    psi = psi + rng.uniform(-5.0, 5.0)
+
+    mu_full, zeta_full = full_sort_bathtub(lake, params, vf, psi)
+    mu, zeta = bathtub(lake, params, vf, psi)
+    tol = MASS_TOL_REL * params.target_mass
+    assert mu == pytest.approx(mu_full, rel=1e-12, abs=1e-12 * spread)
+    assert float(np.dot(np.abs(zeta - zeta_full), lake.nu_weights)) <= tol
+    for z in (zeta_full, zeta):
+        assert abs(mass(lake, z) - params.target_mass) <= tol
+        assert 0.0 <= z.min() and z.max() <= params.cap
 
 
 # ---------------------------------------------------------------------------
