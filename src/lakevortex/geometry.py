@@ -39,6 +39,12 @@ class GeometryError(ValueError):
 # domains
 
 
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row dot products of two (m, 2) arrays by the vector @ vector kernel: near
+    the circle |p|^2 - r^2 cancels, so other rounding moves short arms ~1e-13."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class DiskDomain:
     """Open disk; boundary parametrized by arclength counterclockwise from angle 0."""
@@ -61,26 +67,23 @@ class DiskDomain:
     def perimeter(self) -> float:
         return TWO_PI * self.radius
 
-    def boundary_param(self, p) -> float:
-        """Arclength coordinate in [0, perimeter) of the projection of p."""
-        dx = p[0] - self.center[0]
-        dy = p[1] - self.center[1]
-        theta = math.atan2(dy, dx) % TWO_PI
+    def boundary_param(self, p) -> np.ndarray:
+        """Arclength coordinates in [0, perimeter) of the projections of the (m, 2) points p."""
+        p = np.asarray(p, dtype=float)
+        theta = np.arctan2(p[:, 1] - self.center[1], p[:, 0] - self.center[0]) % TWO_PI
         return theta * self.radius
 
-    def cut_fraction(self, p_inside, p_outside) -> float:
-        """Fraction t in (0, 1] where segment p_inside -> p_outside crosses the circle."""
+    def cut_fraction(self, p_inside, p_outside) -> np.ndarray:
+        """Fractions t in [0, 1] where the segments p_inside -> p_outside, rows of
+        two (m, 2) arrays, cross the circle."""
         c = np.asarray(self.center)
         p = np.asarray(p_inside, dtype=float) - c
         d = np.asarray(p_outside, dtype=float) - c - p
-        a = float(d @ d)
-        b = 2.0 * float(p @ d)
-        cc = float(p @ p) - self.radius**2
-        disc = b * b - 4.0 * a * cc
-        if disc < 0.0:  # grazing; numerically on the circle
-            disc = 0.0
-        t = (-b + math.sqrt(disc)) / (2.0 * a)
-        return min(max(t, 0.0), 1.0)
+        a = _row_dot(d, d)
+        b = 2.0 * _row_dot(p, d)
+        cc = _row_dot(p, p) - self.radius**2
+        disc = np.maximum(b * b - 4.0 * a * cc, 0.0)  # < 0 when grazing; on the circle
+        return np.clip((-b + np.sqrt(disc)) / (2.0 * a), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -117,54 +120,46 @@ class RectDomain:
     def perimeter(self) -> float:
         return 2.0 * ((self.x1 - self.x0) + (self.y1 - self.y0))
 
-    def boundary_param(self, p) -> float:
-        """Arclength ccw from the midpoint of the right side, of p's projection."""
-        px, py = self.project_to_boundary(p)
+    def boundary_param(self, p) -> np.ndarray:
+        """Arclength ccw from the midpoint of the right side, of the projections
+        of the (m, 2) points p."""
+        px, py = self.project_to_boundary(p).T
         w = self.x1 - self.x0
         hgt = self.y1 - self.y0
         yc = 0.5 * (self.y0 + self.y1)
-        # segments: right side up, top leftward, left side down, bottom rightward
+        top = self.y1 - yc
+        # segments: right side up, top leftward, left side down, bottom rightward,
+        # and last the right side below the midpoint
         eps = 1e-12
-        if abs(px - self.x1) < eps and py >= yc:
-            s = py - yc
-        elif abs(py - self.y1) < eps:
-            s = (self.y1 - yc) + (self.x1 - px)
-        elif abs(px - self.x0) < eps:
-            s = (self.y1 - yc) + w + (self.y1 - py)
-        elif abs(py - self.y0) < eps:
-            s = (self.y1 - yc) + w + hgt + (px - self.x0)
-        else:  # right side below midpoint
-            s = (self.y1 - yc) + 2 * w + hgt + (py - self.y0)
+        s = np.select(
+            [(np.abs(px - self.x1) < eps) & (py >= yc), np.abs(py - self.y1) < eps,
+             np.abs(px - self.x0) < eps, np.abs(py - self.y0) < eps],
+            [py - yc, top + (self.x1 - px), top + w + (self.y1 - py),
+             top + w + hgt + (px - self.x0)],
+            top + 2 * w + hgt + (py - self.y0),
+        )
         return s % self.perimeter()
 
-    def project_to_boundary(self, p) -> tuple[float, float]:
-        px = min(max(p[0], self.x0), self.x1)
-        py = min(max(p[1], self.y0), self.y1)
-        if self.x0 < px < self.x1 and self.y0 < py < self.y1:
-            # interior point: push to the nearest side
-            cands = [
-                (px - self.x0, (self.x0, py)),
-                (self.x1 - px, (self.x1, py)),
-                (py - self.y0, (px, self.y0)),
-                (self.y1 - py, (px, self.y1)),
-            ]
-            return min(cands)[1]
-        return (px, py)
+    def project_to_boundary(self, p) -> np.ndarray:
+        """Nearest boundary points of the (m, 2) points p."""
+        q = np.clip(np.asarray(p, dtype=float), (self.x0, self.y0), (self.x1, self.y1))
+        x, y = q.T
+        # interior points: push to the nearest side
+        inner = np.flatnonzero((self.x0 < x) & (x < self.x1) & (self.y0 < y) & (y < self.y1))
+        dist = np.column_stack([x - self.x0, self.x1 - x, y - self.y0, self.y1 - y])[inner]
+        side = dist.argmin(axis=1)
+        q[inner, side // 2] = np.array([self.x0, self.x1, self.y0, self.y1])[side]
+        return q
 
-    def cut_fraction(self, p_inside, p_outside) -> float:
-        ts = []
-        dx = p_outside[0] - p_inside[0]
-        dy = p_outside[1] - p_inside[1]
-        if dx > 0:
-            ts.append((self.x1 - p_inside[0]) / dx)
-        elif dx < 0:
-            ts.append((self.x0 - p_inside[0]) / dx)
-        if dy > 0:
-            ts.append((self.y1 - p_inside[1]) / dy)
-        elif dy < 0:
-            ts.append((self.y0 - p_inside[1]) / dy)
-        t = min(t for t in ts if t > 0)
-        return min(max(t, 0.0), 1.0)
+    def cut_fraction(self, p_inside, p_outside) -> np.ndarray:
+        """Fractions t in [0, 1] where the segments p_inside -> p_outside, rows of
+        two (m, 2) arrays, first leave the rectangle."""
+        p = np.asarray(p_inside, dtype=float)
+        d = np.asarray(p_outside, dtype=float) - p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.where(d > 0, (self.x1, self.y1), (self.x0, self.y0)) - p) / d
+        t = np.where((d != 0) & (t > 0), t, np.inf).min(axis=1)
+        return np.clip(t, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +316,7 @@ def _build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bo
     ghost = neighbor_of_interior & ~mask
     rows, cols = np.nonzero(ghost)
     centers = np.column_stack([xs[cols], ys[rows]])
-    params = np.array([domain.boundary_param(p) for p in centers])
+    params = domain.boundary_param(centers)
     order = np.argsort(params, kind="stable")
     perim = domain.perimeter()
     # start from the cell whose parameter is nearest 0 (mod perimeter)

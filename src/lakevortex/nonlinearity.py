@@ -167,19 +167,24 @@ def verify_hypotheses(vf: VorticityFunction, s_max: float, n: int) -> Hypothesis
     if n < 100:
         raise ValueError("need at least 100 sample points")
     s = np.concatenate([[0.0], np.logspace(np.log10(s_max) - 8, np.log10(s_max), n)])
+    f0 = vf.f_at_zero_plus
+    try:
+        # an underflow turns the ratios' denominators to 0, and f flat
+        with np.errstate(over="ignore", under="raise"):
+            fs = vf.f(s)
+            denom = (fs - f0) * s
+    except FloatingPointError:
+        raise ValueError(f"s * (f(s) - f(0+)) underflows on the grid down to s = {s[1]:g}") from None
     with np.errstate(over="ignore"):
-        fs = vf.f(s)
         # every ratio below is bounded by s * f(s), which must stay finite
         finite = np.all(np.isfinite(fs * s))
     if not finite:
         raise ValueError(f"s * f(s) overflows on the grid up to s_max = {s_max:g}")
-    f0 = vf.f_at_zero_plus
     monotone = bool(np.all(np.diff(fs[1:]) > 0))
 
     integrand = fs - f0
     integrand[0] = 0.0  # f(0) = 0 contributes nothing below the jump
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s))])
-    denom = (fs - f0) * s
     # the ratio is certified only where the quadrature below the sample point
     # dominates the unresolved first segment [0, s_1] by a fixed factor
     valid = denom > 0.0

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lakevortex import __version__
-from lakevortex.cli import CONFIG_DIR, config_hash, load_config, main
+from lakevortex.cli import CONFIG_DIR, config_hash, load_config, main, write_json
 
 SMALL_SOLVE = {
     "lake": {"preset": "disk_interior_max_b", "resolution": 64},
@@ -122,11 +124,14 @@ NAN = float("nan")
     ("check-hypotheses", {"hypotheses": {"n": "many"}}),
     ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
                           "hypotheses": {"s_max": 1e300, "n": 100}}),
+    ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
+                          "hypotheses": {"s_max": 1e-300, "n": 100}}),
     ("kernel-test", {"kernel": {"resolution": "x", "pairs": 10}}),
     ("kernel-test", {"kernel": {"resolution": 64, "pairs": 0}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e", "target-radius-nan",
-        "hypotheses-n", "hypotheses-s_max-overflow", "kernel-resolution", "kernel-pairs-0"])
+        "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
+        "kernel-resolution", "kernel-pairs-0"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
     cfg = _write(tmp_path, dict(base, **changes))
@@ -338,3 +343,43 @@ def test_load_config_rejects_non_object(tmp_path):
     p.write_text("[1, 2, 3]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(p)
+
+
+def _walked_jsonable(obj):
+    """Frozen copy of the writer's value-by-value conversion, before float
+    arrays without NaN went through one tolist()."""
+    if isinstance(obj, dict):
+        return {k: _walked_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_walked_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_walked_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    return obj
+
+
+def test_write_json_matches_value_by_value_walk(tmp_path):
+    rng = np.random.default_rng(4)
+    with_nan = rng.normal(size=(3, 4))
+    with_nan[1, 2] = np.nan
+    payload = {
+        "nan": NAN,
+        "inf": [float("inf"), -0.0, 1e-310],
+        "scalars": [np.float64(0.1), np.float32(0.3), np.int64(7), np.float64(NAN)],
+        "float_array": rng.normal(size=50) * 1e7,
+        "float_grid": rng.normal(size=(4, 3)),
+        "float32_array": rng.normal(size=5).astype(np.float32),
+        "nan_array": np.array([1.0, NAN, -2.5]),
+        "nan_grid": with_nan,
+        "int_array": np.arange(-3, 4),
+        "bool_array": np.array([True, False]),
+        "nested": {"list": [1, 2.5, NAN, (3, "x"), [np.arange(3.0), {"z": None}]],
+                   "empty": np.empty(0), "text": "lake"},
+    }
+    write_json(tmp_path / "out.json", payload, "abc")
+    expected = dict(payload, version=__version__, config_sha256="abc")
+    text = json.dumps(_walked_jsonable(expected), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "out.json").read_text() == text

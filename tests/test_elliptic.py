@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import loop_assembly_reference as loop_ref
 import numpy as np
 import pytest
 
 from lakevortex.elliptic import (
     CompatibilityError,
+    SolverError,
     apply_K,
     assemble_operator,
     circulation_potential,
@@ -15,7 +18,13 @@ from lakevortex.elliptic import (
     kernel_representation_residual,
     solve_background,
 )
-from lakevortex.geometry import build_lake, disk_indicator_averaged, rect_lake
+from lakevortex.geometry import (
+    PRESETS,
+    DiskDomain,
+    build_lake,
+    disk_indicator_averaged,
+    rect_lake,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,11 +90,58 @@ def test_factorization_uses_symmetric_ordering():
     assert handle.lu.L.nnz + handle.lu.U.nnz < 700_000
 
 
+def _differential_lakes():
+    for preset in PRESETS:
+        for resolution in (16, 33, 64, 129):
+            yield build_lake(preset, resolution)
+    yield rect_lake(8, 8, 0.1, depth=lambda x, y: 1.0 + 0.5 * x)
+    yield rect_lake(5, 3, 0.25)
+
+
+def test_array_assembly_matches_frozen_loop():
+    """Array-built operator and trace against the frozen per-face loops, on
+    every preset at four resolutions and on two rectangle fixtures."""
+    for lake in _differential_lakes():
+        trace = lake.boundary
+        ref_trace = loop_ref.build_trace(lake.domain, lake.mask, lake.xs, lake.ys)
+        assert np.array_equal(trace.ij, ref_trace.ij)
+        assert np.abs(trace.params - ref_trace.params).max() <= 1e-13
+        assert np.abs(trace.weights - ref_trace.weights).max() <= 1e-13
+
+        handle, ref = assemble_operator(lake), loop_ref.assemble_operator(lake)
+        assert np.array_equal(handle.cut_rows, ref.cut_rows)
+        assert handle.cut_coeffs == pytest.approx(ref.cut_coeffs, rel=1e-13, abs=0.0)
+        assert np.abs(handle.cut_params - ref.cut_params).max() <= 1e-13
+        assert np.array_equal(handle.matrix.indptr, ref.matrix.indptr)
+        assert np.array_equal(handle.matrix.indices, ref.matrix.indices)
+        assert handle.matrix.data == pytest.approx(ref.matrix.data, rel=1e-13, abs=0.0)
+
+        nu = flux_preset(lake, "cosine")
+        q, q_ref = solve_background(handle, nu), solve_background(ref, nu)
+        assert np.abs(q - q_ref).max() <= 1e-12
+
+
+def test_domain_queries_called_per_direction_not_per_face(monkeypatch):
+    """A 129^2 disk lake has hundreds of cut faces; building and assembling it
+    asks the domain once per direction, plus once for the trace."""
+    calls = {"cut_fraction": 0, "boundary_param": 0}
+    for name in calls:
+        query = getattr(DiskDomain, name)
+
+        def counted(self, *args, _name=name, _query=query):
+            calls[_name] += 1
+            return _query(self, *args)
+
+        monkeypatch.setattr(DiskDomain, name, counted)
+    lake = build_lake("disk_interior_max_b", 129)
+    handle = assemble_operator(lake)
+    assert len(handle.cut_rows) > 400
+    assert calls["cut_fraction"] <= 4 and calls["boundary_param"] <= 4 + 1
+
+
 def test_empty_interior_rejected():
     # a valid Lake always has interior cells; force the degenerate case to
     # exercise the assembly guard
-    from lakevortex.elliptic import SolverError
-
     lake = rect_lake(1, 1, 0.5)
     lake.cells = lake.cells[:0]
     with pytest.raises(SolverError, match="empty interior"):
@@ -199,10 +255,35 @@ def test_positivity_of_inverse(interior_128, interior_128_handle):
 def test_apply_K_validates_input(disk_const_64_handle):
     with pytest.raises(ValueError):
         apply_K(disk_const_64_handle, np.ones(3))
-    bad = np.ones(disk_const_64_handle.n)
-    bad[0] = np.nan
-    with pytest.raises(ValueError):
-        apply_K(disk_const_64_handle, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.ones(disk_const_64_handle.n)
+        bad[0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_K(disk_const_64_handle, bad)
+
+
+def test_apply_K_overflowing_norm_is_a_solver_error(disk_const_64_handle):
+    # a finite field whose norm overflows is not a non-finite field
+    with pytest.raises(SolverError), np.errstate(over="ignore", invalid="ignore"):
+        apply_K(disk_const_64_handle, np.full(disk_const_64_handle.n, 1e300))
+
+
+def test_corrupted_solution_fails_residual_check(disk_const_64_handle):
+    handle = disk_const_64_handle
+    zeta = np.ones(handle.n)
+    assert np.all(np.isfinite(apply_K(handle, zeta)))
+
+    class CorruptedLU:
+        def __init__(self, damage):
+            self.damage = damage
+
+        def solve(self, rhs):
+            return self.damage(handle.lu.solve(rhs))
+
+    for damage in (lambda sol: sol * (1.0 + 1e-6), lambda sol: np.full_like(sol, np.nan)):
+        corrupted = dataclasses.replace(handle, lu=CorruptedLU(damage))
+        with pytest.raises(SolverError, match="residual"):
+            apply_K(corrupted, zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import loop_assembly_reference as loop_ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from scipy import ndimage
 
 from lakevortex.geometry import (
     PRESETS,
+    DiskDomain,
     GeometryError,
+    RectDomain,
     build_lake,
     disk_box_overlap,
     green_disk,
@@ -84,6 +87,33 @@ def test_boundary_trace_ordering_and_weights(disk_const_64):
     # ghost cells sit outside the unit disk, each within one cell of an interior cell
     r = np.hypot(trace.centers[:, 0], trace.centers[:, 1])
     assert np.all(r >= 1.0) and np.all(r < 1.0 + disk_const_64.h)
+
+
+@pytest.mark.parametrize("domain", [DiskDomain(), DiskDomain((0.1, -0.2), 0.7),
+                                    RectDomain(-0.8, 0.8, -0.5, 0.5)])
+def test_array_domain_queries_match_scalar_reference(domain):
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-1.2, 1.2, size=(400, 2))
+    expect = [loop_ref.boundary_param(domain, p) for p in points]
+    assert domain.boundary_param(points) == pytest.approx(expect, rel=0.0, abs=1e-13)
+    # segments from inside points outward by up to one step along an axis
+    inside = points[domain.contains(points)]
+    steps = np.zeros_like(inside)
+    axis = rng.integers(0, 2, size=len(inside))
+    steps[np.arange(len(inside)), axis] = rng.choice([-0.5, 0.5], size=len(inside))
+    outside = inside + steps
+    crossing = ~domain.contains(outside)
+    inside, outside = inside[crossing], outside[crossing]
+    assert len(inside) > 20
+    expect = [loop_ref.cut_fraction(domain, a, b) for a, b in zip(inside, outside)]
+    assert domain.cut_fraction(inside, outside) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
+def test_rect_projection_pushes_inner_points_to_nearest_side():
+    rect = RectDomain(-0.8, 0.8, -0.5, 0.5)
+    points = np.array([[0.7, 0.0], [0.0, 0.45], [-0.75, 0.1], [0.1, -0.4], [1.0, 1.0], [0.8, 0.2]])
+    expect = [[0.8, 0.0], [0.0, 0.5], [-0.8, 0.1], [0.1, -0.5], [0.8, 0.5], [0.8, 0.2]]
+    assert np.array_equal(rect.project_to_boundary(points), expect)
 
 
 def test_rect_lake_places_requested_cells():
