@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -244,22 +245,42 @@ def write_csv(path: Path, rows: list, cfg_hash: str) -> None:
             writer.writerow([_float_repr(v) for v in r.row()])
 
 
+# a float array's marker string as json writes it, with its line's indent
+# and whatever precedes it on that line (the key)
+_ARRAY_MARKER = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
+
+
 def write_json(path: Path, payload: dict, cfg_hash: str) -> None:
+    """Sorted keys, indent 2, NaN as null.  json's indented encoder is pure
+    Python, so each finite 1-d float array goes in as a marker string and is
+    joined in afterwards at its line's depth, in the encoder's own layout."""
     payload = dict(payload)
     payload["version"] = __version__
     payload["config_sha256"] = cfg_hash
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    arrays: list = []
+    text = json.dumps(_jsonable(payload, arrays), sort_keys=True, indent=2)
+
+    def expand(m: re.Match) -> str:
+        values = arrays[int(m.group(3))]
+        if not values:
+            return f"{m.group(1)}{m.group(2)}[]"
+        inner = m.group(1) + "  "
+        items = f",\n{inner}".join(map(float.__repr__, values))
+        return f"{m.group(1)}{m.group(2)}[\n{inner}{items}\n{m.group(1)}]"
+
+    path.write_text(_ARRAY_MARKER.sub(expand, text) + "\n")
 
 
-def _jsonable(obj):
+def _jsonable(obj, arrays: list):
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, arrays) for v in obj]
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and not np.isnan(obj).any():
-            return obj.tolist()  # plain floats throughout: nothing to map
-        return [_jsonable(v) for v in obj.tolist()]
+        if obj.dtype.kind == "f" and obj.ndim == 1 and np.isfinite(obj).all():
+            arrays.append(obj.tolist())  # plain finite floats: repr is json's form
+            return f"\0{len(arrays) - 1}"
+        return [_jsonable(v, arrays) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, float) and math.isnan(obj):

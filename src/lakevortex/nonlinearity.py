@@ -168,6 +168,9 @@ def verify_hypotheses(vf: VorticityFunction, s_max: float, n: int) -> Hypothesis
         raise ValueError("need at least 100 sample points")
     s = np.concatenate([[0.0], np.logspace(np.log10(s_max) - 8, np.log10(s_max), n)])
     f0 = vf.f_at_zero_plus
+    if s[2] - s[1] <= np.spacing(f0):  # samples near f(0+) would round together: f looks flat
+        raise ValueError(f"the smallest grid step {s[2] - s[1]:g} (from s = {s[1]:g}) is below "
+                         f"the float resolution {np.spacing(f0):g} of f(0+) = {f0:g}")
     try:
         # an underflow turns the ratios' denominators to 0, and f flat
         with np.errstate(over="ignore", under="raise"):

@@ -1,0 +1,82 @@
+"""Frozen reference: the plain fixed-point loop that ``variational.solve_vortex``
+replaced with Anderson mixing of the fixed-support tail, and the per-cell
+loop of ``variational.initial_patch`` that a sort of a candidate disc
+replaced.  Kept verbatim for the differential tests of old and new.
+Test-only code.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from lakevortex.elliptic import OperatorHandle, apply_K
+from lakevortex.geometry import Lake
+from lakevortex.nonlinearity import VorticityFunction
+from lakevortex.variational import (
+    FP_TOL_REL,
+    MASS_TOL_REL,
+    MAX_ITERS,
+    AdmissibilityError,
+    AdmissibleParams,
+    SolveContext,
+    SolveState,
+    energy,
+    initial_patch,
+    iterate_step,
+)
+
+
+def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
+                 vf: VorticityFunction, handle: OperatorHandle, init,
+                 fp_tol_rel: float = FP_TOL_REL,
+                 max_iters: int = MAX_ITERS) -> SolveState:
+    """Plain iteration from the patch at the seed point init: every step's
+    input is the previous output, until the successive weighted L1
+    difference drops below fp_tol_rel * kappa0 * delta."""
+    zeta0 = initial_patch(lake, params, np.asarray(init, dtype=float))
+    ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
+    k0 = apply_K(handle, zeta0)
+    e0 = energy(lake, q, params, vf, zeta0, k_zeta=k0)
+    state = SolveState(zeta=zeta0, k_zeta=k0, mu=0.0, energy=e0, energy_trace=[e0.total],
+                       iterations=0, converged=False, fp_residual=float("inf"), ctx=ctx)
+    tol = fp_tol_rel * params.target_mass
+    for _ in range(max_iters):
+        state = iterate_step(state)
+        if state.fp_residual <= tol:
+            state.converged = True
+            break
+    return state
+
+
+def initial_patch_loop(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
+    """The seed patch filled cell by cell in distance order."""
+    seed = np.asarray(seed, dtype=float)
+    d2 = np.sum((lake.centers - seed) ** 2, axis=1)
+    order = np.argsort(d2)
+    radius = params.eps * math.sqrt(params.kappa0 / math.pi)
+
+    # b0 from the cells within the nominal ball (fallback: nearest cell)
+    near = d2 <= max(radius, lake.h) ** 2
+    b0 = float(lake.b_int[near].min()) if near.any() else float(lake.b_int[order[0]])
+
+    zeta = np.zeros(lake.n_cells)
+    nuw = lake.nu_weights
+    remaining = params.target_mass
+    value_of = np.minimum(params.delta * b0 / (params.eps**2 * lake.b_int), params.cap)
+    for c in order:
+        cell_mass = value_of[c] * nuw[c]
+        if cell_mass >= remaining:
+            zeta[c] = remaining / nuw[c]
+            if zeta[c] > params.cap:  # cannot fit the remainder in this cell
+                zeta[c] = params.cap
+                remaining -= params.cap * nuw[c]
+                continue
+            remaining = 0.0
+            break
+        zeta[c] = value_of[c]
+        remaining -= cell_mass
+    if remaining > MASS_TOL_REL * params.target_mass:
+        raise AdmissibilityError("initial patch cannot carry the target mass")
+    return zeta

@@ -5,7 +5,9 @@ resolution 257 with a cosine background flux and the jump vorticity family;
 each vanishing-rate regime uses its bundled flux amplitude (0.02 / 0.02 /
 0.15).  Run with `pytest tests/test_acceptance.py -v -s`.  The file also
 holds the differential tests of the exact bathtub against the frozen seed
-bisection and the frozen full-sort bathtub on every regression state, and a
+bisection and the frozen full-sort bathtub on every regression state, of
+the mixed iteration against the frozen plain loop from the same seeds, of
+the seed patch against its frozen per-cell loop on every bundled seed, and a
 count of the cells the bathtub passes to f on a 257^2 state.
 """
 
@@ -17,6 +19,8 @@ import time
 import numpy as np
 import pytest
 from bisection_reference import _mu_with_tie_fill
+from plain_iteration_reference import initial_patch_loop
+from plain_iteration_reference import solve_vortex as plain_solve_vortex
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
 
 from lakevortex.asymptotics import (
@@ -45,6 +49,7 @@ from lakevortex.variational import (
     AdmissibleParams,
     bathtub,
     brute_force_oracle,
+    initial_patch,
     mass,
     mu_lower_bound,
     optimality_violations,
@@ -52,6 +57,7 @@ from lakevortex.variational import (
     patch_measure,
     solve_vortex,
     steady_residual,
+    vorticity_center,
 )
 
 EPS_LIST = [0.2, 0.14, 0.1, 0.07, 0.05, 0.035, 0.025]
@@ -236,6 +242,47 @@ def test_bathtub_matches_frozen_full_sort(regression_states):
         assert float(np.dot(np.abs(zeta_new - zeta_full), lake.nu_weights)) <= tol
         for zeta in (zeta_full, zeta_new):
             assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
+
+
+def _regression_seeds(regime_reports) -> list:
+    """The seed point of each regression state, in the fixture's order."""
+    _, reports, _ = regime_reports
+    seeds = [rep.target for rep in reports.values() for s in rep.states if s is not None]
+    return seeds + [(0.0, 0.28), (0.0, 0.0)]
+
+
+def test_mixed_iteration_matches_frozen_plain_loop(regime_reports, regression_states):
+    """The loop with the Anderson-mixed tail against the frozen plain loop
+    from the same lake, q, params, f and seed on every regression state: the
+    same fixed point to the stopping rule's resolution, in no more steps."""
+    assert len(regression_states) == 23
+    for (lake, state), seed in zip(regression_states, _regression_seeds(regime_reports)):
+        ctx = state.ctx
+        plain = plain_solve_vortex(lake, ctx.q, ctx.params, ctx.vf, ctx.handle, init=seed)
+        assert state.converged and plain.converged
+        assert state.iterations <= plain.iterations
+        assert state.mu == pytest.approx(plain.mu, rel=1e-7, abs=0.0)
+        assert state.energy.total == pytest.approx(plain.energy.total, rel=1e-12, abs=0.0)
+        assert np.array_equal(np.flatnonzero(state.zeta), np.flatnonzero(plain.zeta))
+        moved = vorticity_center(lake, state.zeta) - vorticity_center(lake, plain.zeta)
+        assert math.hypot(*moved) <= 1e-6 * lake.h
+
+
+def test_initial_patch_matches_frozen_loop_on_bundled_seeds(regime_reports,
+                                                            critical_state_129):
+    """Every seed patch the bundled configs start from, bit for bit: the
+    three regime sweeps, the 129^2 solve and the tiny oracle fixtures."""
+    from lakevortex.cli import tiny_oracle_fixtures
+
+    lake257, reports, _ = regime_reports
+    cases = [(lake257, AdmissibleParams(eps=row.eps, delta=row.delta, kappa0=1.0, lam=50.0),
+              rep.target) for rep in reports.values() for row in rep.rows]
+    lake129, _, _, params129, _ = critical_state_129
+    cases.append((lake129, params129, (0.0, 0.28)))
+    cases.extend((lake, params, lake.centers[0]) for _, lake, _, params, _ in tiny_oracle_fixtures())
+    for lake, params, seed in cases:
+        assert np.array_equal(initial_patch(lake, params, seed),
+                              initial_patch_loop(lake, params, seed))
 
 
 def test_bathtub_passes_few_cells_to_f(regression_states, monkeypatch):

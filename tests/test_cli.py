@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from lakevortex import __version__
-from lakevortex.cli import CONFIG_DIR, config_hash, load_config, main, write_json
+from lakevortex.cli import (
+    CONFIG_DIR,
+    config_hash,
+    load_config,
+    main,
+    state_to_dict,
+    write_json,
+)
 
 SMALL_SOLVE = {
     "lake": {"preset": "disk_interior_max_b", "resolution": 64},
@@ -126,12 +133,14 @@ NAN = float("nan")
                           "hypotheses": {"s_max": 1e300, "n": 100}}),
     ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
                           "hypotheses": {"s_max": 1e-300, "n": 100}}),
+    ("check-hypotheses", {"nonlinearity": {"preset": "jump_linear", "c": 0.5},
+                          "hypotheses": {"s_max": 1e-9, "n": 100}}),
     ("kernel-test", {"kernel": {"resolution": "x", "pairs": 10}}),
     ("kernel-test", {"kernel": {"resolution": 64, "pairs": 0}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e", "target-radius-nan",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
-        "kernel-resolution", "kernel-pairs-0"])
+        "hypotheses-s_max-below-jump-resolution", "kernel-resolution", "kernel-pairs-0"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
     cfg = _write(tmp_path, dict(base, **changes))
@@ -332,8 +341,10 @@ def test_kernel_test_small(tmp_path):
 def test_bundled_solve_config(tmp_path):
     cfg = CONFIG_DIR / "solve_critical.json"
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "state.json").exists()
     assert (tmp_path / "diag.csv").exists()
+    # a count, not a time: the plain iteration took 28 steps, the mixed tail 17
+    state = json.loads((tmp_path / "state.json").read_text())
+    assert state["converged"] and state["iterations"] <= 17
 
 
 def test_load_config_rejects_non_object(tmp_path):
@@ -373,6 +384,7 @@ def test_write_json_matches_value_by_value_walk(tmp_path):
         "float_grid": rng.normal(size=(4, 3)),
         "float32_array": rng.normal(size=5).astype(np.float32),
         "nan_array": np.array([1.0, NAN, -2.5]),
+        "inf_array": np.array([1.0, float("inf"), -float("inf")]),
         "nan_grid": with_nan,
         "int_array": np.arange(-3, 4),
         "bool_array": np.array([True, False]),
@@ -383,3 +395,12 @@ def test_write_json_matches_value_by_value_walk(tmp_path):
     expected = dict(payload, version=__version__, config_sha256="abc")
     text = json.dumps(_walked_jsonable(expected), sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "out.json").read_text() == text
+
+
+def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, critical_state_129):
+    lake, _, _, _, state = critical_state_129
+    payload = state_to_dict(lake, state)
+    write_json(tmp_path / "state.json", payload, "abc")
+    expected = dict(payload, version=__version__, config_sha256="abc")
+    text = json.dumps(_walked_jsonable(expected), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "state.json").read_text() == text

@@ -121,6 +121,18 @@ def test_array_assembly_matches_frozen_loop():
         assert np.abs(q - q_ref).max() <= 1e-12
 
 
+def test_operator_is_exactly_symmetric_and_transposed_solve_matches():
+    """OperatorHandle.solve uses SuperLU's transposed solve, which is the
+    plain solve only because the assembled matrix equals its transpose."""
+    rng = np.random.default_rng(3)
+    for lake in _differential_lakes():
+        handle = assemble_operator(lake)
+        assert (handle.matrix != handle.matrix.T).nnz == 0
+        rhs = rng.normal(size=handle.n)
+        plain = handle.lu.solve(rhs)
+        assert np.abs(handle.solve(rhs) - plain).max() <= 1e-13 * np.abs(plain).max()
+
+
 def test_domain_queries_called_per_direction_not_per_face(monkeypatch):
     """A 129^2 disk lake has hundreds of cut faces; building and assembling it
     asks the domain once per direction, plus once for the trace."""
@@ -277,8 +289,8 @@ def test_corrupted_solution_fails_residual_check(disk_const_64_handle):
         def __init__(self, damage):
             self.damage = damage
 
-        def solve(self, rhs):
-            return self.damage(handle.lu.solve(rhs))
+        def solve(self, rhs, trans="N"):
+            return self.damage(handle.lu.solve(rhs, trans))
 
     for damage in (lambda sol: sol * (1.0 + 1e-6), lambda sol: np.full_like(sol, np.nan)):
         corrupted = dataclasses.replace(handle, lu=CorruptedLU(damage))

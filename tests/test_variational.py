@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plain_iteration_reference import initial_patch_loop
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
 
 from lakevortex.elliptic import apply_K, assemble_operator
@@ -123,6 +124,33 @@ def test_seed_patch_mass(interior_128):
     tol = 4.0 * interior_128.h / radius
     assert mass(interior_128, zeta) == pytest.approx(params.target_mass, rel=tol)
     assert np.all(zeta <= params.cap * (1 + 1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 16), ny=st.integers(1, 16),
+    on_grid=st.booleans(),  # a seed at a cell center or corner puts ties on the rim
+    lam=st.floats(0.05, 5.0),  # small: cells with shallow depth sit at the cap
+    log_fill=st.floats(-3.0, 0.0),  # log10 of target / (cap * |D|_nu); 0 and up: no fit
+)
+def test_initial_patch_matches_frozen_loop_on_random_lakes(seed, nx, ny, on_grid, lam, log_fill):
+    rng = np.random.default_rng(seed)
+    lake = rect_lake(nx, ny, 0.1, depth=lambda x, y: rng.uniform(0.2, 2.0, x.shape))
+    eps, delta = rng.uniform(0.05, 1.0), rng.uniform(0.1, 1.0)
+    cap_mass = lam * delta / eps**2 * lake.measure_nu
+    params = AdmissibleParams(eps=eps, delta=delta, kappa0=10**log_fill * cap_mass / delta,
+                              lam=lam)
+    point = rng.uniform(-0.2, [0.1 * nx + 0.2, 0.1 * ny + 0.2])
+    if on_grid:
+        point = 0.05 * np.round(point / 0.05)
+    try:
+        expected = initial_patch_loop(lake, params, point)
+    except AdmissibilityError:
+        with pytest.raises(AdmissibilityError):
+            initial_patch(lake, params, point)
+        return
+    assert np.array_equal(initial_patch(lake, params, point), expected)
 
 
 def test_mu_closed_form_constant_stream(disk_const_64):
@@ -254,6 +282,30 @@ def test_iteration_preserves_admissibility_and_ascends(power_fixture):
     trace = np.array(state.energy_trace)
     drops = np.diff(trace) < -1e-10 * np.abs(trace[:-1])
     assert not drops.any()
+
+
+def test_mixed_step_that_lowers_the_energy_is_discarded(power_fixture, monkeypatch):
+    # a mix whose K image points the wrong way: every mixed output loses
+    # energy, is discarded and repeats the accepted energy in the trace, and
+    # plain steps still reach the same fixed point
+    import lakevortex.variational as variational
+
+    lake, handle, q, params, state = power_fixture
+    calls = []
+
+    def reversed_mix(history, nu):
+        (_, _, _), (g1, _, k1) = history
+        calls.append(1)
+        return g1, -k1
+
+    monkeypatch.setattr(variational, "_anderson_mix", reversed_mix)
+    again = solve_vortex(lake, q, params, state.ctx.vf, init=(0.0, 0.0), handle=handle)
+    trace = np.array(again.energy_trace)
+    assert calls and again.converged
+    assert len(trace) == again.iterations + 1
+    assert np.count_nonzero(np.diff(trace) == 0.0) == len(calls)
+    assert not (np.diff(trace) < -1e-10 * np.abs(trace[:-1])).any()
+    assert again.mu == pytest.approx(state.mu, rel=1e-7)
 
 
 def test_converged_state_is_fixed_point(power_fixture):
