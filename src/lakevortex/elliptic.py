@@ -64,7 +64,7 @@ class OperatorHandle:
         sol = self.lu.solve(rhs, "T")
         norm = np.linalg.norm(rhs)
         if norm > 0.0:
-            res = self.matrix.T @ sol  # exactly symmetric: A^T is CSR, a row kernel
+            res = self.matrix @ sol  # the residual of A x = b: an A that lost symmetry fails here
             res -= rhs
             res = np.linalg.norm(res) / norm
             if not np.isfinite(res) or res > RESIDUAL_TOL:

@@ -160,7 +160,10 @@ def verify_hypotheses(vf: VorticityFunction, s_max: float, n: int) -> Hypothesis
     """Numerically certify monotonicity and the two growth-ratio constants.
 
     Samples a log-spaced grid (0, s_max], integrates f - f(0+) cumulatively
-    by the trapezoid rule, and reports the extremal ratios observed.
+    by the trapezoid rule, and reports the extremal ratios observed.  A
+    ValueError means the grid is out of float range for f: s * f(s)
+    overflows or underflows, or a family that strictly increases has two
+    samples that round to the same f.
     """
     if s_max <= 0.0:
         raise ValueError("s_max must be positive")
@@ -168,9 +171,6 @@ def verify_hypotheses(vf: VorticityFunction, s_max: float, n: int) -> Hypothesis
         raise ValueError("need at least 100 sample points")
     s = np.concatenate([[0.0], np.logspace(np.log10(s_max) - 8, np.log10(s_max), n)])
     f0 = vf.f_at_zero_plus
-    if s[2] - s[1] <= np.spacing(f0):  # samples near f(0+) would round together: f looks flat
-        raise ValueError(f"the smallest grid step {s[2] - s[1]:g} (from s = {s[1]:g}) is below "
-                         f"the float resolution {np.spacing(f0):g} of f(0+) = {f0:g}")
     try:
         # an underflow turns the ratios' denominators to 0, and f flat
         with np.errstate(over="ignore", under="raise"):
@@ -183,7 +183,15 @@ def verify_hypotheses(vf: VorticityFunction, s_max: float, n: int) -> Hypothesis
         finite = np.all(np.isfinite(fs * s))
     if not finite:
         raise ValueError(f"s * f(s) overflows on the grid up to s_max = {s_max:g}")
-    monotone = bool(np.all(np.diff(fs[1:]) > 0))
+    rises = np.diff(fs[1:]) > 0
+    monotone = bool(np.all(rises))
+    if not monotone and vf.strictly_increasing:
+        # f rises between any two samples, so two that do not differ rounded
+        # together: f's increment there is below the float resolution of f
+        i = 1 + int(np.argmin(rises))
+        raise ValueError(f"f does not resolve the grid step from s = {s[i]:g} to {s[i + 1]:g}: "
+                         f"the increment is below the float resolution {np.spacing(fs[i]):g} "
+                         f"of f = {fs[i]:g}")
 
     integrand = fs - f0
     integrand[0] = 0.0  # f(0) = 0 contributes nothing below the jump

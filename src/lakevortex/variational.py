@@ -275,11 +275,11 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
 def iterate_step(state: SolveState) -> SolveState:
     """One linearize-and-rearrange step; the energy never decreases."""
     ctx = state.ctx
-    mu, zeta_new = bathtub(ctx.lake, ctx.params, ctx.vf, state.k_zeta + ctx.q)
+    psi_free = state.k_zeta + ctx.q
+    mu, zeta_new = bathtub(ctx.lake, ctx.params, ctx.vf, psi_free)
     k_new = apply_K(ctx.handle, zeta_new)
     e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, zeta_new, k_zeta=k_new)
     trace = state.energy_trace + [e_new.total]
-    change = zeta_new - state.zeta
     return SolveState(
         zeta=zeta_new,
         k_zeta=k_new,
@@ -288,7 +288,7 @@ def iterate_step(state: SolveState) -> SolveState:
         energy_trace=trace,
         iterations=state.iterations + 1,
         converged=False,
-        fp_residual=float(np.dot(np.abs(change, out=change), ctx.lake.nu_weights)),
+        fp_residual=float(np.dot(np.abs(zeta_new - state.zeta), ctx.lake.nu_weights)),
         ctx=ctx,
     )
 

@@ -116,6 +116,8 @@ def test_nan_flux_amplitude_is_config_error(tmp_path, capsys):
 
 
 NAN = float("nan")
+# f rises by 0.01 over its first unit of s: 100 times less than s itself
+SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
 
 
 @pytest.mark.parametrize("command, changes", [
@@ -135,12 +137,14 @@ NAN = float("nan")
                           "hypotheses": {"s_max": 1e-300, "n": 100}}),
     ("check-hypotheses", {"nonlinearity": {"preset": "jump_linear", "c": 0.5},
                           "hypotheses": {"s_max": 1e-9, "n": 100}}),
+    ("check-hypotheses", {"nonlinearity": SHALLOW_TABLE, "hypotheses": {"s_max": 1e-6, "n": 100}}),
     ("kernel-test", {"kernel": {"resolution": "x", "pairs": 10}}),
     ("kernel-test", {"kernel": {"resolution": 64, "pairs": 0}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e", "target-radius-nan",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
-        "hypotheses-s_max-below-jump-resolution", "kernel-resolution", "kernel-pairs-0"])
+        "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
+        "kernel-resolution", "kernel-pairs-0"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
     cfg = _write(tmp_path, dict(base, **changes))
@@ -325,6 +329,17 @@ def test_check_hypotheses_flags_non_monotone(tmp_path):
         "hypotheses": {"s_max": 3.0, "n": 500},
     })
     assert main(["check-hypotheses", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+def test_check_hypotheses_resolves_steep_table(tmp_path):
+    # the smallest grid step in s (2e-9) is below the float spacing of
+    # f(0+) = 1e8, but f rises 1e6 times faster than s, by 2e-3 per step
+    cfg = _write(tmp_path, {
+        "nonlinearity": {"preset": "table", "points": [[0.0, 1e8], [1.0, 1.01e8]]},
+        "hypotheses": {"s_max": 1.0, "n": 100},
+    })
+    assert main(["check-hypotheses", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "hypotheses.json").read_text())["h1_monotone"] is True
 
 
 def test_kernel_test_small(tmp_path):

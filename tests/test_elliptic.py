@@ -6,6 +6,7 @@ import math
 import loop_assembly_reference as loop_ref
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from lakevortex.elliptic import (
     CompatibilityError,
@@ -296,6 +297,19 @@ def test_corrupted_solution_fails_residual_check(disk_const_64_handle):
         corrupted = dataclasses.replace(handle, lu=CorruptedLU(damage))
         with pytest.raises(SolverError, match="residual"):
             apply_K(corrupted, zeta)
+
+
+def test_operator_that_lost_symmetry_fails_residual_check(disk_const_64_handle):
+    # the solve is transposed, so only a residual taken against A itself
+    # tells A x = b from A^T x = b
+    handle = disk_const_64_handle
+    matrix = handle.matrix.copy()
+    p, q = handle.lake.n_cells // 2, handle.lake.n_cells // 2 + 1
+    assert matrix[p, q] != 0.0
+    matrix[p, q] *= 1.5
+    skewed = dataclasses.replace(handle, matrix=matrix, lu=splu(matrix))
+    with pytest.raises(SolverError, match="residual"):
+        apply_K(skewed, np.ones(handle.n))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ Run from the repository root:
 
 The base commit's files are extracted with ``git archive`` into a temporary
 directory, so the repository's own git state is not touched.  For each
-workload in ``BENCHMARK.json`` the script runs ``bench/run.py`` in both
-trees, ``--pairs`` times each, alternating which side runs first, with the
-pair's index as ``--seed``.  It writes one JSON file: per workload and per
+workload in ``BENCHMARK.json`` the script runs ``bench/run.py`` for the
+benchmark's ``run_seconds`` in both trees, ten times each, alternating which
+side runs first, with the pair's index as ``--seed``.  It writes one JSON file: per workload and per
 end-to-end metric the median, the quartiles and every value of each side,
 the pairs the checkout won (ties count for neither), and whether the gain
 is resolved, that is won in at least nine tenths of the pairs and by a median
@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 WIN_SHARE = 0.9
 
 
@@ -64,7 +65,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
@@ -82,28 +83,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="bench/run.py --seconds (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--workload", action="append",
-                        help="run only this workload (repeatable)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     base_rev = git("rev-parse", args.base)
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     report = {"base": base_rev, "change": git("rev-parse", "HEAD") + ("+dirty" if dirty else ""),
-              "seconds": seconds, "pairs": args.pairs, "workloads": {}}
+              "seconds": seconds, "pairs": PAIRS, "workloads": {}}
 
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_tree = Path(tmp)
         extract(base_rev, base_tree)
         for workload in workloads:
             runs = {"base": [], "change": []}
-            for i in range(1, args.pairs + 1):
+            for i in range(1, PAIRS + 1):
                 sides = [("base", base_tree), ("change", ROOT)]
                 if i % 2 == 0:
                     sides.reverse()
