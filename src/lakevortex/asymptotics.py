@@ -262,7 +262,7 @@ def diagnose(lake: Lake, state: SolveState, ties, target_radius: float) -> Diagn
         diam_supp=support_diameter(lake, state.zeta),
         xc=float(xc[0]),
         yc=float(xc[1]),
-        dist_boundary=float(lake.dist_to_boundary(sp).min()),
+        dist_boundary=float(lake.domain.dist_to_boundary(sp).min()),
         mu=float(state.mu),
         sup_K=float(state.k_zeta.max()),
         E_q=state.energy.e_q,

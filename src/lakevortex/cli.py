@@ -97,6 +97,10 @@ def load_config(path: str | Path) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
+    if "solver" in cfg:
+        raise ConfigError(f"solver: the stopping rule is fixed (a step below {FP_TOL_REL:g} "
+                          f"of the mass in weighted L1, at most {MAX_ITERS} steps); "
+                          f"remove the section")
     return cfg
 
 
@@ -320,11 +324,6 @@ def state_to_dict(lake, state) -> dict:
 def cmd_solve(cfg: dict, out: Path) -> int:
     vf = solver_vf_from(cfg)
     params = params_from(cfg)
-    solver = _section(cfg, "solver", {})
-    fp_tol_rel = _number(solver.get("fp_tol_rel", FP_TOL_REL), "solver.fp_tol_rel")
-    if not 0.0 <= fp_tol_rel < math.inf:
-        raise ConfigError(f"solver.fp_tol_rel must be finite and >= 0, got {fp_tol_rel}")
-    max_iters = _integer(solver.get("max_iters", MAX_ITERS), "solver.max_iters", 1)
     seed = seed_from(cfg)
     target_radius = _positive(cfg.get("target_radius", TARGET_RADIUS), "target_radius")
     lake = build_lake_from(cfg)
@@ -336,8 +335,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     handle = assemble_operator(lake)
     # looked up in elliptic at call time, where instrumentation can wrap it
     q = elliptic.solve_background(handle, nu)
-    state = solve_vortex(lake, q, params, vf, handle, init=seed,
-                         fp_tol_rel=fp_tol_rel, max_iters=max_iters)
+    state = solve_vortex(lake, q, params, vf, handle, init=seed)
     chash = config_hash(cfg)
     diag = diagnose(lake, state, None if seed is None else [seed], target_radius)
     write_json(out / "state.json", state_to_dict(lake, state), chash)
@@ -348,9 +346,6 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
-    if "solver" in cfg:
-        raise ConfigError("solver: a sweep solves with the default settings; "
-                          "the section applies to solve only")
     scfg = _section(cfg, "sweep")
     regime = _require(scfg, "schedule", "sweep")
     try:

@@ -153,8 +153,6 @@ def apply_K(handle: OperatorHandle, zeta: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(rhs)  # screens; a finite field's norm may still overflow
     if not np.isfinite(norm) and not np.isfinite(zeta).all():
         raise ValueError("field contains non-finite values")
-    if norm == 0.0 and not zeta.any():
-        return np.zeros(handle.n)
     return handle.solve(rhs)
 
 
@@ -245,7 +243,7 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
 
 
 def kernel_representation_residual(handle: OperatorHandle, zeta: np.ndarray,
-                                   sample_cells: np.ndarray | None = None) -> np.ndarray:
+                                   sample_cells: np.ndarray) -> np.ndarray:
     """Residual of K*zeta against the disk log-kernel representation.
 
     Computes K zeta(x) - b(x) * sum_y G(x, y) zeta(y) b(y) h^2 at the sampled
@@ -258,8 +256,6 @@ def kernel_representation_residual(handle: OperatorHandle, zeta: np.ndarray,
     psi = apply_K(handle, zeta)
     nuw = lake.nu_weights
     h2 = lake.cell_area
-    if sample_cells is None:
-        sample_cells = np.arange(lake.n_cells)
     r_e = lake.h / np.sqrt(np.pi)  # equal-area disk radius for the self cell
     out = np.empty(len(sample_cells))
     for k, c in enumerate(sample_cells):

@@ -258,9 +258,6 @@ class Lake:
         g[self.mask] = u
         return g
 
-    def dist_to_boundary(self, points) -> np.ndarray:
-        return self.domain.dist_to_boundary(points)
-
 
 def _depth_formula(preset: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     r2 = X * X + Y * Y

@@ -110,29 +110,12 @@ class VorticityFunction:
         elif self.preset == "jump_linear":
             out = np.where(t > f0, 0.5 * (t - f0) ** 2, 0.0)
         else:
-            tab = self._table
-            knots_t = tab["v"]
-            knots_s = tab["s"]
-            # exact piecewise-quadratic cumulative integral of the pw-linear inverse
-            seg = 0.5 * (knots_s[1:] + knots_s[:-1]) * np.diff(knots_t)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            out = np.interp(t, knots_t, cum)
-            inside = (t > knots_t[0]) & (t <= knots_t[-1])
-            if np.any(inside):
-                j = np.clip(np.searchsorted(knots_t, t) - 1, 0, len(knots_t) - 2)
-                dt = t - knots_t[j]
-                dv = knots_t[j + 1] - knots_t[j]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    frac = np.where(dv > 0, dt / dv, 0.0)
-                s_at = knots_s[j] + frac * (knots_s[j + 1] - knots_s[j])
-                exact = cum[j] + 0.5 * (knots_s[j] + s_at) * dt
-                out = np.where(inside, exact, out)
-            over = t > knots_t[-1]
-            if np.any(over):
-                dt = t - knots_t[-1]
-                s_at = knots_s[-1] + dt / tab["slope"]
-                out = np.where(over, cum[-1] + 0.5 * (knots_s[-1] + s_at) * dt, out)
-            out = np.where(t > f0, out, 0.0)
+            v, s = self._table["v"], self._table["s"]
+            # exact piecewise-quadratic cumulative integral of the pw-linear
+            # inverse, continued past the last knot along its extrapolation
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * np.diff(v))])
+            j = np.maximum(np.searchsorted(v, t) - 1, 0)  # the last knot below t
+            out = np.where(t > f0, cum[j] + 0.5 * (s[j] + self.f_inv(t)) * (t - v[j]), 0.0)
         return out if out.ndim else float(out)
 
 

@@ -14,7 +14,6 @@ mix of the last two outputs and are kept only if the energy does not fall.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -67,8 +66,8 @@ class AdmissibleParams:
     def target_mass(self) -> float:
         return self.kappa0 * self.delta
 
-    def check_nonempty(self, lake: Lake, vf: VorticityFunction | None = None) -> None:
-        if vf is not None and self.lam <= vf.f_at_zero_plus + 1.0:
+    def check_nonempty(self, lake: Lake, vf: VorticityFunction) -> None:
+        if self.lam <= vf.f_at_zero_plus + 1.0:
             raise AdmissibilityError(
                 f"truncation level {self.lam} must exceed f(0+)+1 = "
                 f"{vf.f_at_zero_plus + 1.0}"
@@ -296,15 +295,13 @@ def iterate_step(state: SolveState) -> SolveState:
 
 
 def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                 vf: VorticityFunction, handle: OperatorHandle, init=None,
-                 fp_tol_rel: float = FP_TOL_REL,
-                 max_iters: int = MAX_ITERS) -> SolveState:
+                 vf: VorticityFunction, handle: OperatorHandle, init=None) -> SolveState:
     """Iterate the capped level-set update to a fixed point.
 
     init is a seed point (patch centered there) or an admissible field; the
     iteration stops when the weighted L1 difference between a step's output
-    and its input drops below fp_tol_rel * kappa0 * delta.  On
-    non-convergence the best state is returned with converged=False.
+    and its input drops below FP_TOL_REL * kappa0 * delta, or after MAX_ITERS
+    steps with the best state and converged=False.
 
     Once two consecutive outputs share their support and capped cells, the
     map is one fixed contraction on that support.  From then on, while the
@@ -342,10 +339,10 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
         fp_residual=float("inf"),
         ctx=ctx,
     )
-    tol = fp_tol_rel * params.target_mass
+    tol = FP_TOL_REL * params.target_mass
     history = []  # the last two (output, output - input, K output), on the support
     support = capped = None  # of the last accepted output
-    while state.iterations < max_iters:
+    while state.iterations < MAX_ITERS:
         step_in = state
         if len(history) == 2 and state.fp_residual <= MIX_BELOW * params.target_mass:
             x, k_x = _anderson_mix(history, lake.nu_weights[support])
@@ -374,7 +371,7 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     if not state.converged:
         log.warning(
             "fixed point not reached in %d iterations (residual %.3e, tol %.3e)",
-            max_iters, state.fp_residual, tol,
+            MAX_ITERS, state.fp_residual, tol,
         )
     return state
 
@@ -473,43 +470,21 @@ def brute_force_oracle(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     quantum = (cap / m) * float(nuw.max())
     target = params.target_mass
 
-    lin = q * nuw
     scale = params.delta / params.eps**2
-    best_e = -np.inf
-    best_z = None
-    found = False
-    chunk = []
-
-    def flush(rows):
-        nonlocal best_e, best_z, found
-        if not rows:
-            return
-        z = np.array(rows)
-        masses = z @ nuw
-        ok = np.abs(masses - target) <= 0.5 * quantum + 1e-12 * target
-        if not ok.any():
-            return
-        z = z[ok]
-        found = True
-        e_q = 0.5 * np.einsum("ij,jk,ik->i", z, w, z) + z @ lin
-        f_eps = scale * (vf.F_star(z / scale) @ nuw)
-        e = e_q - f_eps
-        k = int(np.argmax(e))
-        if e[k] > best_e:
-            best_e = float(e[k])
-            best_z = z[k].copy()
-
-    for combo in itertools.product(levels, repeat=n):
-        chunk.append(combo)
-        if len(chunk) >= 65536:
-            flush(chunk)
-            chunk = []
-    flush(chunk)
-    if not found:
-        raise AdmissibilityError(
-            "no quantized field meets the mass constraint within half a quantum"
-        )
-    return best_z, best_e
+    block = (m + 1) ** (n - 1)  # the fields at one level of the first cell
+    feasible = []
+    for i in range(m + 1):
+        # row r holds the base-(m+1) digits of r: the fields in lexicographic order
+        rows = np.arange(i * block, (i + 1) * block)
+        z = levels[np.stack(np.unravel_index(rows, (m + 1,) * n), axis=1)]
+        feasible.append(z[np.abs(z @ nuw - target) <= 0.5 * quantum + 1e-12 * target])
+    z = np.concatenate(feasible)
+    if not len(z):
+        raise AdmissibilityError("no quantized field meets the mass constraint within half a quantum")
+    e_q = 0.5 * np.einsum("ij,jk,ik->i", z, w, z) + z @ (q * nuw)
+    e = e_q - scale * (vf.F_star(z / scale) @ nuw)
+    k = int(np.argmax(e))  # the first best field in lexicographic order
+    return z[k].copy(), float(e[k])
 
 
 def oracle_gap_bound(lake: Lake, q: np.ndarray, params: AdmissibleParams,

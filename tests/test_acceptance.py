@@ -4,11 +4,11 @@ The regime-classification fixture is the interior-peaked-depth disk at
 resolution 257 with a cosine background flux and the jump vorticity family;
 each vanishing-rate regime uses its bundled flux amplitude (0.02 / 0.02 /
 0.15).  Run with `pytest tests/test_acceptance.py -v -s`.  The file also
-holds the differential tests of the exact bathtub against the frozen seed
-bisection and the frozen full-sort bathtub on every regression state, of
-the mixed iteration against the frozen plain loop from the same seeds, of
-the seed patch against its frozen per-cell loop on every bundled seed, and a
-count of the cells the bathtub passes to f on a 257^2 state.
+holds the differential tests of the candidate-set bathtub against the frozen
+full-sort bathtub on every regression state, of the mixed iteration against
+the frozen plain loop from the same seeds, of the seed patch against its
+frozen per-cell loop on every bundled seed, and a count of the cells the
+bathtub passes to f on a 257^2 state.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import time
 
 import numpy as np
 import pytest
-from bisection_reference import _mu_with_tie_fill
 from plain_iteration_reference import initial_patch_loop
 from plain_iteration_reference import solve_vortex as plain_solve_vortex
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
@@ -210,22 +209,6 @@ def test_criterion_5_monotone_ascent(regression_states, acceptance_report):
     acceptance_report("5 monotone ascent", ok,
             f"{violations} violations across {len(regression_states)} runs")
     assert ok
-
-
-def test_bathtub_matches_frozen_bisection(regression_states):
-    """The exact sorted bathtub against the seed's bisection with tie fill,
-    on the next linearized problem of every regression state."""
-    assert len(regression_states) == 23
-    for lake, state in regression_states:
-        ctx = state.ctx
-        psi_free = state.k_zeta + ctx.q
-        mu_old, zeta_old = _mu_with_tie_fill(lake, ctx.params, ctx.vf, psi_free)
-        mu_new, zeta_new = bathtub(lake, ctx.params, ctx.vf, psi_free)
-        tol = MASS_TOL_REL * ctx.params.target_mass
-        assert mu_new == pytest.approx(mu_old, rel=1e-10, abs=0.0)
-        assert float(np.dot(np.abs(zeta_new - zeta_old), lake.nu_weights)) <= tol
-        for zeta in (zeta_old, zeta_new):
-            assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
 
 
 def test_bathtub_matches_frozen_full_sort(regression_states):

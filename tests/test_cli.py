@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -101,11 +102,50 @@ def test_unknown_preset_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("solver", [{"max_iters": 0}, {"fp_tol_rel": -1e-8},
-                                    {"fp_tol_rel": float("nan")}])
-def test_bad_solver_settings_are_config_errors(tmp_path, solver):
-    bad = dict(SMALL_SOLVE, solver=solver)
-    cfg = _write(tmp_path, bad)
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+                                    {"fp_tol_rel": float("nan")},
+                                    {"fp_tol_rel": 1e-8, "max_iters": 500},
+                                    {"max_iters": 1, "fp_tol_rel": "junk"}, {}])
+def test_bad_solver_settings_are_config_errors(tmp_path, capsys, solver):
+    # the stopping rule is fixed: any solver section, the former defaults too
+    for command, base in (("solve", SMALL_SOLVE), ("sweep", SMALL_SWEEP)):
+        cfg = _write(tmp_path, dict(base, solver=solver))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "stopping rule is fixed" in capsys.readouterr().err
+
+
+def test_unconverged_runs_exit_1(tmp_path, monkeypatch, caplog):
+    from lakevortex import variational
+
+    monkeypatch.setattr(variational, "MAX_ITERS", 2)  # read at call time
+    cfg = _write(tmp_path, SMALL_SOLVE)
+    with caplog.at_level(logging.WARNING, logger="lakevortex.variational"):
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 1
+    state = json.loads((tmp_path / "solve" / "state.json").read_text())
+    assert state["converged"] is False and state["iterations"] == 2
+    assert "fixed point not reached in 2 iterations" in caplog.text
+    cfg = _write(tmp_path, SMALL_SWEEP)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 1
+    summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
+    assert summary["checks"]["all_converged"] is False
+
+
+class _Checked(Exception):
+    """Raised by the first set-up step: every config check before it passed."""
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_configs_pass_config_checks(tmp_path, monkeypatch, path):
+    import lakevortex.cli as cli
+
+    def set_up(*args, **kwargs):
+        raise _Checked
+
+    for first_step in ("build_lake", "rect_lake", "verify_hypotheses"):
+        monkeypatch.setattr(cli, first_step, set_up)
+    command = {"solve": "solve", "sweep": "sweep", "oracle": "oracle-test",
+               "hypotheses": "check-hypotheses", "kernel": "kernel-test"}[path.stem.split("_")[0]]
+    with pytest.raises(_Checked):
+        main([command, "--config", str(path), "--out", str(tmp_path)])
 
 
 def test_nan_flux_amplitude_is_config_error(tmp_path, capsys):
@@ -175,13 +215,11 @@ NEGATIVE_JUMP_TABLE = {"preset": "table", "points": [[0, -1], [1, 0.5], [2, 2]]}
     ("sweep", {"nonlinearity": NEGATIVE_JUMP_TABLE}),
     ("oracle-test", {"nonlinearity": FALLING_TABLE}),
     ("solve", {"target_radius": -3}),
-    ("sweep", {"solver": {"max_iters": 1, "fp_tol_rel": "junk"}}),
 ], ids=["lake-int", "flux-int", "nonlinearity-int", "params-int", "solver-list", "sweep-int", "kernel-int",
         "hypotheses-int", "flux-points-int", "flux-amplitude-list", "table-points-int",
         "power-p-list", "solve-falling-table", "solve-negative-jump-table",
         "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table",
-        "solve-target-radius",
-        "sweep-solver"])
+        "solve-target-radius"])
 def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes):
     base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
     cfg = _write(tmp_path, dict(base, **changes))

@@ -368,7 +368,7 @@ def test_representation_constant_depth(disk_const_64, disk_const_64_handle):
     lake = disk_const_64
     zeta = disk_indicator_averaged(lake, (0.2, 0.1), 0.3)
     zeta = zeta / float(np.dot(zeta, lake.nu_weights))  # unit weighted mass
-    res = kernel_representation_residual(disk_const_64_handle, zeta)
+    res = kernel_representation_residual(disk_const_64_handle, zeta, np.arange(lake.n_cells))
     assert np.abs(res).max() <= 5.0 * lake.h
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from table_conjugate_reference import table_F_star
 
 from lakevortex.nonlinearity import VorticityFunction, verify_hypotheses
 
@@ -65,6 +66,24 @@ def test_conjugate_primitive_convex(vf):
     t = np.linspace(0.0, 10.0, 400)
     second = np.diff(vf.F_star(t), 2)
     assert np.all(second >= -1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_table_conjugate_matches_frozen_branches(knots, flat_start, seed):
+    """The one-formula table F_* against the frozen three-branch form, at the
+    knots, between them and past the last one, on strictly increasing tables
+    (a first knot past s = 0 adds a flat first segment)."""
+    rng = np.random.default_rng(seed)
+    rises = np.concatenate([[0.0], rng.uniform(0.01, 2.0, knots - 1)])
+    s = np.cumsum(rises) + (rng.uniform(0.1, 1.0) if flat_start else 0.0)
+    v = np.cumsum(rises * rng.uniform(0.01, 3.0, knots)) + rng.uniform(0.0, 1.0)
+    vf = VorticityFunction("table", points=tuple(zip(s, v)))
+    tab_v = vf._table["v"]
+    between = tab_v[:-1] + rng.uniform(0.0, 1.0, (50, len(tab_v) - 1)) * np.diff(tab_v)
+    t = np.concatenate([tab_v, between.ravel(), tab_v[-1] + rng.uniform(0.0, 10.0, 50)])
+    assert np.allclose(vf.F_star(t), table_F_star(vf, t), rtol=1e-14, atol=0.0)
+    assert vf.F_star(float(t[-1])) == pytest.approx(table_F_star(vf, float(t[-1])), rel=1e-14)
 
 
 def test_hypothesis_estimates_power():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from plain_iteration_reference import initial_patch_loop
+from product_oracle_reference import brute_force_oracle as product_oracle
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
 
 from lakevortex.elliptic import apply_K, assemble_operator
@@ -57,7 +58,7 @@ def test_params_validation():
     lake = rect_lake(1, 1, 0.5)
     tight = AdmissibleParams(eps=1.0, delta=0.5, kappa0=10.0, lam=2.0)
     with pytest.raises(AdmissibilityError, match="empty"):
-        tight.check_nonempty(lake)
+        tight.check_nonempty(lake, VorticityFunction("power"))
 
 
 def test_energy_of_zero_field(interior_128, interior_128_q, vf_power2,
@@ -442,6 +443,29 @@ def test_oracle_guards():
     with pytest.raises(ValueError, match="1..12"):
         brute_force_oracle(lake2, np.zeros(2), params, vf, m=20,
                            handle=assemble_operator(lake2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(nx, ny) for nx in range(1, 7) for ny in range(1, 7) if nx * ny <= 6]),
+       m=st.integers(1, 12), c=st.floats(0.0, 2.0), kappa0=st.floats(0.2, 2.0),
+       q_seed=st.integers(0, 2**32 - 1))
+def test_oracle_matches_frozen_product_walk(shape, m, c, kappa0, q_seed):
+    """The block enumeration against the frozen chunked itertools.product walk,
+    bit for bit in the maximizer and its energy (or the same refusal)."""
+    lake = rect_lake(*shape, 0.5)
+    handle = assemble_operator(lake)
+    params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=kappa0, lam=8.0)
+    vf = VorticityFunction("jump_linear", c=c)
+    q = np.random.default_rng(q_seed).uniform(-0.5, 0.5, lake.n_cells)
+    try:
+        z_old, e_old = product_oracle(lake, q, params, vf, m, handle)
+    except AdmissibilityError:
+        with pytest.raises(AdmissibilityError):
+            brute_force_oracle(lake, q, params, vf, m, handle)
+        return
+    z_new, e_new = brute_force_oracle(lake, q, params, vf, m, handle)
+    assert e_new == e_old
+    assert np.array_equal(z_new, z_old)
 
 
 # ---------------------------------------------------------------------------
