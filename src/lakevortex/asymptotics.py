@@ -195,20 +195,20 @@ class Diagnostics:
 
     eps: float
     delta: float
-    diam_supp: float
-    xc: float
-    yc: float
-    dist_boundary: float
-    mu: float
-    sup_K: float
-    E_q: float
-    F_eps: float
-    E_total: float
-    mass_frac: float
-    radial_score: float
+    diam_supp: float = math.nan  # the measured fields stay NaN in a failed point's row
+    xc: float = math.nan
+    yc: float = math.nan
+    dist_boundary: float = math.nan
+    mu: float = math.nan
+    sup_K: float = math.nan
+    E_q: float = math.nan
+    F_eps: float = math.nan
+    E_total: float = math.nan
+    mass_frac: float = math.nan
+    radial_score: float = math.nan
     converged: bool = True
     error: str = ""
-    supp_target_dist: float = float("nan")  # max support distance to the target set
+    supp_target_dist: float = math.nan  # max support distance to the target set
 
     def row(self) -> list:
         return [getattr(self, c) for c in DIAG_COLUMNS]
@@ -232,13 +232,13 @@ def _fit_loglog_slope(eps: np.ndarray, diam: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(eps[good]), np.log(diam[good]), 1)[0])
 
 
-def diagnose(lake: Lake, state: SolveState, ties, target_radius: float) -> Diagnostics:
+def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
     """Diagnostics row of one solved state.
 
     With ties, the mass fraction is taken around the tie point nearest the
     vorticity center and supp_target_dist is the largest distance from a
     support cell to the ties; with ties None, the mass fraction is taken
-    around the center itself.
+    around the center itself, in a ball of radius TARGET_RADIUS.
     """
     params = state.ctx.params
     # vorticity_center raises on a zero field, so the support is not empty
@@ -268,7 +268,7 @@ def diagnose(lake: Lake, state: SolveState, ties, target_radius: float) -> Diagn
         E_q=state.energy.e_q,
         F_eps=state.energy.f_eps,
         E_total=state.energy.total,
-        mass_frac=mass_fraction_near(lake, state.zeta, anchor, target_radius),
+        mass_frac=mass_fraction_near(lake, state.zeta, anchor, TARGET_RADIUS),
         radial_score=score,
         converged=state.converged,
         supp_target_dist=supp_dist,
@@ -279,8 +279,7 @@ def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
               kappa0: float, lam: float, eps_list,
               vf: VorticityFunction,
               handle: OperatorHandle,
-              seed=None,
-              target_radius: float = TARGET_RADIUS) -> SweepReport:
+              seed=None) -> SweepReport:
     """Solve along a decreasing eps list and evaluate the regime trend checks.
 
     A point whose solve fails with a numerical error is recorded as a row of
@@ -302,17 +301,13 @@ def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
             state = solve_vortex(lake, q, params, vf, init=seed_pt, handle=handle)
         except (ScheduleError, AdmissibilityError, SolverError) as exc:
             log.error("sweep point eps=%g failed: %s", eps, exc)
-            nan = float("nan")
-            return Diagnostics(eps=eps, delta=delta, diam_supp=nan, xc=nan, yc=nan,
-                               dist_boundary=nan, mu=nan, sup_K=nan, E_q=nan,
-                               F_eps=nan, E_total=nan, mass_frac=nan,
-                               radial_score=nan, converged=False, error=str(exc)), None
-        return diagnose(lake, state, ties, target_radius), state
+            return Diagnostics(eps=eps, delta=delta, converged=False, error=str(exc)), None
+        return diagnose(lake, state, ties), state
 
     results = [solve_point(e) for e in eps_arr]
     rows = [r for r, _ in results]
     states = [s for _, s in results]
-    checks = _regime_checks(lake, q, schedule.regime, kappa0, rows, ties, target_radius)
+    checks = _regime_checks(lake, q, schedule.regime, kappa0, rows, ties)
     report = SweepReport(
         regime=schedule.regime,
         rows=rows,
@@ -352,7 +347,7 @@ def _trend(first_dev: float, last_dev: float, tol: float) -> bool:
 
 
 def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
-                   rows: list, ties: np.ndarray, target_radius: float) -> dict:
+                   rows: list, ties: np.ndarray) -> dict:
     checks: dict = {"all_converged": all(r.converged for r in rows)}
     ok_rows = [r for r in rows if r.converged]
     if len(ok_rows) < 2:
@@ -418,7 +413,7 @@ def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
         checks["sup_K_final"] = last.sup_K
         checks["sup_K_small"] = bool(last.sup_K <= 0.1 * abs(qmax))
         checks["supp_target_dist_final"] = last.supp_target_dist
-        checks["support_in_target_nbhd"] = bool(last.supp_target_dist <= target_radius)
+        checks["support_in_target_nbhd"] = bool(last.supp_target_dist <= TARGET_RADIUS)
         # peak stream bounded by the leading log growth plus a stable constant
         bmax = float(lake.b_int.max())
         coeffs = [

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, elliptic
 from .asymptotics import (
     DIAG_COLUMNS,
-    TARGET_RADIUS,
     DeltaSchedule,
     ScheduleError,
     delta_of_eps,
@@ -51,8 +50,6 @@ from .geometry import (
 )
 from .nonlinearity import VorticityFunction, verify_hypotheses
 from .variational import (
-    FP_TOL_REL,
-    MAX_ITERS,
     AdmissibilityError,
     AdmissibleParams,
     brute_force_oracle,
@@ -69,10 +66,20 @@ class ConfigError(ValueError):
     """Invalid or missing configuration."""
 
 
-# Sample budgets, measured on x86-64 with numpy 2: 10^6 hypothesis samples
-# peak at about 125 MB RSS, 10^5 kernel pairs at about 92 MB and 9 s.
+# Sample budget, measured on x86-64 with numpy 2: 10^6 hypothesis samples
+# peak at about 125 MB RSS.
 MAX_HYPOTHESIS_SAMPLES = 10**6
-MAX_KERNEL_PAIRS = 10**5
+
+# every key some command reads: the sections with their fields, and the seed point
+CONFIG_KEYS = {
+    "lake": {"preset", "resolution"},
+    "flux": {"preset", "amplitude", "points"},
+    "nonlinearity": {"preset", "p", "c", "points"},
+    "params": {"eps", "delta", "kappa0", "lam"},
+    "sweep": {"schedule", "eps_list", "kappa0", "lam"},
+    "hypotheses": {"s_max", "n"},
+    "seed": None,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +104,18 @@ def load_config(path: str | Path) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
-    if "solver" in cfg:
-        raise ConfigError(f"solver: the stopping rule is fixed (a step below {FP_TOL_REL:g} "
-                          f"of the mass in weighted L1, at most {MAX_ITERS} steps); "
-                          f"remove the section")
+    for key, value in cfg.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key {key!r}: no command reads it")
+        fields = CONFIG_KEYS[key]
+        if fields is None:
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        unknown = sorted(set(value) - fields)
+        if unknown:
+            raise ConfigError(f"unknown key '{key}.{unknown[0]}': {key} holds "
+                              f"{', '.join(sorted(fields))}")
     return cfg
 
 
@@ -108,16 +123,6 @@ def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return cfg[key]
-
-
-def _section(cfg: dict, key: str, default: dict | None = None) -> dict:
-    """The JSON object cfg[key]; default if absent, required if there is none."""
-    if key not in cfg and default is not None:
-        return default
-    value = _require(cfg, key, "config")
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return value
 
 
 def _number(value, name: str) -> float:
@@ -153,16 +158,14 @@ def _integer(value, name: str, minimum: int, maximum: float = math.inf) -> int:
     return v
 
 
-def _lake(preset, resolution, where: str):
-    try:
-        return build_lake(preset, _integer(resolution, f"{where}.resolution", 16))
-    except GeometryError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def build_lake_from(cfg: dict):
-    lcfg = _section(cfg, "lake")
-    return _lake(_require(lcfg, "preset", "lake"), _require(lcfg, "resolution", "lake"), "lake")
+    lcfg = _require(cfg, "lake", "config")
+    preset = _require(lcfg, "preset", "lake")
+    resolution = _integer(_require(lcfg, "resolution", "lake"), "lake.resolution", 16)
+    try:
+        return build_lake(preset, resolution)
+    except GeometryError as exc:
+        raise ConfigError(f"lake: {exc}") from exc
 
 
 def seed_from(cfg: dict):
@@ -180,7 +183,7 @@ def seed_from(cfg: dict):
 
 
 def flux_from(cfg: dict, lake) -> np.ndarray:
-    fcfg = _section(cfg, "flux", {"preset": "zero"})
+    fcfg = cfg.get("flux", {"preset": "zero"})
     preset = _require(fcfg, "preset", "flux")
     try:
         amplitude = _number(fcfg.get("amplitude", 1.0), "amplitude")
@@ -193,7 +196,7 @@ def flux_from(cfg: dict, lake) -> np.ndarray:
 
 
 def vf_from(cfg: dict) -> VorticityFunction:
-    ncfg = _section(cfg, "nonlinearity")
+    ncfg = _require(cfg, "nonlinearity", "config")
     preset = _require(ncfg, "preset", "nonlinearity")
     try:
         if preset == "power":
@@ -218,7 +221,7 @@ def solver_vf_from(cfg: dict) -> VorticityFunction:
 
 
 def params_from(cfg: dict) -> AdmissibleParams:
-    pcfg = _section(cfg, "params")
+    pcfg = _require(cfg, "params", "config")
     try:
         return AdmissibleParams(
             eps=_positive(_require(pcfg, "eps", "params"), "params.eps"),
@@ -325,7 +328,6 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     vf = solver_vf_from(cfg)
     params = params_from(cfg)
     seed = seed_from(cfg)
-    target_radius = _positive(cfg.get("target_radius", TARGET_RADIUS), "target_radius")
     lake = build_lake_from(cfg)
     try:
         params.check_nonempty(lake, vf)
@@ -337,7 +339,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     q = elliptic.solve_background(handle, nu)
     state = solve_vortex(lake, q, params, vf, handle, init=seed)
     chash = config_hash(cfg)
-    diag = diagnose(lake, state, None if seed is None else [seed], target_radius)
+    diag = diagnose(lake, state, None if seed is None else [seed])
     write_json(out / "state.json", state_to_dict(lake, state), chash)
     write_csv(out / "diag.csv", [diag], chash)
     print(f"solve: converged={state.converged} iterations={state.iterations} "
@@ -346,7 +348,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
-    scfg = _section(cfg, "sweep")
+    scfg = _require(cfg, "sweep", "config")
     regime = _require(scfg, "schedule", "sweep")
     try:
         schedule = DeltaSchedule(regime)
@@ -364,14 +366,12 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         raise ConfigError(f"sweep: {exc}") from exc
     kappa0 = _positive(scfg.get("kappa0", 1.0), "sweep.kappa0")
     lam = _positive(scfg.get("lam", 50.0), "sweep.lam")
-    target_radius = _positive(cfg.get("target_radius", TARGET_RADIUS), "target_radius")
     seed = seed_from(cfg)
     vf = solver_vf_from(cfg)
     lake = build_lake_from(cfg)
     nu = flux_from(cfg, lake)
     handle = assemble_operator(lake)
-    report = run_sweep(lake, nu, schedule, kappa0, lam, eps_list, vf, handle,
-                       seed=seed, target_radius=target_radius)
+    report = run_sweep(lake, nu, schedule, kappa0, lam, eps_list, vf, handle, seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
     summary = {
@@ -427,7 +427,7 @@ def cmd_oracle_test(cfg: dict, out: Path) -> int:
 
 def cmd_check_hypotheses(cfg: dict, out: Path) -> int:
     vf = vf_from(cfg)
-    hcfg = _section(cfg, "hypotheses", {})
+    hcfg = cfg.get("hypotheses", {})
     s_max = _positive(hcfg.get("s_max", 10.0), "hypotheses.s_max")
     n = _integer(hcfg.get("n", 2000), "hypotheses.n", 100, MAX_HYPOTHESIS_SAMPLES)
     try:
@@ -447,10 +447,9 @@ def cmd_check_hypotheses(cfg: dict, out: Path) -> int:
 
 
 def cmd_kernel_test(cfg: dict, out: Path) -> int:
-    kcfg = _section(cfg, "kernel", {})
-    n_pairs = _integer(kcfg.get("pairs", 1000), "kernel.pairs", 1, MAX_KERNEL_PAIRS)
-    rng = np.random.default_rng(_integer(kcfg.get("rng_seed", 20240801), "kernel.rng_seed", 0))
-    lake = _lake("disk_constant_b", kcfg.get("resolution", 128), "kernel")
+    n_pairs = 1000
+    rng = np.random.default_rng(20240801)
+    lake = build_lake("disk_constant_b", 128)
 
     # sample interior pairs away from coincidence
     pts = np.empty((2 * n_pairs, 2))

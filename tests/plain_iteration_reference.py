@@ -1,8 +1,10 @@
-"""Frozen reference: the plain fixed-point loop that ``variational.solve_vortex``
-replaced with Anderson mixing of the fixed-support tail, and the per-cell
-loop of ``variational.initial_patch`` that a sort of a candidate disc
-replaced.  Kept verbatim for the differential tests of old and new.
-Test-only code.
+"""Test-only references for the differential tests of old and new.
+
+``solve_vortex`` is the plain fixed-point loop that ``variational.solve_vortex``
+replaced with Anderson mixing of the fixed-support tail: a plain loop over the
+live ``variational.iterate_step``, not a frozen copy of the old code.
+``initial_patch_loop`` is kept verbatim: the per-cell loop of
+``variational.initial_patch`` that a sort of a candidate disc replaced.
 """
 
 from __future__ import annotations
@@ -29,25 +31,24 @@ from lakevortex.variational import (
 
 
 def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                 vf: VorticityFunction, handle: OperatorHandle, init,
-                 fp_tol_rel: float = FP_TOL_REL,
-                 max_iters: int = MAX_ITERS) -> SolveState:
+                 vf: VorticityFunction, handle: OperatorHandle, init) -> SolveState:
     """Plain iteration from the patch at the seed point init: every step's
     input is the previous output, until the successive weighted L1
-    difference drops below fp_tol_rel * kappa0 * delta."""
-    zeta0 = initial_patch(lake, params, np.asarray(init, dtype=float))
+    difference drops below FP_TOL_REL * kappa0 * delta."""
+    zeta = initial_patch(lake, params, np.asarray(init, dtype=float))
     ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
-    k0 = apply_K(handle, zeta0)
-    e0 = energy(lake, q, params, vf, zeta0, k_zeta=k0)
-    state = SolveState(zeta=zeta0, k_zeta=k0, mu=0.0, energy=e0, energy_trace=[e0.total],
-                       iterations=0, converged=False, fp_residual=float("inf"), ctx=ctx)
-    tol = fp_tol_rel * params.target_mass
-    for _ in range(max_iters):
-        state = iterate_step(state)
-        if state.fp_residual <= tol:
-            state.converged = True
+    k = apply_K(handle, zeta)
+    e = energy(lake, q, params, vf, zeta, k_zeta=k)
+    mu, residual, trace = 0.0, math.inf, [e.total]
+    tol = FP_TOL_REL * params.target_mass
+    for _ in range(MAX_ITERS):
+        mu, zeta, k, e, residual = iterate_step(ctx, zeta, k)
+        trace.append(e.total)
+        if residual <= tol:
             break
-    return state
+    return SolveState(zeta=zeta, k_zeta=k, mu=mu, energy=e, energy_trace=trace,
+                      iterations=len(trace) - 1, converged=residual <= tol,
+                      fp_residual=residual, ctx=ctx)
 
 
 def initial_patch_loop(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:

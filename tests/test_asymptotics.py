@@ -196,6 +196,8 @@ def test_mass_fraction_near(disk_const_64):
     lake = disk_const_64
     z = disk_indicator_averaged(lake, (0.3, 0.0), 0.1)
     assert mass_fraction_near(lake, z, (0.3, 0.0), 0.2) == pytest.approx(1.0)
+    # a ball of half the patch's radius holds a quarter of its mass
+    assert mass_fraction_near(lake, z, (0.3, 0.0), 0.05) == pytest.approx(0.25, abs=0.01)
     assert mass_fraction_near(lake, z, (-0.5, 0.0), 0.2) == pytest.approx(0.0)
     assert mass_fraction_near(lake, np.zeros(lake.n_cells), (0.0, 0.0), 0.2) == 0.0
 
@@ -282,6 +284,8 @@ def test_sweep_continues_past_failed_point():
                        eps_list=[0.5, 0.2, 0.14], vf=vf, handle=handle)
     assert [r.converged for r in report.rows] == [False, True, True]
     assert report.rows[0].error != ""
+    failed = report.rows[0].row()
+    assert failed[0] == 0.5 and all(math.isnan(v) for v in failed[1:])
     assert report.checks["all_converged"] is False
 
 

@@ -110,7 +110,7 @@ def test_bad_solver_settings_are_config_errors(tmp_path, capsys, solver):
     for command, base in (("solve", SMALL_SOLVE), ("sweep", SMALL_SWEEP)):
         cfg = _write(tmp_path, dict(base, solver=solver))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "stopping rule is fixed" in capsys.readouterr().err
+        assert "unknown key 'solver'" in capsys.readouterr().err
 
 
 def test_unconverged_runs_exit_1(tmp_path, monkeypatch, caplog):
@@ -169,7 +169,6 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=["x"])}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, NAN])}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.4, 0.2])}),  # 0.4 >= 1/e
-    ("sweep", {"target_radius": NAN}),
     ("check-hypotheses", {"hypotheses": {"n": "many"}}),
     ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
                           "hypotheses": {"s_max": 1e300, "n": 100}}),
@@ -178,13 +177,10 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("check-hypotheses", {"nonlinearity": {"preset": "jump_linear", "c": 0.5},
                           "hypotheses": {"s_max": 1e-9, "n": 100}}),
     ("check-hypotheses", {"nonlinearity": SHALLOW_TABLE, "hypotheses": {"s_max": 1e-6, "n": 100}}),
-    ("kernel-test", {"kernel": {"resolution": "x", "pairs": 10}}),
-    ("kernel-test", {"kernel": {"resolution": 64, "pairs": 0}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
-        "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e", "target-radius-nan",
+        "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
-        "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
-        "kernel-resolution", "kernel-pairs-0"])
+        "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
     cfg = _write(tmp_path, dict(base, **changes))
@@ -203,7 +199,6 @@ NEGATIVE_JUMP_TABLE = {"preset": "table", "points": [[0, -1], [1, 0.5], [2, 2]]}
     ("solve", {"params": 5}),
     ("solve", {"solver": [1]}),
     ("sweep", {"sweep": 5}),
-    ("kernel-test", {"kernel": 5}),
     ("check-hypotheses", {"hypotheses": 5}),
     ("solve", {"flux": {"preset": "custom", "points": 5}}),
     ("solve", {"flux": {"preset": "cosine", "amplitude": [1]}}),
@@ -214,12 +209,10 @@ NEGATIVE_JUMP_TABLE = {"preset": "table", "points": [[0, -1], [1, 0.5], [2, 2]]}
     ("sweep", {"nonlinearity": FALLING_TABLE}),
     ("sweep", {"nonlinearity": NEGATIVE_JUMP_TABLE}),
     ("oracle-test", {"nonlinearity": FALLING_TABLE}),
-    ("solve", {"target_radius": -3}),
-], ids=["lake-int", "flux-int", "nonlinearity-int", "params-int", "solver-list", "sweep-int", "kernel-int",
+], ids=["lake-int", "flux-int", "nonlinearity-int", "params-int", "solver-list", "sweep-int",
         "hypotheses-int", "flux-points-int", "flux-amplitude-list", "table-points-int",
         "power-p-list", "solve-falling-table", "solve-negative-jump-table",
-        "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table",
-        "solve-target-radius"])
+        "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table"])
 def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes):
     base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
     cfg = _write(tmp_path, dict(base, **changes))
@@ -244,23 +237,32 @@ def test_config_is_checked_before_set_up(tmp_path, monkeypatch, command, changes
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_solve_measures_mass_fraction_within_target_radius(tmp_path):
-    import csv
+@pytest.mark.parametrize("command, base, changes, key", [
+    ("solve", SMALL_SOLVE, {"target_radius": 0.2}, "'target_radius'"),
+    ("sweep", SMALL_SWEEP, {"target_radius": 0.2}, "'target_radius'"),
+    ("kernel-test", {}, {"kernel": {"pairs": 10}}, "'kernel'"),
+    ("solve", SMALL_SOLVE, {"sead": [0.0, 0.1]}, "'sead'"),
+    ("sweep", SMALL_SWEEP, {"sweep": dict(SMALL_SWEEP["sweep"], kapa0=2.0)}, "'sweep.kapa0'"),
+    ("solve", SMALL_SOLVE, {"lake": dict(SMALL_SOLVE["lake"], resolutoin=32)}, "'lake.resolutoin'"),
+], ids=["solve-target_radius", "sweep-target_radius", "kernel", "sead", "sweep.kapa0",
+        "lake.resolutoin"])
+def test_unknown_config_keys_are_config_errors(tmp_path, monkeypatch, capsys, command, base,
+                                               changes, key):
+    # a key no command reads is a misspelling or a retired setting, never ignored
+    import lakevortex.cli as cli
 
-    fractions = []
-    for radius in (0.2, 0.01):
-        cfg = _write(tmp_path, dict(SMALL_SOLVE, target_radius=radius))
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        with open(tmp_path / "out" / "diag.csv", newline="") as fh:
-            next(fh)  # provenance comment
-            (row,) = list(csv.DictReader(fh))
-        fractions.append(float(row["mass_frac"]))
-    assert fractions[0] > fractions[1]
+    def set_up(*args, **kwargs):
+        raise AssertionError(f"{key} was accepted")
+
+    monkeypatch.setattr(cli, "build_lake", set_up)
+    cfg = _write(tmp_path, dict(base, **changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key") and key in err
 
 
 @pytest.mark.parametrize("command, changes", [
     ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 1025}}),
-    ("kernel-test", {"kernel": {"resolution": 1025, "pairs": 10}}),
 ])
 def test_oversized_grid_is_rejected_before_allocation(tmp_path, monkeypatch, command, changes):
     from lakevortex import geometry
@@ -278,8 +280,7 @@ def test_oversized_grid_is_rejected_before_allocation(tmp_path, monkeypatch, com
 
 @pytest.mark.parametrize("command, changes, first_allocation", [
     ("check-hypotheses", {"hypotheses": {"n": 10**11}}, "verify_hypotheses"),
-    ("kernel-test", {"kernel": {"resolution": 64, "pairs": 10**11}}, "build_lake"),
-], ids=["hypotheses-n", "kernel-pairs"])
+], ids=["hypotheses-n"])
 def test_oversized_sample_count_is_rejected_before_allocation(tmp_path, monkeypatch, capsys,
                                                               command, changes,
                                                               first_allocation):
@@ -381,8 +382,7 @@ def test_check_hypotheses_resolves_steep_table(tmp_path):
 
 
 def test_kernel_test_small(tmp_path):
-    cfg = _write(tmp_path, {"kernel": {"resolution": 64, "pairs": 200,
-                                       "rng_seed": 11}})
+    cfg = _write(tmp_path, {})
     assert main(["kernel-test", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "kernel_report.json").read_text())
     assert report["upper_bound_ok"] and report["green_symmetry_ok"]

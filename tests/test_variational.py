@@ -311,9 +311,10 @@ def test_mixed_step_that_lowers_the_energy_is_discarded(power_fixture, monkeypat
 
 def test_converged_state_is_fixed_point(power_fixture):
     lake, handle, q, params, state = power_fixture
-    again = iterate_step(state)
-    tol = 1e-8 * params.target_mass
-    assert float(np.dot(np.abs(again.zeta - state.zeta), lake.nu_weights)) <= tol
+    mu, zeta, _, _, residual = iterate_step(state.ctx, state.zeta, state.k_zeta)
+    change = float(np.dot(np.abs(zeta - state.zeta), lake.nu_weights))
+    assert residual == pytest.approx(change) and change <= 1e-8 * params.target_mass
+    assert mu == pytest.approx(state.mu, rel=1e-7)
 
 
 def test_optimality_cases_hold(power_fixture):
