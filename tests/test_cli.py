@@ -261,6 +261,23 @@ def test_unknown_config_keys_are_config_errors(tmp_path, monkeypatch, capsys, co
     assert err.startswith("config error: unknown key") and key in err
 
 
+def test_solve_measures_mass_fraction_within_target_radius(tmp_path, monkeypatch):
+    import csv
+
+    from lakevortex import asymptotics
+
+    fractions = []
+    for radius in (0.2, 0.01):
+        monkeypatch.setattr(asymptotics, "TARGET_RADIUS", radius)  # read at call time
+        cfg = _write(tmp_path, SMALL_SOLVE)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "diag.csv", newline="") as fh:
+            next(fh)  # provenance comment
+            (row,) = list(csv.DictReader(fh))
+        fractions.append(float(row["mass_frac"]))
+    assert fractions[0] > fractions[1]
+
+
 @pytest.mark.parametrize("command, changes", [
     ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 1025}}),
 ])
