@@ -70,7 +70,8 @@ class ConfigError(ValueError):
 # peak at about 125 MB RSS.
 MAX_HYPOTHESIS_SAMPLES = 10**6
 
-# every key some command reads: the sections with their fields, and the seed point
+# every key some command reads (see COMMANDS): the sections with their fields,
+# and the seed point
 CONFIG_KEYS = {
     "lake": {"preset", "resolution"},
     "flux": {"preset", "amplitude", "points"},
@@ -91,7 +92,10 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path, command: str | None = None) -> dict:
+    """The JSON config at path, with its keys checked: each top-level key must
+    be one that command reads (one that some command reads when command is
+    None), and each section field one of its section's."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -104,9 +108,12 @@ def load_config(path: str | Path) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
+    allowed = CONFIG_KEYS if command is None else COMMANDS[command][1]
     for key, value in cfg.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key {key!r}: no command reads it")
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r}: " + (
+                "no command reads it" if command is None
+                else f"{command} reads {', '.join(allowed) or 'no key'}"))
         fields = CONFIG_KEYS[key]
         if fields is None:
             continue
@@ -501,12 +508,13 @@ def cmd_kernel_test(cfg: dict, out: Path) -> int:
     return 0 if (upper_ok and sym_ok and repr_ok) else 1
 
 
+# each command with the top-level config keys it reads
 COMMANDS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "oracle-test": cmd_oracle_test,
-    "check-hypotheses": cmd_check_hypotheses,
-    "kernel-test": cmd_kernel_test,
+    "solve": (cmd_solve, ("lake", "flux", "nonlinearity", "params", "seed")),
+    "sweep": (cmd_sweep, ("lake", "flux", "nonlinearity", "sweep", "seed")),
+    "oracle-test": (cmd_oracle_test, ("nonlinearity",)),
+    "check-hypotheses": (cmd_check_hypotheses, ("nonlinearity", "hypotheses")),
+    "kernel-test": (cmd_kernel_test, ()),
 }
 
 
@@ -526,10 +534,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out)
+        return COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,8 @@ linearized subproblem exactly, whose solution is the capped level-set
 ("bathtub") profile zeta = min((delta/eps^2) f(psi_free - mu), cap) with the
 multiplier mu found exactly from the sorted levels of psi_free and the prefix
 sums of their weights.  Convexity of E_q makes every step an ascent step.
+Each step's bathtub starts its search from the previous step's output and
+keeps the support it filled, so the step's bookkeeping stays on the support.
 In the tail, where the support stops changing, steps start from an Anderson
 mix of the last two outputs and are kept only if the energy does not fall.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,38 +134,57 @@ def mass(lake: Lake, zeta: np.ndarray) -> float:
 
 
 def energy(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-           vf: VorticityFunction, zeta: np.ndarray, k_zeta: np.ndarray) -> Energy:
+           vf: VorticityFunction, zeta: np.ndarray, k_zeta: np.ndarray,
+           support: np.ndarray | None = None) -> Energy:
     """Evaluate the functional at zeta, given k_zeta = K zeta.
 
     E_q = 0.5*sum(zeta*K zeta*b h^2) + sum(q*zeta*b h^2) and the penalty is
-    (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2).
+    (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2), each summed over
+    support, the cells with zeta > 0 in index order (found when not given).
     """
-    nuw = lake.nu_weights
-    e_q = 0.5 * float(np.dot(zeta * nuw, k_zeta)) + float(np.dot(q * nuw, zeta))
+    if support is None:
+        support = np.flatnonzero(zeta)
+    nuw, z = lake.nu_weights[support], zeta[support]
+    e_q = 0.5 * float(np.dot(z * nuw, k_zeta[support])) + float(np.dot(q[support] * nuw, z))
     scale = params.delta / params.eps**2
-    support = np.flatnonzero(zeta > 0.0)
-    penalty = np.zeros(len(zeta))  # F_*(t) = 0 for t <= f(0+), which is >= 0
-    penalty[support] = vf.F_star(zeta[support] / scale)
-    f_eps = scale * float(np.dot(penalty, nuw))
+    f_eps = scale * float(np.dot(vf.F_star(z / scale), nuw))
     return Energy(e_q=e_q, f_eps=f_eps)
 
 
+class Rearrangement(NamedTuple):
+    """One bathtub output: the multiplier, the field, the cells with zeta > 0
+    in index order, and how many candidate cells were sorted to find them."""
+
+    mu: float
+    zeta: np.ndarray
+    support: np.ndarray
+    candidates: int
+
+
 def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
-            psi_free: np.ndarray):
-    """(mu, zeta) with zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass.
+            psi_free: np.ndarray, start: Rearrangement | None = None) -> Rearrangement:
+    """zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass, with its mu.
 
     Only a candidate set of the highest levels is sorted: the top k cells,
-    with t the lowest level among them.  Every cell above t is a candidate,
-    so the mass at t is exact from the candidates alone; once it reaches the
-    target, mu >= t and the support lies inside the set.  Otherwise k grows
-    geometrically, up to every cell.  k starts at a lower bound on any
-    sufficient k: each cell above t weighs at most
+    ordered by level and, at equal levels, by cell index, with t the lowest
+    level among them.  Every cell above t is a candidate, so the mass at t is
+    exact from the candidates alone; once it reaches the target, mu >= t and
+    the support lies inside the set.  Otherwise k grows geometrically, up to
+    every cell.  Cold, k starts at a lower bound on any sufficient k: each
+    cell above t weighs at most
     (delta/eps^2) f(min(max psi_free - min psi_free, f_inv(lam))) * max nu.
     Over the sorted levels with prefix sums W of nu, the cells above
     mu + f_inv(lam) weigh cap*W and f is evaluated on the band below them only.
-    A binary search over the levels finds the segment holding the target and
+    A search over the levels finds the segment holding the target and
     bisection finds mu in it; a target inside the jump of f at 0+ at a level
     sets mu to it and fills the cells exactly at that level by a fraction.
+
+    start, the output for a nearby psi_free (the previous fixed-point step),
+    only moves where the work begins: k starts at 2 s + 1 for its s support
+    cells, and the level search gallops out from the level of its mu before
+    it bisects.  The cells above any level, their order and so every mass
+    evaluated do not depend on k, and the search ends at the same segment
+    from any start, so mu and zeta are the same bits with or without it.
     """
     params.check_nonempty(lake, vf)
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
@@ -181,25 +203,37 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
         k_cap, k_sup, values = band(mu)
         return cap * prefix[k_cap] + float(np.dot(values, nuw[k_cap:k_sup]))
 
-    spread = min(float(psi_free.max() - psi_free.min()), reach)  # f(reach) = lam: no overflow
-    per_cell = scale * vf.f(spread) * float(nu_all.max())
-    k = n if per_cell <= 0.0 else min(n, 1 + math.ceil(min(target / per_cell, n)))
+    def reaches(j: int) -> bool:
+        return mass_at(float(levels[j])) >= target
+
+    if start is None:
+        spread = min(float(psi_free.max() - psi_free.min()), reach)  # f(reach) = lam: no overflow
+        per_cell = scale * vf.f(spread) * float(nu_all.max())
+        k = n if per_cell <= 0.0 else min(n, 1 + math.ceil(min(target / per_cell, n)))
+    else:
+        k = min(n, 2 * len(start.support) + 1)
     while True:
         order = np.argpartition(psi_free, n - k)[n - k:]
-        order = order[np.argsort(psi_free[order])[::-1]]
+        order.sort()  # ties in index order, whatever k is
+        order = order[np.argsort(-psi_free[order], kind="stable")]
         levels = psi_free[order]
         neg_levels = -levels  # ascending, for searchsorted
         nuw = nu_all[order]
         prefix = np.concatenate(([0.0], np.cumsum(nuw)))
-        if k == n or mass_at(float(levels[-1])) >= target:
+        if k == n or reaches(k - 1):
             break
         k = min(n, 4 * k)
 
     # smallest j with mass(levels[j]) >= target (j = n: all capped, the bracket bottom)
     lo, hi = 0, k  # mass(levels[0]) = 0 < target
+    if start is not None:  # steps double until one crosses the bracket it made
+        j, step = min(max(count_above(start.mu), 1), k - 1), 1
+        while lo < j < hi:
+            lo, hi, j = (lo, j, j - step) if reaches(j) else (j, hi, j + step)
+            step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if mass_at(float(levels[mid])) >= target else (mid, hi)
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
     upper = float(levels[lo])  # mass(upper) < target <= mass(lower); upper > t
     lower = float(levels[hi]) if hi < k else float(levels[-1]) - reach - 1.0
 
@@ -222,7 +256,8 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     error = float(np.dot(zeta, nu_all)) - target
     if abs(error) > MASS_TOL_REL * target:
         raise AdmissibilityError(f"bathtub missed the mass target by {error:.3e}")
-    return mu, zeta
+    support = np.sort(order[:tie_hi if fill > 0.0 else k_sup])
+    return Rearrangement(mu, zeta, support[zeta[support] != 0.0], k)
 
 
 def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
@@ -270,17 +305,19 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
     return zeta
 
 
-def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray):
-    """One linearize-and-rearrange step from zeta, given k_zeta = K zeta: (mu,
-    zeta_new, K zeta_new, its energy, weighted L1 norm of zeta_new - zeta).
-    The energy never decreases."""
+def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray,
+                 start: Rearrangement | None = None):
+    """One linearize-and-rearrange step from zeta, given k_zeta = K zeta: (the
+    bathtub output, K of its field, its energy, weighted L1 norm of its change
+    from zeta).  start is the previous step's bathtub output, where the
+    bathtub begins its work.  The energy never decreases."""
     # no n-sized array outlives its use: psi_free is freed before apply_K and
     # the residual reuses its difference (peak RSS 0.4-1.1 MB lower at 257^2)
-    mu, zeta_new = bathtub(ctx.lake, ctx.params, ctx.vf, k_zeta + ctx.q)
-    k_new = apply_K(ctx.handle, zeta_new)
-    e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, zeta_new, k_zeta=k_new)
-    change = zeta_new - zeta
-    return mu, zeta_new, k_new, e_new, float(np.dot(np.abs(change, out=change), ctx.lake.nu_weights))
+    new = bathtub(ctx.lake, ctx.params, ctx.vf, k_zeta + ctx.q, start)
+    k_new = apply_K(ctx.handle, new.zeta)
+    e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, new.zeta, k_new, new.support)
+    change = new.zeta - zeta
+    return new, k_new, e_new, float(np.dot(np.abs(change, out=change), ctx.lake.nu_weights))
 
 
 def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
@@ -290,7 +327,10 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     init is a seed point (patch centered there) or an admissible field; the
     iteration stops when the weighted L1 difference between a step's output
     and its input drops below FP_TOL_REL * kappa0 * delta, or after MAX_ITERS
-    steps with the best state and converged=False.
+    steps with the best state and converged=False.  Each step's bathtub starts
+    from the last accepted output; the first starts cold.  With -v, every step
+    logs one DEBUG line: its index, E, residual, mu, support size and the
+    bathtub's candidate-set size.
 
     Once two consecutive outputs share their support and capped cells, the
     map is one fixed contraction on that support.  From then on, while the
@@ -317,7 +357,7 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
     k = apply_K(handle, zeta)
     e = energy(lake, q, params, vf, zeta, k_zeta=k)
-    mu, residual, trace = 0.0, math.inf, [e.total]
+    last, residual, trace = None, math.inf, [e.total]  # last: the accepted bathtub output
     tol = FP_TOL_REL * params.target_mass
     history = []  # the last two (output, output - input, K output), on the support
     support = capped = None  # of the last accepted output
@@ -329,23 +369,26 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
             zeta_in[support] = x
         else:
             zeta_in, k_x = zeta, k
-        step = iterate_step(ctx, zeta_in, k_x)
-        if mixed and step[3].total < trace[-1] - ENERGY_RTOL * abs(trace[-1]):
+        new, k_new, e_new, r_new = iterate_step(ctx, zeta_in, k_x, last)
+        discard = mixed and e_new.total < trace[-1] - ENERGY_RTOL * abs(trace[-1])
+        log.debug("step %d: E=%.17g residual=%.3e mu=%.17g support=%d candidates=%d%s",
+                  len(trace), e_new.total, r_new, new.mu, len(new.support), new.candidates,
+                  " (mixed, discarded)" if discard else " (mixed)" if mixed else "")
+        if discard:
             history = []
             trace.append(trace[-1])
             continue
-        mu, zeta, k, e, residual = step
+        last, zeta, k, e, residual = new, new.zeta, k_new, e_new, r_new
         trace.append(e.total)
-        out_support = np.flatnonzero(zeta)
-        out_capped = out_support[zeta[out_support] == params.cap]
-        if (support is not None and np.array_equal(out_support, support)
+        out_capped = new.support[zeta[new.support] == params.cap]
+        if (support is not None and np.array_equal(new.support, support)
                 and np.array_equal(out_capped, capped)):
             g = zeta[support]
             history = history[-1:] + [(g, g - zeta_in[support], k)]
         else:
             history = []
-            support, capped = out_support, out_capped
-    state = SolveState(zeta=zeta, k_zeta=k, mu=mu, energy=e, energy_trace=trace,
+            support, capped = new.support, out_capped
+    state = SolveState(zeta=zeta, k_zeta=k, mu=last.mu, energy=e, energy_trace=trace,
                        iterations=len(trace) - 1, converged=residual <= tol,
                        fp_residual=residual, ctx=ctx)
     if not state.converged:

@@ -2,7 +2,8 @@
 
 ``solve_vortex`` is the plain fixed-point loop that ``variational.solve_vortex``
 replaced with Anderson mixing of the fixed-support tail: a plain loop over the
-live ``variational.iterate_step``, not a frozen copy of the old code.
+live ``variational.iterate_step``, not a frozen copy of the old code.  Every
+step's bathtub starts cold, where the live loop starts it from the last output.
 ``initial_patch_loop`` is kept verbatim: the per-cell loop of
 ``variational.initial_patch`` that a sort of a candidate disc replaced.
 """
@@ -42,7 +43,8 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     mu, residual, trace = 0.0, math.inf, [e.total]
     tol = FP_TOL_REL * params.target_mass
     for _ in range(MAX_ITERS):
-        mu, zeta, k, e, residual = iterate_step(ctx, zeta, k)
+        new, k, e, residual = iterate_step(ctx, zeta, k)
+        mu, zeta = new.mu, new.zeta
         trace.append(e.total)
         if residual <= tol:
             break

@@ -5,10 +5,12 @@ resolution 257 with a cosine background flux and the jump vorticity family;
 each vanishing-rate regime uses its bundled flux amplitude (0.02 / 0.02 /
 0.15).  Run with `pytest tests/test_acceptance.py -v -s`.  The file also
 holds the differential tests of the candidate-set bathtub against the frozen
-full-sort bathtub on every regression state, of the mixed iteration against
-the frozen plain loop from the same seeds, of the seed patch against its
-frozen per-cell loop on every bundled seed, and a count of the cells the
-bathtub passes to f on a 257^2 state.
+full-sort bathtub on every regression state, of the warm-started bathtub
+against the cold one on every regression state, of the mixed iteration
+against the frozen plain loop from the same seeds, of the seed patch against
+its frozen per-cell loop on every bundled seed, a count of the cells the
+bathtub passes to f on a 257^2 state, and a count of the argpartitions and
+f calls of a warm and a cold bathtub call.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
     MASS_TOL_REL,
     AdmissibleParams,
+    Rearrangement,
     bathtub,
     brute_force_oracle,
     initial_patch,
@@ -219,12 +222,79 @@ def test_bathtub_matches_frozen_full_sort(regression_states):
         ctx = state.ctx
         psi_free = state.k_zeta + ctx.q
         mu_full, zeta_full = full_sort_bathtub(lake, ctx.params, ctx.vf, psi_free)
-        mu_new, zeta_new = bathtub(lake, ctx.params, ctx.vf, psi_free)
+        mu_new, zeta_new = bathtub(lake, ctx.params, ctx.vf, psi_free)[:2]
         tol = MASS_TOL_REL * ctx.params.target_mass
         assert mu_new == pytest.approx(mu_full, rel=1e-12, abs=0.0)
         assert float(np.dot(np.abs(zeta_new - zeta_full), lake.nu_weights)) <= tol
         for zeta in (zeta_full, zeta_new):
             assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
+
+
+@pytest.fixture(scope="module")
+def power_state_129(critical_state_129):
+    """A power-f (p = 3, f(0+) = 0) state on the 129^2 critical lake: mu comes
+    from the bisection of a continuous mass, not from a jump fill."""
+    lake, handle, q, params, _ = critical_state_129
+    state = solve_vortex(lake, q, params, VorticityFunction("power", p=3.0),
+                         init=(0.0, 0.28), handle=handle)
+    assert state.converged
+    return lake, state
+
+
+def test_warm_bathtub_matches_cold_bit_for_bit(regression_states, power_state_129):
+    """On the next linearized problem of every regression state and of a
+    power-f state, the bathtub started from the state's own output, from a
+    one-cell first rung, from a first rung of every cell and from a mu far
+    above or below gives the cold call's mu and zeta bit for bit, and the
+    support it returns is that of zeta."""
+    assert len(regression_states) == 23
+    for lake, state in regression_states + [power_state_129]:
+        ctx = state.ctx
+        psi_free = state.k_zeta + ctx.q
+        cold = bathtub(lake, ctx.params, ctx.vf, psi_free)
+        assert np.array_equal(cold.support, np.flatnonzero(cold.zeta))
+        previous = Rearrangement(state.mu, state.zeta, np.flatnonzero(state.zeta), 0)
+        starts = [previous, previous._replace(support=np.empty(0, dtype=int)),
+                  previous._replace(support=np.arange(lake.n_cells)),
+                  previous._replace(mu=state.mu + 1e6), previous._replace(mu=state.mu - 1e6)]
+        candidates = []
+        for start in starts:
+            warm = bathtub(lake, ctx.params, ctx.vf, psi_free, start)
+            assert warm.mu == cold.mu
+            assert np.array_equal(warm.zeta, cold.zeta)
+            assert np.array_equal(warm.support, np.flatnonzero(warm.zeta))
+            candidates.append(warm.candidates)
+        # the one-cell rung grows fourfold; the widest start sorts every cell
+        assert candidates[1] in {4**i for i in range(12)} | {lake.n_cells}
+        assert candidates[2] == lake.n_cells
+
+
+def test_warm_bathtub_sorts_once_and_calls_f_less(critical_state_129, monkeypatch):
+    """On the 129^2 critical state, the bathtub started from the state's own
+    output takes one argpartition and fewer calls of f than a cold call."""
+    lake, _, q, params, state = critical_state_129
+    vf = state.ctx.vf
+    counts = {"argpartition": 0, "f": 0}
+    argpartition, f = np.argpartition, VorticityFunction.f
+
+    def counting_argpartition(*args, **kwargs):
+        counts["argpartition"] += 1
+        return argpartition(*args, **kwargs)
+
+    def counting_f(self, s):
+        counts["f"] += 1
+        return f(self, s)
+
+    monkeypatch.setattr(np, "argpartition", counting_argpartition)
+    monkeypatch.setattr(VorticityFunction, "f", counting_f)
+    psi_free = state.k_zeta + q
+    bathtub(lake, params, vf, psi_free)
+    cold = dict(counts)
+    counts.update(argpartition=0, f=0)
+    previous = Rearrangement(state.mu, state.zeta, np.flatnonzero(state.zeta), 0)
+    bathtub(lake, params, vf, psi_free, previous)
+    assert counts["argpartition"] == 1 < cold["argpartition"]
+    assert counts["f"] < cold["f"]
 
 
 def _regression_seeds(regime_reports) -> list:

@@ -34,6 +34,16 @@ SMALL_SWEEP = {
               "lam": 50.0},
 }
 
+# the base config of each command holds only the keys that command reads
+BASES = {
+    "solve": SMALL_SOLVE,
+    "sweep": SMALL_SWEEP,
+    "oracle-test": {"nonlinearity": {"preset": "jump_linear", "c": 0.5}},
+    "check-hypotheses": {"nonlinearity": {"preset": "power", "p": 2.0},
+                         "hypotheses": {"s_max": 10.0, "n": 400}},
+    "kernel-test": {},
+}
+
 
 def _write(tmp_path: Path, cfg: dict, name: str = "cfg.json") -> Path:
     p = tmp_path / name
@@ -182,8 +192,7 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
-    base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
-    cfg = _write(tmp_path, dict(base, **changes))
+    cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
@@ -214,8 +223,7 @@ NEGATIVE_JUMP_TABLE = {"preset": "table", "points": [[0, -1], [1, 0.5], [2, 2]]}
         "power-p-list", "solve-falling-table", "solve-negative-jump-table",
         "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table"])
 def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes):
-    base = {"solve": SMALL_SOLVE, "sweep": SMALL_SWEEP}.get(command, SMALL_SOLVE)
-    cfg = _write(tmp_path, dict(base, **changes))
+    cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
@@ -244,17 +252,25 @@ def test_config_is_checked_before_set_up(tmp_path, monkeypatch, command, changes
     ("solve", SMALL_SOLVE, {"sead": [0.0, 0.1]}, "'sead'"),
     ("sweep", SMALL_SWEEP, {"sweep": dict(SMALL_SWEEP["sweep"], kapa0=2.0)}, "'sweep.kapa0'"),
     ("solve", SMALL_SOLVE, {"lake": dict(SMALL_SOLVE["lake"], resolutoin=32)}, "'lake.resolutoin'"),
+    # keys another command reads: a params section would not set the sweep's kappa0
+    ("sweep", SMALL_SWEEP, {"params": SMALL_SOLVE["params"]}, "'params'"),
+    ("solve", SMALL_SOLVE, {"sweep": SMALL_SWEEP["sweep"]}, "'sweep'"),
+    ("check-hypotheses", BASES["check-hypotheses"], {"lake": SMALL_SOLVE["lake"]}, "'lake'"),
+    ("kernel-test", {}, {"lake": SMALL_SOLVE["lake"]}, "'lake'"),
 ], ids=["solve-target_radius", "sweep-target_radius", "kernel", "sead", "sweep.kapa0",
-        "lake.resolutoin"])
+        "lake.resolutoin", "sweep-params", "solve-sweep", "check-hypotheses-lake",
+        "kernel-test-lake"])
 def test_unknown_config_keys_are_config_errors(tmp_path, monkeypatch, capsys, command, base,
                                                changes, key):
-    # a key no command reads is a misspelling or a retired setting, never ignored
+    # a key the running command does not read is a misspelling, a retired
+    # setting or another command's, never ignored
     import lakevortex.cli as cli
 
     def set_up(*args, **kwargs):
         raise AssertionError(f"{key} was accepted")
 
-    monkeypatch.setattr(cli, "build_lake", set_up)
+    for first_step in ("build_lake", "verify_hypotheses"):
+        monkeypatch.setattr(cli, first_step, set_up)
     cfg = _write(tmp_path, dict(base, **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -307,7 +323,7 @@ def test_oversized_sample_count_is_rejected_before_allocation(tmp_path, monkeypa
         raise AssertionError(f"{command} went past its sample budget")
 
     monkeypatch.setattr(cli, first_allocation, allocate)
-    cfg = _write(tmp_path, dict(SMALL_SOLVE, **changes))
+    cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "must be <=" in capsys.readouterr().err
 

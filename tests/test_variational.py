@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_mu_closed_form_constant_stream(disk_const_64):
     vf = VorticityFunction("jump_linear", c=0.0)  # f(s) = max(s, 0)
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=50.0)
     psi = np.full(disk_const_64.n_cells, 2.0)
-    mu, _ = bathtub(disk_const_64, params, vf, psi)
+    mu = bathtub(disk_const_64, params, vf, psi).mu
     expect = 2.0 - params.kappa0 * params.eps**2 / disk_const_64.measure_nu
     assert mu == pytest.approx(expect, abs=1e-10)
 
@@ -172,7 +173,7 @@ def test_mass_monotone_in_mu(interior_128, interior_128_q, vf_power2):
         z = np.minimum(scale * vf_power2.f(psi - mu), params.cap)
         return mass(interior_128, z)
 
-    mu0, _ = bathtub(interior_128, params, vf_power2, psi)
+    mu0 = bathtub(interior_128, params, vf_power2, psi).mu
     assert mass_at(mu0 - 0.1) >= mass_at(mu0 + 0.1)
 
 
@@ -193,7 +194,7 @@ def test_bathtub_fills_constant_level_at_the_jump(disk_const_64, vf_jump):
     # fill of all cells meets the mass exactly
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=50.0)
     psi = np.full(disk_const_64.n_cells, 0.3)
-    mu, zeta = bathtub(disk_const_64, params, vf_jump, psi)
+    mu, zeta = bathtub(disk_const_64, params, vf_jump, psi)[:2]
     assert mu == 0.3
     jump_value = params.delta / params.eps**2 * vf_jump.f_at_zero_plus
     frac = params.target_mass / (jump_value * disk_const_64.nu_weights.sum())
@@ -207,7 +208,7 @@ def test_bathtub_with_capped_cells(interior_128, interior_128_q, vf_jump):
     # profile, and the mass is met
     params = AdmissibleParams(eps=0.2, delta=0.5, kappa0=40.0, lam=1.6)
     psi = interior_128_q + 2.0 * np.exp(-8.0 * np.sum(interior_128.centers**2, axis=1))
-    mu, zeta = bathtub(interior_128, params, vf_jump, psi)
+    mu, zeta = bathtub(interior_128, params, vf_jump, psi)[:2]
     at_cap = zeta == params.cap
     assert at_cap.any() and (zeta[~at_cap] < params.cap).all()
     assert (psi[at_cap] - mu >= vf_jump.f_inv(params.lam) - 1e-12).all()
@@ -241,11 +242,15 @@ def _random_vf(family: str, rng) -> VorticityFunction:
     distinct=st.sampled_from([0, 1, 2, 3, 6]),  # 0: continuous levels, else ties
     lam_excess=st.floats(0.01, 10.0),
     log_fill=st.floats(-3.0, -0.02),  # log10 of target / (cap * |D|_nu)
+    start_cells=st.integers(0, 300),
+    start_shift=st.floats(-3.0, 3.0),  # of the start's mu from mu, in units of the spread
 )
 def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinct,
-                                                   lam_excess, log_fill):
+                                                   lam_excess, log_fill, start_cells,
+                                                   start_shift):
     # few distinct levels put ties at the candidate floor and at the jump
-    # level; a small lam gives a short reach, so the top cells are capped
+    # level; a small lam gives a short reach, so the top cells are capped.
+    # A warm start of any support size and mu gives the cold call's bits.
     rng = np.random.default_rng(seed)
     vf = _random_vf(family, rng)
     lake = rect_lake(nx, ny, 0.1, depth=lambda x, y: rng.uniform(0.2, 2.0, x.shape))
@@ -260,13 +265,39 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
     psi = psi + rng.uniform(-5.0, 5.0)
 
     mu_full, zeta_full = full_sort_bathtub(lake, params, vf, psi)
-    mu, zeta = bathtub(lake, params, vf, psi)
+    cold = bathtub(lake, params, vf, psi)
+    mu, zeta = cold.mu, cold.zeta
+    assert np.array_equal(cold.support, np.flatnonzero(zeta))
+    warm = bathtub(lake, params, vf, psi, cold._replace(mu=mu + start_shift * spread,
+                                                        support=np.arange(start_cells)))
+    assert warm.mu == mu and np.array_equal(warm.zeta, zeta)
+    assert np.array_equal(warm.support, cold.support)
     tol = MASS_TOL_REL * params.target_mass
     assert mu == pytest.approx(mu_full, rel=1e-12, abs=1e-12 * spread)
     assert float(np.dot(np.abs(zeta - zeta_full), lake.nu_weights)) <= tol
     for z in (zeta_full, zeta):
         assert abs(mass(lake, z) - params.target_mass) <= tol
         assert 0.0 <= z.min() and z.max() <= params.cap
+
+
+@pytest.mark.parametrize("family", ["power", "jump_linear"])
+def test_warm_bathtub_matches_cold_on_tied_levels(family):
+    # thousands of cells share each of a few levels and weigh differently, so
+    # the prefix sums depend on the order of tied cells: it must not depend
+    # on how many candidates a start sorts
+    vf = VorticityFunction(family, p=2.0, c=0.5)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        lake = rect_lake(64, 64, 0.02, depth=lambda x, y: rng.uniform(0.2, 2.0, x.shape))
+        lam = vf.f_at_zero_plus + 3.0
+        params = AdmissibleParams(eps=1.0, delta=1.0, lam=lam,
+                                  kappa0=10 ** rng.uniform(-3.0, -0.5) * lam * lake.measure_nu)
+        psi = rng.choice(np.linspace(0.0, 1.0, 7)[1:], lake.n_cells) \
+            + 0.1 * rng.integers(0, 3, lake.n_cells)
+        cold = bathtub(lake, params, vf, psi)
+        for cells in (0, 10, 100, 1000, 5000):
+            warm = bathtub(lake, params, vf, psi, cold._replace(support=np.arange(cells)))
+            assert warm.mu == cold.mu and np.array_equal(warm.zeta, cold.zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +340,35 @@ def test_mixed_step_that_lowers_the_energy_is_discarded(power_fixture, monkeypat
     assert again.mu == pytest.approx(state.mu, rel=1e-7)
 
 
+def test_each_step_logs_one_debug_line(caplog):
+    from lakevortex.elliptic import flux_preset, solve_background
+
+    lake = build_lake("disk_interior_max_b", 48)
+    handle = assemble_operator(lake)
+    q = solve_background(handle, flux_preset(lake, "cosine", amplitude=0.02))
+    params = AdmissibleParams(eps=0.15, delta=0.5, kappa0=1.0, lam=50.0)
+    vf = VorticityFunction("jump_linear", c=0.5)
+    with caplog.at_level(logging.INFO, logger="lakevortex.variational"):
+        solve_vortex(lake, q, params, vf, handle, init=(0.0, 0.0))
+    assert not caplog.records  # the step lines are DEBUG only
+    with caplog.at_level(logging.DEBUG, logger="lakevortex.variational"):
+        state = solve_vortex(lake, q, params, vf, handle, init=(0.0, 0.0))
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == state.iterations
+    for i, line in enumerate(lines, start=1):
+        assert re.fullmatch(rf"step {i}: E=\S+ residual=\S+ mu=\S+ support=\d+ candidates=\d+"
+                            r"( \(mixed(, discarded)?\))?", line), line
+    last = dict(field.split("=") for field in lines[-1].split(": ", 1)[1].split()[:5])
+    assert float(last["E"]) == state.energy.total and float(last["mu"]) == state.mu
+    assert float(last["residual"]) == pytest.approx(state.fp_residual, rel=1e-3)
+    assert int(last["support"]) == np.count_nonzero(state.zeta)
+    assert np.count_nonzero(state.zeta) <= int(last["candidates"]) <= lake.n_cells
+
+
 def test_converged_state_is_fixed_point(power_fixture):
     lake, handle, q, params, state = power_fixture
-    mu, zeta, _, _, residual = iterate_step(state.ctx, state.zeta, state.k_zeta)
+    new, _, _, residual = iterate_step(state.ctx, state.zeta, state.k_zeta)
+    mu, zeta = new.mu, new.zeta
     change = float(np.dot(np.abs(zeta - state.zeta), lake.nu_weights))
     assert residual == pytest.approx(change) and change <= 1e-8 * params.target_mass
     assert mu == pytest.approx(state.mu, rel=1e-7)

@@ -13,8 +13,10 @@ end-to-end metric the median, the quartiles and every value of each side,
 the pairs the checkout won (ties count for neither), and whether the gain
 is resolved, that is won in at least nine tenths of the pairs and by a median
 gap larger than the base's interquartile range.  It also records each run's
-correctness, fixed-point step counts and the machine's facts.  Standard
-library only.
+correctness, fixed-point step counts and the machine's facts.  After a
+workload's pairs it runs ``bench/run.py --trace 1`` once in each tree and
+writes that run's per-layer metrics under the workload's ``layers``, so the
+file shows which layer a change moved.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ def extract(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``bench/run.py`` process: its result line and its stderr facts."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: bench/run.py failed in {tree} ({workload}, seed {seed}):\n"
@@ -107,6 +110,8 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(tree, workload, i, seconds))
                     print(f"{workload} pair {i} {side}: {runs[side][-1]['metrics']}",
                           file=sys.stderr)
+            traced = {side: run_once(tree, workload, PAIRS + 1, seconds, trace=1)
+                      for side, tree in (("base", base_tree), ("change", ROOT))}
             report["machine"] = runs["change"][-1]["machine"]
             report["workloads"][workload] = {
                 "metrics": {name: compare([r["metrics"][name] for r in runs["base"]],
@@ -118,6 +123,8 @@ def main(argv=None) -> int:
                           "fp_steps": rs[0]["fp_steps"][0] if rs[0]["fp_steps"] else None,
                           "problems": sorted({p for r in rs for p in r["problems"]})}
                    for side, rs in runs.items()},
+                "layers": {side: {"correct": r["correct"], "metrics": r["metrics"]}
+                           for side, r in traced.items()},
             }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
