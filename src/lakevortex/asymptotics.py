@@ -28,8 +28,6 @@ from .variational import (
 
 log = logging.getLogger(__name__)
 
-REGIMES = ("above_critical", "critical", "below_critical")
-
 # distance from the shore the above-critical support must keep when the depth
 # maximum is interior
 ETA_FLOOR = 0.2
@@ -47,28 +45,20 @@ class ScheduleError(ValueError):
     """Invalid vanishing-rate schedule or eps value."""
 
 
-@dataclass(frozen=True)
-class DeltaSchedule:
+def delta_of_eps(regime: str, eps: float) -> float:
     """Vanishing rate delta(eps) for one of the three concentration regimes:
     above_critical = 1/sqrt(ln(1/eps)), critical = 1/ln(1/eps),
     below_critical = 1/ln(1/eps)^2."""
-
-    regime: str
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ScheduleError(f"unknown regime {self.regime!r}")
-
-
-def delta_of_eps(schedule: DeltaSchedule, eps: float) -> float:
     if not 0.0 < eps < 1.0 / math.e:
         raise ScheduleError(f"eps must lie in (0, 1/e), got {eps}")
     t = math.log(1.0 / eps)
-    if schedule.regime == "above_critical":
+    if regime == "above_critical":
         return 1.0 / math.sqrt(t)
-    if schedule.regime == "critical":
+    if regime == "critical":
         return 1.0 / t
-    return 1.0 / (t * t)
+    if regime == "below_critical":
+        return 1.0 / (t * t)
+    raise ScheduleError(f"unknown regime {regime!r}")
 
 
 def support_cells(lake: Lake, zeta: np.ndarray) -> np.ndarray:
@@ -275,7 +265,7 @@ def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
     )
 
 
-def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
+def run_sweep(lake: Lake, flux: np.ndarray, regime: str,
               kappa0: float, lam: float, eps_list,
               vf: VorticityFunction,
               handle: OperatorHandle,
@@ -290,13 +280,13 @@ def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
     if np.any(np.diff(eps_arr) >= 0):
         raise ScheduleError("eps list must be strictly decreasing")
     q = solve_background(handle, np.asarray(flux, dtype=float))
-    target, ties = predicted_target(lake, q, kappa0, schedule.regime)
+    target, ties = predicted_target(lake, q, kappa0, regime)
     seed_pt = np.asarray(seed, dtype=float) if seed is not None else target
 
     def solve_point(eps: float) -> tuple[Diagnostics, SolveState | None]:
         delta = float("nan")
         try:
-            delta = delta_of_eps(schedule, eps)
+            delta = delta_of_eps(regime, eps)
             params = AdmissibleParams(eps=eps, delta=delta, kappa0=kappa0, lam=lam)
             state = solve_vortex(lake, q, params, vf, init=seed_pt, handle=handle)
         except (ScheduleError, AdmissibilityError, SolverError) as exc:
@@ -307,9 +297,9 @@ def run_sweep(lake: Lake, flux: np.ndarray, schedule: DeltaSchedule,
     results = [solve_point(e) for e in eps_arr]
     rows = [r for r, _ in results]
     states = [s for _, s in results]
-    checks = _regime_checks(lake, q, schedule.regime, kappa0, rows, ties)
+    checks = _regime_checks(lake, q, regime, kappa0, rows, ties)
     report = SweepReport(
-        regime=schedule.regime,
+        regime=regime,
         rows=rows,
         target=target,
         target_ties=ties,

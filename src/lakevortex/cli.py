@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, elliptic
 from .asymptotics import (
     DIAG_COLUMNS,
-    DeltaSchedule,
     ScheduleError,
     delta_of_eps,
     diagnose,
@@ -133,10 +132,13 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _number(value, name: str) -> float:
+    """A JSON number (not a string or a boolean) as a float."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _pairs(value, name: str) -> tuple:
@@ -153,22 +155,20 @@ def _positive(value, name: str) -> float:
     return v
 
 
-def _integer(value, name: str, minimum: int, maximum: float = math.inf) -> int:
-    try:
-        v = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if v < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {v}")
+def _integer(value, name: str, maximum: float = math.inf) -> int:
+    """An integral JSON number as an int; its lower bound is checked where it is used."""
+    v = _number(value, name)
+    if not v.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if v > maximum:
-        raise ConfigError(f"{name} must be <= {maximum}, got {v}")
-    return v
+        raise ConfigError(f"{name} must be <= {maximum}, got {value!r}")
+    return int(v)
 
 
 def build_lake_from(cfg: dict):
     lcfg = _require(cfg, "lake", "config")
     preset = _require(lcfg, "preset", "lake")
-    resolution = _integer(_require(lcfg, "resolution", "lake"), "lake.resolution", 16)
+    resolution = _integer(_require(lcfg, "resolution", "lake"), "lake.resolution")
     try:
         return build_lake(preset, resolution)
     except GeometryError as exc:
@@ -180,10 +180,7 @@ def seed_from(cfg: dict):
     seed = cfg.get("seed")
     if seed is None:
         return None
-    try:
-        point = tuple(float(v) for v in seed) if isinstance(seed, list) else ()
-    except (TypeError, ValueError):
-        point = ()
+    point = tuple(_number(v, "seed") for v in seed) if isinstance(seed, list) else ()
     if len(point) != 2 or not all(map(math.isfinite, point)):
         raise ConfigError(f"seed must be two finite numbers, got {seed!r}")
     return point
@@ -357,10 +354,6 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 def cmd_sweep(cfg: dict, out: Path) -> int:
     scfg = _require(cfg, "sweep", "config")
     regime = _require(scfg, "schedule", "sweep")
-    try:
-        schedule = DeltaSchedule(regime)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
     eps_list = _require(scfg, "eps_list", "sweep")
     if not isinstance(eps_list, list) or not eps_list:
         raise ConfigError("sweep: eps_list must be a non-empty list")
@@ -368,7 +361,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("sweep: eps_list must be strictly decreasing")
     try:
-        delta_of_eps(schedule, eps_list[0])  # the largest eps bounds the schedule's domain
+        delta_of_eps(regime, eps_list[0])  # an unknown regime, or the largest eps out of its domain
     except ScheduleError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     kappa0 = _positive(scfg.get("kappa0", 1.0), "sweep.kappa0")
@@ -378,7 +371,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     lake = build_lake_from(cfg)
     nu = flux_from(cfg, lake)
     handle = assemble_operator(lake)
-    report = run_sweep(lake, nu, schedule, kappa0, lam, eps_list, vf, handle, seed=seed)
+    report = run_sweep(lake, nu, regime, kappa0, lam, eps_list, vf, handle, seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
     summary = {
@@ -436,7 +429,7 @@ def cmd_check_hypotheses(cfg: dict, out: Path) -> int:
     vf = vf_from(cfg)
     hcfg = cfg.get("hypotheses", {})
     s_max = _positive(hcfg.get("s_max", 10.0), "hypotheses.s_max")
-    n = _integer(hcfg.get("n", 2000), "hypotheses.n", 100, MAX_HYPOTHESIS_SAMPLES)
+    n = _integer(hcfg.get("n", 2000), "hypotheses.n", MAX_HYPOTHESIS_SAMPLES)
     try:
         report = verify_hypotheses(vf, s_max, n)
     except ValueError as exc:  # the sampled range is out of float range for this f

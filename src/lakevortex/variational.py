@@ -7,8 +7,9 @@ linearized subproblem exactly, whose solution is the capped level-set
 ("bathtub") profile zeta = min((delta/eps^2) f(psi_free - mu), cap) with the
 multiplier mu found exactly from the sorted levels of psi_free and the prefix
 sums of their weights.  Convexity of E_q makes every step an ascent step.
-Each step's bathtub starts its search from the previous step's output and
-keeps the support it filled, so the step's bookkeeping stays on the support.
+Each step's bathtub starts its search from the size of the previous
+step's support and keeps the support it filled, so the step's bookkeeping
+stays on the support.
 In the tail, where the support stops changing, steps start from an Anderson
 mix of the last two outputs and are kept only if the energy does not fall.
 """
@@ -162,29 +163,27 @@ class Rearrangement(NamedTuple):
 
 
 def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
-            psi_free: np.ndarray, start: Rearrangement | None = None) -> Rearrangement:
+            psi_free: np.ndarray, size: int = 0) -> Rearrangement:
     """zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass, with its mu.
 
     Only a candidate set of the highest levels is sorted: the top k cells,
     ordered by level and, at equal levels, by cell index, with t the lowest
     level among them.  Every cell above t is a candidate, so the mass at t is
     exact from the candidates alone; once it reaches the target, mu >= t and
-    the support lies inside the set.  Otherwise k grows geometrically, up to
-    every cell.  Cold, k starts at a lower bound on any sufficient k: each
-    cell above t weighs at most
-    (delta/eps^2) f(min(max psi_free - min psi_free, f_inv(lam))) * max nu.
-    Over the sorted levels with prefix sums W of nu, the cells above
+    the support lies inside the set.  Otherwise k grows fourfold, up to every
+    cell.  Over the sorted levels with prefix sums W of nu, the cells above
     mu + f_inv(lam) weigh cap*W and f is evaluated on the band below them only.
     A search over the levels finds the segment holding the target and
     bisection finds mu in it; a target inside the jump of f at 0+ at a level
     sets mu to it and fills the cells exactly at that level by a fraction.
 
-    start, the output for a nearby psi_free (the previous fixed-point step),
-    only moves where the work begins: k starts at 2 s + 1 for its s support
-    cells, and the level search gallops out from the level of its mu before
-    it bisects.  The cells above any level, their order and so every mass
-    evaluated do not depend on k, and the search ends at the same segment
-    from any start, so mu and zeta are the same bits with or without it.
+    size, the support size of the output for a nearby psi_free (the previous
+    fixed-point step's, or the seed patch's), only moves where the work
+    begins: the first rung holds 2 size + 1 cells, and the level search
+    gallops out from level size before it bisects.  The cells above any
+    level, their order and so every mass evaluated do not depend on k, and
+    the search ends at the same segment from any size, so mu and zeta are the
+    same bits for every size.
     """
     params.check_nonempty(lake, vf)
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
@@ -206,12 +205,7 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     def reaches(j: int) -> bool:
         return mass_at(float(levels[j])) >= target
 
-    if start is None:
-        spread = min(float(psi_free.max() - psi_free.min()), reach)  # f(reach) = lam: no overflow
-        per_cell = scale * vf.f(spread) * float(nu_all.max())
-        k = n if per_cell <= 0.0 else min(n, 1 + math.ceil(min(target / per_cell, n)))
-    else:
-        k = min(n, 2 * len(start.support) + 1)
+    k = min(n, 2 * size + 1)
     while True:
         order = np.argpartition(psi_free, n - k)[n - k:]
         order.sort()  # ties in index order, whatever k is
@@ -226,11 +220,10 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
 
     # smallest j with mass(levels[j]) >= target (j = n: all capped, the bracket bottom)
     lo, hi = 0, k  # mass(levels[0]) = 0 < target
-    if start is not None:  # steps double until one crosses the bracket it made
-        j, step = min(max(count_above(start.mu), 1), k - 1), 1
-        while lo < j < hi:
-            lo, hi, j = (lo, j, j - step) if reaches(j) else (j, hi, j + step)
-            step *= 2
+    j, step = min(max(size, 1), k - 1), 1  # steps double until one crosses the bracket it made
+    while lo < j < hi:
+        lo, hi, j = (lo, j, j - step) if reaches(j) else (j, hi, j + step)
+        step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
@@ -305,15 +298,14 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
     return zeta
 
 
-def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray,
-                 start: Rearrangement | None = None):
+def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray, size: int = 0):
     """One linearize-and-rearrange step from zeta, given k_zeta = K zeta: (the
     bathtub output, K of its field, its energy, weighted L1 norm of its change
-    from zeta).  start is the previous step's bathtub output, where the
-    bathtub begins its work.  The energy never decreases."""
+    from zeta).  size is the previous support's size, where the bathtub
+    begins its work.  The energy never decreases."""
     # no n-sized array outlives its use: psi_free is freed before apply_K and
     # the residual reuses its difference (peak RSS 0.4-1.1 MB lower at 257^2)
-    new = bathtub(ctx.lake, ctx.params, ctx.vf, k_zeta + ctx.q, start)
+    new = bathtub(ctx.lake, ctx.params, ctx.vf, k_zeta + ctx.q, size)
     k_new = apply_K(ctx.handle, new.zeta)
     e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, new.zeta, k_new, new.support)
     change = new.zeta - zeta
@@ -328,7 +320,8 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     iteration stops when the weighted L1 difference between a step's output
     and its input drops below FP_TOL_REL * kappa0 * delta, or after MAX_ITERS
     steps with the best state and converged=False.  Each step's bathtub starts
-    from the last accepted output; the first starts cold.  With -v, every step
+    from the size of the last accepted support, the first from the seed
+    patch's (or init field's) nonzero count.  With -v, every step
     logs one DEBUG line: its index, E, residual, mu, support size and the
     bathtub's candidate-set size.
 
@@ -356,11 +349,11 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
             raise ValueError("init must be a seed point or a per-cell field")
     ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
     k = apply_K(handle, zeta)
-    e = energy(lake, q, params, vf, zeta, k_zeta=k)
+    support, capped = np.flatnonzero(zeta), None  # of the last accepted output, or of the input
+    e = energy(lake, q, params, vf, zeta, k, support)
     last, residual, trace = None, math.inf, [e.total]  # last: the accepted bathtub output
     tol = FP_TOL_REL * params.target_mass
     history = []  # the last two (output, output - input, K output), on the support
-    support = capped = None  # of the last accepted output
     while len(trace) <= MAX_ITERS and residual > tol:
         mixed = len(history) == 2 and residual <= MIX_BELOW * params.target_mass
         if mixed:
@@ -369,7 +362,7 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
             zeta_in[support] = x
         else:
             zeta_in, k_x = zeta, k
-        new, k_new, e_new, r_new = iterate_step(ctx, zeta_in, k_x, last)
+        new, k_new, e_new, r_new = iterate_step(ctx, zeta_in, k_x, len(support))
         discard = mixed and e_new.total < trace[-1] - ENERGY_RTOL * abs(trace[-1])
         log.debug("step %d: E=%.17g residual=%.3e mu=%.17g support=%d candidates=%d%s",
                   len(trace), e_new.total, r_new, new.mu, len(new.support), new.candidates,
@@ -381,8 +374,7 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
         last, zeta, k, e, residual = new, new.zeta, k_new, e_new, r_new
         trace.append(e.total)
         out_capped = new.support[zeta[new.support] == params.cap]
-        if (support is not None and np.array_equal(new.support, support)
-                and np.array_equal(out_capped, capped)):
+        if np.array_equal(new.support, support) and np.array_equal(out_capped, capped):
             g = zeta[support]
             history = history[-1:] + [(g, g - zeta_in[support], k)]
         else:
@@ -411,12 +403,6 @@ def _anderson_mix(history, nu: np.ndarray):
     dd = float(np.dot(d * nu, d))
     gamma = float(np.dot(f1 * nu, d)) / dd if dd > 0.0 else 0.0
     return g1 - gamma * (g1 - g0), k1 - gamma * (k1 - k0)
-
-
-def patch_measure(lake: Lake, state: SolveState, params: AdmissibleParams) -> float:
-    """Weighted measure of the cells sitting at the truncation cap."""
-    at_cap = state.zeta >= (1.0 - PATCH_REL_TOL) * params.cap
-    return float(lake.nu_weights[at_cap].sum())
 
 
 def optimality_violations(state: SolveState) -> dict:
@@ -451,12 +437,6 @@ def vorticity_center(lake: Lake, zeta: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("vorticity center of a zero field is undefined")
     return np.array([np.dot(lake.centers[:, 0], w), np.dot(lake.centers[:, 1], w)]) / total
-
-
-def mu_lower_bound(vf: VorticityFunction, q: np.ndarray) -> float:
-    """Lower bound the multiplier must satisfy at small scales:
-    -f_inv(f(0+)+1) + min q - 1."""
-    return -float(vf.f_inv(vf.f_at_zero_plus + 1.0)) + float(q.min()) - 1.0
 
 
 # ---------------------------------------------------------------------------

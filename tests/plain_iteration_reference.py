@@ -3,7 +3,8 @@
 ``solve_vortex`` is the plain fixed-point loop that ``variational.solve_vortex``
 replaced with Anderson mixing of the fixed-support tail: a plain loop over the
 live ``variational.iterate_step``, not a frozen copy of the old code.  Every
-step's bathtub starts cold, where the live loop starts it from the last output.
+step's bathtub starts from support size 0, where the live loop starts it from
+the size of the last output's support.
 ``initial_patch_loop`` is kept verbatim: the per-cell loop of
 ``variational.initial_patch`` that a sort of a candidate disc replaced.
 """

@@ -5,12 +5,13 @@ resolution 257 with a cosine background flux and the jump vorticity family;
 each vanishing-rate regime uses its bundled flux amplitude (0.02 / 0.02 /
 0.15).  Run with `pytest tests/test_acceptance.py -v -s`.  The file also
 holds the differential tests of the candidate-set bathtub against the frozen
-full-sort bathtub on every regression state, of the warm-started bathtub
-against the cold one on every regression state, of the mixed iteration
-against the frozen plain loop from the same seeds, of the seed patch against
-its frozen per-cell loop on every bundled seed, a count of the cells the
-bathtub passes to f on a 257^2 state, and a count of the argpartitions and
-f calls of a warm and a cold bathtub call.
+full-sort bathtub on every regression state, of the bathtub started from
+support sizes 0, 1, s and n against the frozen cold-started one on every
+regression state, of the mixed iteration against the frozen plain loop from
+the same seeds, of the seed patch against its frozen per-cell loop on every
+bundled seed, a count of the cells the bathtub passes to f on a 257^2 state,
+a count of the argpartitions and f calls of a bathtub call per start size,
+and a count of the argpartitions over a 129^2 solve.
 """
 
 from __future__ import annotations
@@ -20,15 +21,12 @@ import time
 
 import numpy as np
 import pytest
+from cold_bathtub_reference import bathtub as cold_bathtub
 from plain_iteration_reference import initial_patch_loop
 from plain_iteration_reference import solve_vortex as plain_solve_vortex
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
 
-from lakevortex.asymptotics import (
-    DeltaSchedule,
-    run_sweep,
-    support_cells,
-)
+from lakevortex.asymptotics import run_sweep, support_cells
 from lakevortex.elliptic import (
     CompatibilityError,
     apply_K,
@@ -47,16 +45,14 @@ from lakevortex.geometry import (
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
     MASS_TOL_REL,
+    PATCH_REL_TOL,
     AdmissibleParams,
-    Rearrangement,
     bathtub,
     brute_force_oracle,
     initial_patch,
     mass,
-    mu_lower_bound,
     optimality_violations,
     oracle_gap_bound,
-    patch_measure,
     solve_vortex,
     steady_residual,
     vorticity_center,
@@ -82,7 +78,7 @@ def regime_reports(fixture_lake):
     for regime, amplitude in REGIME_AMPLITUDE.items():
         flux = flux_preset(lake, "cosine", amplitude=amplitude)
         reports[regime] = run_sweep(
-            lake, flux, DeltaSchedule(regime), kappa0=1.0, lam=50.0,
+            lake, flux, regime, kappa0=1.0, lam=50.0,
             eps_list=EPS_LIST, vf=FIXTURE_VF, handle=handle,
         )
     elapsed = time.monotonic() - t0
@@ -194,8 +190,11 @@ def test_criterion_4_optimality_structure(regression_states, acceptance_report):
         ok = ok and state.converged
         ok = ok and viol <= 1e-6
         ok = ok and mass_err <= 1e-8 * params.target_mass
-        ok = ok and state.mu >= mu_lower_bound(state.ctx.vf, state.ctx.q)
-        ok = ok and patch_measure(lake, state, params) == 0.0
+        # the multiplier's small-scale lower bound -f_inv(f(0+)+1) + min q - 1,
+        # and no cell at the truncation cap
+        vf, q = state.ctx.vf, state.ctx.q
+        ok = ok and state.mu >= -float(vf.f_inv(vf.f_at_zero_plus + 1.0)) + float(q.min()) - 1.0
+        ok = ok and not np.any(state.zeta >= (1.0 - PATCH_REL_TOL) * params.cap)
     acceptance_report("4 optimality structure", ok,
             f"{len(regression_states)} states, worst case residual "
             f"{worst_case:.2e}, worst mass err {worst_mass:.2e}")
@@ -241,37 +240,41 @@ def power_state_129(critical_state_129):
     return lake, state
 
 
+def _rungs(first: int, last: int, n: int) -> int:
+    """The candidate rungs from a first rung of first cells to one of last:
+    each holds four times the cells of the one before, up to n."""
+    rungs, k = 1, first
+    while k < last:
+        rungs, k = rungs + 1, min(n, 4 * k)
+    return rungs
+
+
 def test_warm_bathtub_matches_cold_bit_for_bit(regression_states, power_state_129):
     """On the next linearized problem of every regression state and of a
-    power-f state, the bathtub started from the state's own output, from a
-    one-cell first rung, from a first rung of every cell and from a mu far
-    above or below gives the cold call's mu and zeta bit for bit, and the
-    support it returns is that of zeta."""
+    power-f state, the bathtub started from support size 0, 1, the state's
+    own s or every cell n gives the frozen cold-started call's mu and zeta
+    bit for bit, and the support it returns is that of zeta."""
     assert len(regression_states) == 23
     for lake, state in regression_states + [power_state_129]:
         ctx = state.ctx
         psi_free = state.k_zeta + ctx.q
-        cold = bathtub(lake, ctx.params, ctx.vf, psi_free)
+        cold = cold_bathtub(lake, ctx.params, ctx.vf, psi_free)
         assert np.array_equal(cold.support, np.flatnonzero(cold.zeta))
-        previous = Rearrangement(state.mu, state.zeta, np.flatnonzero(state.zeta), 0)
-        starts = [previous, previous._replace(support=np.empty(0, dtype=int)),
-                  previous._replace(support=np.arange(lake.n_cells)),
-                  previous._replace(mu=state.mu + 1e6), previous._replace(mu=state.mu - 1e6)]
-        candidates = []
-        for start in starts:
-            warm = bathtub(lake, ctx.params, ctx.vf, psi_free, start)
+        n = lake.n_cells
+        for size in (0, 1, np.count_nonzero(state.zeta), n):
+            warm = bathtub(lake, ctx.params, ctx.vf, psi_free, size)
             assert warm.mu == cold.mu
             assert np.array_equal(warm.zeta, cold.zeta)
             assert np.array_equal(warm.support, np.flatnonzero(warm.zeta))
-            candidates.append(warm.candidates)
-        # the one-cell rung grows fourfold; the widest start sorts every cell
-        assert candidates[1] in {4**i for i in range(12)} | {lake.n_cells}
-        assert candidates[2] == lake.n_cells
+            # the first rung holds 2 size + 1 cells and grows fourfold
+            assert warm.candidates in {min(n, (2 * size + 1) * 4**i) for i in range(12)}
 
 
 def test_warm_bathtub_sorts_once_and_calls_f_less(critical_state_129, monkeypatch):
-    """On the 129^2 critical state, the bathtub started from the state's own
-    output takes one argpartition and fewer calls of f than a cold call."""
+    """On the 129^2 critical state, the bathtub started from support size 0,
+    1, the state's own s or n takes one argpartition per candidate rung:
+    one from s and from n.  From s it calls f less often than the frozen
+    cold-started call."""
     lake, _, q, params, state = critical_state_129
     vf = state.ctx.vf
     counts = {"argpartition": 0, "f": 0}
@@ -288,13 +291,42 @@ def test_warm_bathtub_sorts_once_and_calls_f_less(critical_state_129, monkeypatc
     monkeypatch.setattr(np, "argpartition", counting_argpartition)
     monkeypatch.setattr(VorticityFunction, "f", counting_f)
     psi_free = state.k_zeta + q
-    bathtub(lake, params, vf, psi_free)
+    cold_bathtub(lake, params, vf, psi_free)
     cold = dict(counts)
-    counts.update(argpartition=0, f=0)
-    previous = Rearrangement(state.mu, state.zeta, np.flatnonzero(state.zeta), 0)
-    bathtub(lake, params, vf, psi_free, previous)
-    assert counts["argpartition"] == 1 < cold["argpartition"]
-    assert counts["f"] < cold["f"]
+    s, n = np.count_nonzero(state.zeta), lake.n_cells
+    for size in (0, 1, s, n):
+        counts.update(argpartition=0, f=0)
+        warm = bathtub(lake, params, vf, psi_free, size)
+        assert counts["argpartition"] == _rungs(min(n, 2 * size + 1), warm.candidates, n)
+        if size in (s, n):
+            assert counts["argpartition"] == 1
+        if size == s:
+            assert counts["argpartition"] < cold["argpartition"]
+            assert counts["f"] < cold["f"]
+
+
+def test_solve_takes_one_argpartition_per_bathtub_call(critical_state_129, monkeypatch):
+    """Over the 129^2 critical solve, every bathtub call sorts one candidate
+    rung: the first step starts from the seed patch's support size."""
+    import lakevortex.variational as variational
+
+    lake, handle, q, params, state = critical_state_129
+    counts = {"argpartition": 0, "bathtub": 0}
+    argpartition, live_bathtub = np.argpartition, variational.bathtub
+
+    def counting_argpartition(*args, **kwargs):
+        counts["argpartition"] += 1
+        return argpartition(*args, **kwargs)
+
+    def counting_bathtub(*args, **kwargs):
+        counts["bathtub"] += 1
+        return live_bathtub(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argpartition", counting_argpartition)
+    monkeypatch.setattr(variational, "bathtub", counting_bathtub)
+    again = solve_vortex(lake, q, params, state.ctx.vf, init=(0.0, 0.28), handle=handle)
+    assert again.iterations == state.iterations == counts["bathtub"]
+    assert counts["argpartition"] == counts["bathtub"]
 
 
 def _regression_seeds(regime_reports) -> list:

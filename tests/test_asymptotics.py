@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lakevortex.asymptotics import (
-    DeltaSchedule,
     Profile,
     ScheduleError,
     delta_of_eps,
@@ -30,33 +29,31 @@ from lakevortex.variational import AdmissibleParams
 
 def test_delta_formulas():
     eps = math.exp(-10.0)
-    assert delta_of_eps(DeltaSchedule("critical"), eps) == pytest.approx(0.1, rel=1e-12)
-    assert delta_of_eps(DeltaSchedule("below_critical"), eps) == pytest.approx(0.01, rel=1e-12)
-    assert delta_of_eps(DeltaSchedule("above_critical"), eps) == pytest.approx(
+    assert delta_of_eps("critical", eps) == pytest.approx(0.1, rel=1e-12)
+    assert delta_of_eps("below_critical", eps) == pytest.approx(0.01, rel=1e-12)
+    assert delta_of_eps("above_critical", eps) == pytest.approx(
         1.0 / math.sqrt(10.0), rel=1e-12
     )
 
 
 def test_below_critical_product_vanishes():
-    sched = DeltaSchedule("below_critical")
     eps = np.exp(-np.linspace(2, 12, 6))
-    products = [delta_of_eps(sched, e) * math.log(1 / e) for e in eps]
+    products = [delta_of_eps("below_critical", e) * math.log(1 / e) for e in eps]
     assert all(p2 < p1 for p1, p2 in zip(products, products[1:]))
     assert products[-1] == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
 def test_above_critical_ratio_decreasing():
-    sched = DeltaSchedule("above_critical")
     eps = np.exp(-np.linspace(2, 12, 6))
-    ratios = [(1.0 / math.log(1 / e)) / delta_of_eps(sched, e) for e in eps]
+    ratios = [(1.0 / math.log(1 / e)) / delta_of_eps("above_critical", e) for e in eps]
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
 
 
 def test_delta_rejects_large_eps():
     with pytest.raises(ScheduleError):
-        delta_of_eps(DeltaSchedule("critical"), 0.5)
+        delta_of_eps("critical", 0.5)
     with pytest.raises(ScheduleError):
-        DeltaSchedule("sideways")
+        delta_of_eps("sideways", 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +209,7 @@ def small_sweep():
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
-    report = run_sweep(lake, flux, DeltaSchedule("critical"), kappa0=1.0, lam=50.0,
+    report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
                        eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
     return lake, report
 
@@ -233,9 +230,9 @@ def test_sweep_rows_satisfy_solve_invariants(small_sweep):
         assert 0.0 <= row.mass_frac <= 1.0
         assert np.isfinite(row.mu) and np.isfinite(row.E_total)
         params = state.ctx.params
-        from lakevortex.variational import mass, patch_measure
+        from lakevortex.variational import PATCH_REL_TOL, mass
         assert mass(lake, state.zeta) == pytest.approx(params.target_mass, rel=1e-8)
-        assert patch_measure(lake, state, params) == 0.0
+        assert not np.any(state.zeta >= (1.0 - PATCH_REL_TOL) * params.cap)
 
 
 def test_sweep_single_point_has_no_fit():
@@ -243,7 +240,7 @@ def test_sweep_single_point_has_no_fit():
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
-    report = run_sweep(lake, flux, DeltaSchedule("critical"), kappa0=1.0, lam=50.0,
+    report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
                        eps_list=[0.1], vf=vf, handle=handle)
     assert len(report.rows) == 1
     assert report.diam_slope is None
@@ -255,7 +252,7 @@ def test_sweep_rejects_increasing_eps():
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
     with pytest.raises(ScheduleError):
-        run_sweep(lake, flux, DeltaSchedule("critical"), kappa0=1.0, lam=50.0,
+        run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
                   eps_list=[0.1, 0.2], vf=vf, handle=assemble_operator(lake))
 
 
@@ -266,7 +263,7 @@ def test_boundary_depth_max_records_decay_not_floor():
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "zero")
     vf = VorticityFunction("jump_linear", c=0.5)
-    report = run_sweep(lake, flux, DeltaSchedule("above_critical"), kappa0=1.0,
+    report = run_sweep(lake, flux, "above_critical", kappa0=1.0,
                        lam=50.0, eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
     assert report.checks["depth_max_interior"] is False
     assert "interior_distance_floor" not in report.checks
@@ -280,7 +277,7 @@ def test_sweep_continues_past_failed_point():
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
     # the first point is outside the schedule's domain and must fail alone
-    report = run_sweep(lake, flux, DeltaSchedule("critical"), kappa0=1.0, lam=50.0,
+    report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
                        eps_list=[0.5, 0.2, 0.14], vf=vf, handle=handle)
     assert [r.converged for r in report.rows] == [False, True, True]
     assert report.rows[0].error != ""
@@ -300,5 +297,5 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     lake = build_lake("disk_interior_max_b", 32)
     vf = VorticityFunction("jump_linear", c=0.5)
     with pytest.raises(TypeError, match="not a numerical failure"):
-        run_sweep(lake, flux_preset(lake, "zero"), DeltaSchedule("critical"), kappa0=1.0,
+        run_sweep(lake, flux_preset(lake, "zero"), "critical", kappa0=1.0,
                   lam=50.0, eps_list=[0.2], vf=vf, handle=assemble_operator(lake))

@@ -187,10 +187,17 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("check-hypotheses", {"nonlinearity": {"preset": "jump_linear", "c": 0.5},
                           "hypotheses": {"s_max": 1e-9, "n": 100}}),
     ("check-hypotheses", {"nonlinearity": SHALLOW_TABLE, "hypotheses": {"s_max": 1e-6, "n": 100}}),
+    # a JSON string or boolean is not a number, and a fraction is not an integer
+    ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 64.7}}),
+    ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": "64"}}),
+    ("solve", {"flux": {"preset": "cosine", "amplitude": "0.02"}}),
+    ("solve", {"seed": [True, False]}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
-        "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution"])
+        "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
+        "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
+        "seed-booleans"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -232,7 +239,8 @@ def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes)
     ("solve", {"params": dict(SMALL_SOLVE["params"], eps=-0.1)}, "assemble_operator"),
     ("solve", {"nonlinearity": FALLING_TABLE}, "assemble_operator"),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, 0.3])}, "build_lake"),
-], ids=["solve-params-eps", "solve-falling-table", "sweep-eps-list"])
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], schedule="sideways")}, "build_lake"),
+], ids=["solve-params-eps", "solve-falling-table", "sweep-eps-list", "sweep-schedule"])
 def test_config_is_checked_before_set_up(tmp_path, monkeypatch, command, changes, set_up):
     import lakevortex.cli as cli
 
@@ -333,7 +341,7 @@ def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):
     import csv
     import math
 
-    from lakevortex.asymptotics import DIAG_COLUMNS, DeltaSchedule, run_sweep
+    from lakevortex.asymptotics import DIAG_COLUMNS, run_sweep
     from lakevortex.cli import build_lake_from, flux_from, seed_from, vf_from
     from lakevortex.elliptic import assemble_operator
 
@@ -344,7 +352,7 @@ def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):
         (solved,) = list(csv.DictReader(fh))
     cfg = load_config(path)
     lake = build_lake_from(cfg)
-    report = run_sweep(lake, flux_from(cfg, lake), DeltaSchedule("critical"),
+    report = run_sweep(lake, flux_from(cfg, lake), "critical",
                        kappa0=cfg["params"]["kappa0"], lam=cfg["params"]["lam"],
                        eps_list=[cfg["params"]["eps"]], vf=vf_from(cfg),
                        handle=assemble_operator(lake), seed=seed_from(cfg))

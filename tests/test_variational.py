@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cold_bathtub_reference import bathtub as cold_bathtub
 from plain_iteration_reference import initial_patch_loop
 from product_oracle_reference import brute_force_oracle as product_oracle
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
@@ -17,6 +18,7 @@ from lakevortex.geometry import build_lake, disk_indicator_averaged, rect_lake
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
     MASS_TOL_REL,
+    PATCH_REL_TOL,
     AdmissibilityError,
     AdmissibleParams,
     SolveContext,
@@ -27,10 +29,8 @@ from lakevortex.variational import (
     initial_patch,
     iterate_step,
     mass,
-    mu_lower_bound,
     optimality_violations,
     oracle_gap_bound,
-    patch_measure,
     solve_vortex,
     steady_residual,
 )
@@ -242,15 +242,13 @@ def _random_vf(family: str, rng) -> VorticityFunction:
     distinct=st.sampled_from([0, 1, 2, 3, 6]),  # 0: continuous levels, else ties
     lam_excess=st.floats(0.01, 10.0),
     log_fill=st.floats(-3.0, -0.02),  # log10 of target / (cap * |D|_nu)
-    start_cells=st.integers(0, 300),
-    start_shift=st.floats(-3.0, 3.0),  # of the start's mu from mu, in units of the spread
+    size=st.integers(0, 300),
 )
 def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinct,
-                                                   lam_excess, log_fill, start_cells,
-                                                   start_shift):
+                                                   lam_excess, log_fill, size):
     # few distinct levels put ties at the candidate floor and at the jump
     # level; a small lam gives a short reach, so the top cells are capped.
-    # A warm start of any support size and mu gives the cold call's bits.
+    # A start from any support size gives the frozen cold-started call's bits.
     rng = np.random.default_rng(seed)
     vf = _random_vf(family, rng)
     lake = rect_lake(nx, ny, 0.1, depth=lambda x, y: rng.uniform(0.2, 2.0, x.shape))
@@ -265,11 +263,10 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
     psi = psi + rng.uniform(-5.0, 5.0)
 
     mu_full, zeta_full = full_sort_bathtub(lake, params, vf, psi)
-    cold = bathtub(lake, params, vf, psi)
+    cold = cold_bathtub(lake, params, vf, psi)
     mu, zeta = cold.mu, cold.zeta
     assert np.array_equal(cold.support, np.flatnonzero(zeta))
-    warm = bathtub(lake, params, vf, psi, cold._replace(mu=mu + start_shift * spread,
-                                                        support=np.arange(start_cells)))
+    warm = bathtub(lake, params, vf, psi, size)
     assert warm.mu == mu and np.array_equal(warm.zeta, zeta)
     assert np.array_equal(warm.support, cold.support)
     tol = MASS_TOL_REL * params.target_mass
@@ -284,7 +281,7 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
 def test_warm_bathtub_matches_cold_on_tied_levels(family):
     # thousands of cells share each of a few levels and weigh differently, so
     # the prefix sums depend on the order of tied cells: it must not depend
-    # on how many candidates a start sorts
+    # on how many candidates a start size sorts
     vf = VorticityFunction(family, p=2.0, c=0.5)
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -294,9 +291,9 @@ def test_warm_bathtub_matches_cold_on_tied_levels(family):
                                   kappa0=10 ** rng.uniform(-3.0, -0.5) * lam * lake.measure_nu)
         psi = rng.choice(np.linspace(0.0, 1.0, 7)[1:], lake.n_cells) \
             + 0.1 * rng.integers(0, 3, lake.n_cells)
-        cold = bathtub(lake, params, vf, psi)
-        for cells in (0, 10, 100, 1000, 5000):
-            warm = bathtub(lake, params, vf, psi, cold._replace(support=np.arange(cells)))
+        cold = cold_bathtub(lake, params, vf, psi)
+        for size in (0, 10, 100, 1000, 5000):
+            warm = bathtub(lake, params, vf, psi, size)
             assert warm.mu == cold.mu and np.array_equal(warm.zeta, cold.zeta)
 
 
@@ -381,8 +378,10 @@ def test_optimality_cases_hold(power_fixture):
 
 
 def test_mu_lower_bound_at_fixed_point(power_fixture):
+    # the multiplier's lower bound at small scales: -f_inv(f(0+)+1) + min q - 1
     _, _, q, _, state = power_fixture
-    assert state.mu >= mu_lower_bound(state.ctx.vf, q)
+    vf = state.ctx.vf
+    assert state.mu >= -float(vf.f_inv(vf.f_at_zero_plus + 1.0)) + float(q.min()) - 1.0
 
 
 def test_regression_anchor(power_fixture):
@@ -390,7 +389,7 @@ def test_regression_anchor(power_fixture):
     assert state.converged
     assert state.mu == pytest.approx(ANCHOR_MU, rel=1e-9)
     assert state.energy.total == pytest.approx(ANCHOR_ENERGY, rel=1e-9)
-    assert patch_measure(state.ctx.lake, state, state.ctx.params) == 0.0
+    assert not np.any(state.zeta >= (1.0 - PATCH_REL_TOL) * state.ctx.params.cap)
 
 
 def test_seed_independence_logged(power_fixture, caplog):
@@ -425,27 +424,20 @@ def test_tiny_truncation_produces_patch(interior_128, interior_128_handle,
     starved = AdmissibleParams(eps=0.2, delta=0.5, kappa0=40.0, lam=lam_starved)
     state = solve_vortex(interior_128, interior_128_q, starved, vf_jump,
                          init=(0.0, 0.0), handle=interior_128_handle)
-    assert patch_measure(interior_128, state, starved) > 0.0
+    assert np.any(state.zeta >= (1.0 - PATCH_REL_TOL) * starved.cap)
     # the recommended truncation leaves no cells at the cap
     roomy = AdmissibleParams(eps=0.2, delta=0.5, kappa0=40.0, lam=50.0)
     state2 = solve_vortex(interior_128, interior_128_q, roomy, vf_jump,
                           init=(0.0, 0.0), handle=interior_128_handle)
-    assert patch_measure(interior_128, state2, roomy) == 0.0
-
-
-def test_patch_measure_zero_field(interior_128, power_fixture):
-    _, _, _, params, state = power_fixture
-    empty = SolveState(zeta=np.zeros(interior_128.n_cells), k_zeta=state.k_zeta,
-                       mu=0.0, energy=state.energy, energy_trace=[], iterations=0,
-                       converged=True, fp_residual=0.0, ctx=state.ctx)
-    assert patch_measure(interior_128, empty, params) == 0.0
+    assert not np.any(state2.zeta >= (1.0 - PATCH_REL_TOL) * roomy.cap)
 
 
 def test_jump_nonlinearity_solve_meets_mass_exactly(critical_state_129):
     lake, handle, q, params, state = critical_state_129
     assert mass(lake, state.zeta) == pytest.approx(params.target_mass, rel=1e-10)
     assert optimality_violations(state)["max"] <= 1e-6
-    assert state.mu >= mu_lower_bound(state.ctx.vf, q)
+    vf = state.ctx.vf
+    assert state.mu >= -float(vf.f_inv(vf.f_at_zero_plus + 1.0)) + float(q.min()) - 1.0
 
 
 # ---------------------------------------------------------------------------

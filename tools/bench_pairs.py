@@ -14,9 +14,11 @@ the pairs the checkout won (ties count for neither), and whether the gain
 is resolved, that is won in at least nine tenths of the pairs and by a median
 gap larger than the base's interquartile range.  It also records each run's
 correctness, fixed-point step counts and the machine's facts.  After a
-workload's pairs it runs ``bench/run.py --trace 1`` once in each tree and
-writes that run's per-layer metrics under the workload's ``layers``, so the
-file shows which layer a change moved.  Standard library only.
+workload's pairs it runs ``bench/run.py --trace 1`` three times in each tree,
+again alternating which side runs first, and writes under the workload's
+``layers`` each per-layer metric's median over those runs next to every run's
+value, so the file shows which layer a change moved: one traced run per side
+does not resolve the layer times on a shared host.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED = 3
 WIN_SHARE = 0.9
 
 
@@ -67,9 +70,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
             "problems": info.get("problems", [])}
 
 
+def alternating(trees: dict, workload: str, count: int, first_seed: int, seconds: float,
+                trace: int = 0) -> dict:
+    """``count`` runs in each tree, alternating which side runs first, with
+    seeds ``first_seed``, ``first_seed + 1``, ...: each side's list of runs."""
+    runs = {side: [] for side in trees}
+    for i in range(count):
+        sides = list(trees.items())
+        if i % 2:
+            sides.reverse()
+        for side, tree in sides:
+            runs[side].append(run_once(tree, workload, first_seed + i, seconds, trace))
+            print(f"{workload} {'traced' if trace else 'pair'} {i + 1} {side}: "
+                  f"{runs[side][-1]['metrics']}", file=sys.stderr)
+    return runs
+
+
 def spread(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def layer_medians(runs: list) -> dict:
+    """Each per-layer metric's median over the traced runs, next to every run's value."""
+    values = {name: [r["metrics"][name] for r in runs] for name in runs[0]["metrics"]}
+    return {name: {"median": statistics.median(v), "values": v} for name, v in values.items()}
 
 
 def compare(base: list, change: list, better: str) -> dict:
@@ -100,18 +125,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_tree = Path(tmp)
         extract(base_rev, base_tree)
+        trees = {"base": base_tree, "change": ROOT}
         for workload in workloads:
-            runs = {"base": [], "change": []}
-            for i in range(1, PAIRS + 1):
-                sides = [("base", base_tree), ("change", ROOT)]
-                if i % 2 == 0:
-                    sides.reverse()
-                for side, tree in sides:
-                    runs[side].append(run_once(tree, workload, i, seconds))
-                    print(f"{workload} pair {i} {side}: {runs[side][-1]['metrics']}",
-                          file=sys.stderr)
-            traced = {side: run_once(tree, workload, PAIRS + 1, seconds, trace=1)
-                      for side, tree in (("base", base_tree), ("change", ROOT))}
+            runs = alternating(trees, workload, PAIRS, 1, seconds)
+            traced = alternating(trees, workload, TRACED, PAIRS + 1, seconds, trace=1)
             report["machine"] = runs["change"][-1]["machine"]
             report["workloads"][workload] = {
                 "metrics": {name: compare([r["metrics"][name] for r in runs["base"]],
@@ -123,8 +140,9 @@ def main(argv=None) -> int:
                           "fp_steps": rs[0]["fp_steps"][0] if rs[0]["fp_steps"] else None,
                           "problems": sorted({p for r in rs for p in r["problems"]})}
                    for side, rs in runs.items()},
-                "layers": {side: {"correct": r["correct"], "metrics": r["metrics"]}
-                           for side, r in traced.items()},
+                "layers": {side: {"correct": [r["correct"] for r in rs],
+                                  "metrics": layer_medians(rs)}
+                           for side, rs in traced.items()},
             }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
