@@ -69,15 +69,17 @@ class ConfigError(ValueError):
 # peak at about 125 MB RSS.
 MAX_HYPOTHESIS_SAMPLES = 10**6
 
-# every key some command reads (see COMMANDS): the sections with their fields,
-# and the seed point
+# every key some command reads (see COMMANDS): each section's fields, with
+# their kind (see _field) and default (None: required), and the seed point
 CONFIG_KEYS = {
-    "lake": {"preset", "resolution"},
-    "flux": {"preset", "amplitude", "points"},
-    "nonlinearity": {"preset", "p", "c", "points"},
-    "params": {"eps", "delta", "kappa0", "lam"},
-    "sweep": {"schedule", "eps_list", "kappa0", "lam"},
-    "hypotheses": {"s_max", "n"},
+    "lake": {"preset": ("name", None), "resolution": ("integer", None)},
+    "flux": {"preset": ("name", None), "amplitude": ("finite", 1.0), "points": ("pairs", ())},
+    "nonlinearity": {"preset": ("name", None), "p": ("number", 2.0), "c": ("number", 0.0),
+                     "points": ("pairs", ())},
+    "params": dict.fromkeys(("eps", "delta", "kappa0", "lam"), ("positive", None)),
+    "sweep": {"schedule": ("name", None), "eps_list": ("positives", None),
+              "kappa0": ("positive", 1.0), "lam": ("positive", 50.0)},
+    "hypotheses": {"s_max": ("positive", 10.0), "n": ("integer", 2000)},
     "seed": None,
 }
 
@@ -92,9 +94,9 @@ def config_hash(cfg: dict) -> str:
 
 
 def load_config(path: str | Path, command: str | None = None) -> dict:
-    """The JSON config at path, with its keys checked: each top-level key must
-    be one that command reads (one that some command reads when command is
-    None), and each section field one of its section's."""
+    """The JSON config at path, as written, with its keys checked: each
+    top-level key must be one that command reads (one that some command reads
+    when command is None), and each section must parse (see section)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -108,27 +110,38 @@ def load_config(path: str | Path, command: str | None = None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
     allowed = CONFIG_KEYS if command is None else COMMANDS[command][1]
-    for key, value in cfg.items():
+    for key in cfg:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r}: " + (
                 "no command reads it" if command is None
                 else f"{command} reads {', '.join(allowed) or 'no key'}"))
-        fields = CONFIG_KEYS[key]
-        if fields is None:
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-        unknown = sorted(set(value) - fields)
-        if unknown:
-            raise ConfigError(f"unknown key '{key}.{unknown[0]}': {key} holds "
-                              f"{', '.join(sorted(fields))}")
+        if CONFIG_KEYS[key] is not None:
+            section(cfg, key)
     return cfg
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return cfg[key]
+def section(cfg: dict, key: str, absent: dict | None = None) -> dict:
+    """Section key of cfg (absent when cfg has none; None: required) with each
+    field parsed by its kind, and each field it omits at its default."""
+    if key not in cfg and absent is None:
+        raise ConfigError(f"config: missing required key {key!r}")
+    value = cfg.get(key, absent)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    fields = CONFIG_KEYS[key]
+    unknown = sorted(set(value) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown key '{key}.{unknown[0]}': {key} holds "
+                          f"{', '.join(sorted(fields))}")
+    parsed = {}
+    for name, (kind, default) in fields.items():
+        if name in value:
+            parsed[name] = _field(kind, value[name], f"{key}.{name}")
+        elif default is None:
+            raise ConfigError(f"{key}: missing required key {name!r}")
+        else:
+            parsed[name] = default
+    return parsed
 
 
 def _number(value, name: str) -> float:
@@ -141,36 +154,40 @@ def _number(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _pairs(value, name: str) -> tuple:
-    """A JSON list of [x, y] number pairs as float pairs; ValueError otherwise."""
-    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
-        raise ValueError(f"{name} must be a list of [x, y] pairs, got {value!r}")
-    return tuple((_number(x, name), _number(y, name)) for x, y in value)
-
-
-def _positive(value, name: str) -> float:
+def _field(kind: str, value, name: str):
+    """value as a field of its kind: a name (a JSON string), a number, a finite
+    number, a positive (finite) number, an integer (an integral number), pairs
+    (a list of [x, y] numbers) or positives (a non-empty list of them)."""
+    if kind == "name":
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
+    if kind == "pairs":
+        if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
+            raise ConfigError(f"{name} must be a list of [x, y] pairs, got {value!r}")
+        return tuple((_number(x, name), _number(y, name)) for x, y in value)
+    if kind == "positives":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        return [_field("positive", v, f"{name} entry") for v in value]
+    if kind not in ("number", "finite", "positive", "integer"):  # a kind without a rule
+        raise TypeError(f"{name}: unknown kind {kind!r}")
     v = _number(value, name)
-    if v <= 0.0 or not math.isfinite(v):
+    if kind == "finite" and not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite, got {v}")
+    if kind == "positive" and not 0.0 < v < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {v}")
+    if kind == "integer":
+        if not v.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(v)
     return v
 
 
-def _integer(value, name: str, maximum: float = math.inf) -> int:
-    """An integral JSON number as an int; its lower bound is checked where it is used."""
-    v = _number(value, name)
-    if not v.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if v > maximum:
-        raise ConfigError(f"{name} must be <= {maximum}, got {value!r}")
-    return int(v)
-
-
 def build_lake_from(cfg: dict):
-    lcfg = _require(cfg, "lake", "config")
-    preset = _require(lcfg, "preset", "lake")
-    resolution = _integer(_require(lcfg, "resolution", "lake"), "lake.resolution")
+    lcfg = section(cfg, "lake")
     try:
-        return build_lake(preset, resolution)
+        return build_lake(lcfg["preset"], lcfg["resolution"])
     except GeometryError as exc:
         raise ConfigError(f"lake: {exc}") from exc
 
@@ -187,32 +204,19 @@ def seed_from(cfg: dict):
 
 
 def flux_from(cfg: dict, lake) -> np.ndarray:
-    fcfg = cfg.get("flux", {"preset": "zero"})
-    preset = _require(fcfg, "preset", "flux")
+    fcfg = section(cfg, "flux", {"preset": "zero"})
     try:
-        amplitude = _number(fcfg.get("amplitude", 1.0), "amplitude")
-        if not math.isfinite(amplitude):
-            raise ValueError(f"amplitude must be finite, got {amplitude}")
-        points = _pairs(fcfg["points"], "points") if "points" in fcfg else None
-        return flux_preset(lake, preset, amplitude=amplitude, points=points)
+        return flux_preset(lake, fcfg["preset"], fcfg["amplitude"], fcfg["points"])
     except ValueError as exc:
         raise ConfigError(f"flux: {exc}") from exc
 
 
 def vf_from(cfg: dict) -> VorticityFunction:
-    ncfg = _require(cfg, "nonlinearity", "config")
-    preset = _require(ncfg, "preset", "nonlinearity")
+    fields = section(cfg, "nonlinearity")
     try:
-        if preset == "power":
-            return VorticityFunction("power", p=_number(ncfg.get("p", 2.0), "p"))
-        if preset == "jump_linear":
-            return VorticityFunction("jump_linear", c=_number(ncfg.get("c", 0.0), "c"))
-        if preset == "table":
-            points = _pairs(_require(ncfg, "points", "nonlinearity"), "points")
-            return VorticityFunction("table", points=points)
+        return VorticityFunction(**fields)
     except ValueError as exc:
         raise ConfigError(f"nonlinearity: {exc}") from exc
-    raise ConfigError(f"nonlinearity: unknown preset {preset!r}")
 
 
 def solver_vf_from(cfg: dict) -> VorticityFunction:
@@ -225,14 +229,9 @@ def solver_vf_from(cfg: dict) -> VorticityFunction:
 
 
 def params_from(cfg: dict) -> AdmissibleParams:
-    pcfg = _require(cfg, "params", "config")
+    fields = section(cfg, "params")
     try:
-        return AdmissibleParams(
-            eps=_positive(_require(pcfg, "eps", "params"), "params.eps"),
-            delta=_positive(_require(pcfg, "delta", "params"), "params.delta"),
-            kappa0=_positive(_require(pcfg, "kappa0", "params"), "params.kappa0"),
-            lam=_positive(_require(pcfg, "lam", "params"), "params.lam"),
-        )
+        return AdmissibleParams(**fields)
     except AdmissibilityError as exc:
         raise ConfigError(f"params: {exc}") from exc
 
@@ -352,26 +351,22 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
-    scfg = _require(cfg, "sweep", "config")
-    regime = _require(scfg, "schedule", "sweep")
-    eps_list = _require(scfg, "eps_list", "sweep")
-    if not isinstance(eps_list, list) or not eps_list:
-        raise ConfigError("sweep: eps_list must be a non-empty list")
-    eps_list = [_positive(e, "sweep.eps_list entry") for e in eps_list]
+    scfg = section(cfg, "sweep")
+    regime = scfg["schedule"]
+    eps_list = scfg["eps_list"]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("sweep: eps_list must be strictly decreasing")
     try:
         delta_of_eps(regime, eps_list[0])  # an unknown regime, or the largest eps out of its domain
     except ScheduleError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    kappa0 = _positive(scfg.get("kappa0", 1.0), "sweep.kappa0")
-    lam = _positive(scfg.get("lam", 50.0), "sweep.lam")
     seed = seed_from(cfg)
     vf = solver_vf_from(cfg)
     lake = build_lake_from(cfg)
     nu = flux_from(cfg, lake)
     handle = assemble_operator(lake)
-    report = run_sweep(lake, nu, regime, kappa0, lam, eps_list, vf, handle, seed=seed)
+    report = run_sweep(lake, nu, regime, scfg["kappa0"], scfg["lam"], eps_list, vf, handle,
+                       seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
     summary = {
@@ -427,11 +422,11 @@ def cmd_oracle_test(cfg: dict, out: Path) -> int:
 
 def cmd_check_hypotheses(cfg: dict, out: Path) -> int:
     vf = vf_from(cfg)
-    hcfg = cfg.get("hypotheses", {})
-    s_max = _positive(hcfg.get("s_max", 10.0), "hypotheses.s_max")
-    n = _integer(hcfg.get("n", 2000), "hypotheses.n", MAX_HYPOTHESIS_SAMPLES)
+    hcfg = section(cfg, "hypotheses", {})
+    if hcfg["n"] > MAX_HYPOTHESIS_SAMPLES:
+        raise ConfigError(f"hypotheses.n must be <= {MAX_HYPOTHESIS_SAMPLES}, got {hcfg['n']}")
     try:
-        report = verify_hypotheses(vf, s_max, n)
+        report = verify_hypotheses(vf, hcfg["s_max"], hcfg["n"])
     except ValueError as exc:  # the sampled range is out of float range for this f
         raise ConfigError(f"hypotheses: {exc}") from exc
     payload = dataclasses.asdict(report)

@@ -18,13 +18,14 @@ from scipy.spatial import ConvexHull, QhullError
 
 TWO_PI = 2.0 * math.pi
 
-PRESETS = (
-    "disk_interior_max_b",
-    "disk_boundary_max_b",
-    "disk_constant_b",
-    "disk_degenerate_b",
-    "rect_constant_b",
-)
+# each preset's depth b(X, Y) on the grid of its domain (see build_lake)
+PRESETS = {
+    "disk_interior_max_b": lambda X, Y: np.maximum(1.0 - (X * X + Y * Y) / 2.0, 0.0),
+    "disk_boundary_max_b": lambda X, Y: np.maximum(1.0 + X, 0.0),
+    "disk_constant_b": lambda X, Y: np.ones_like(X),
+    "disk_degenerate_b": lambda X, Y: np.sqrt(np.maximum(1.0 - (X * X + Y * Y), 0.0)),
+    "rect_constant_b": lambda X, Y: np.ones_like(X),
+}
 
 # bounding-box cells (resolution^2) build_lake accepts; checked before any
 # array is allocated, so an oversized grid is rejected up front
@@ -259,27 +260,6 @@ class Lake:
         return g
 
 
-def _depth_formula(preset: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    r2 = X * X + Y * Y
-    if preset == "disk_interior_max_b":
-        return np.maximum(1.0 - r2 / 2.0, 0.0)
-    if preset == "disk_boundary_max_b":
-        return np.maximum(1.0 + X, 0.0)
-    if preset == "disk_constant_b":
-        return np.ones_like(X)
-    if preset == "disk_degenerate_b":
-        return np.sqrt(np.maximum(1.0 - r2, 0.0))
-    if preset == "rect_constant_b":
-        return np.ones_like(X)
-    raise GeometryError(f"unknown preset {preset!r}")
-
-
-def _domain_for(preset: str):
-    if preset.startswith("disk"):
-        return DiskDomain()
-    return RectDomain(-0.8, 0.8, -0.5, 0.5)
-
-
 def _connected(mask: np.ndarray) -> bool:
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     _, count = ndimage.label(mask, structure=structure)
@@ -336,15 +316,15 @@ def _build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bo
 
 
 def _assemble_lake(preset: str, domain, xs: np.ndarray, ys: np.ndarray, h: float,
-                   b_grid: np.ndarray | None = None) -> Lake:
+                   depth) -> Lake:
+    """The lake of domain on the grid xs x ys, with depth(X, Y) clamped at 0."""
     X, Y = np.meshgrid(xs, ys)
     mask = domain.contains(np.stack([X, Y], axis=-1))
     if not mask.any():
         raise GeometryError("resolution too small: no interior cell")
     if not _connected(mask):
         raise GeometryError("interior mask is not connected")
-    if b_grid is None:
-        b_grid = _depth_formula(preset, X, Y)
+    b_grid = np.maximum(np.asarray(depth(X, Y), dtype=float), 0.0)
     rows, cols = np.nonzero(mask)
     index = -np.ones(mask.shape, dtype=np.int64)
     index[rows, cols] = np.arange(rows.size)
@@ -389,12 +369,12 @@ def build_lake(preset: str, resolution: int) -> Lake:
             f"resolution {resolution} exceeds the cell budget: "
             f"{resolution}^2 > {MAX_CELLS} cells"
         )
-    domain = _domain_for(preset)
+    domain = DiskDomain() if preset.startswith("disk") else RectDomain(-0.8, 0.8, -0.5, 0.5)
     h = 2.0 / resolution  # domain box [-1, 1]^2 for every preset
     # pad the grid two cells beyond the domain box so the ghost ring is on-grid
     xs = -1.0 + h * (np.arange(-2, resolution + 2) + 0.5)
     ys = xs.copy()
-    return _assemble_lake(preset, domain, xs, ys, h)
+    return _assemble_lake(preset, domain, xs, ys, h, PRESETS[preset])
 
 
 def rect_lake(nx: int, ny: int, h: float, depth=1.0, preset_id: str = "rect_custom") -> Lake:
@@ -408,13 +388,8 @@ def rect_lake(nx: int, ny: int, h: float, depth=1.0, preset_id: str = "rect_cust
     domain = RectDomain(0.0, nx * h, 0.0, ny * h)
     xs = h * (np.arange(-1, nx + 1) + 0.5)
     ys = h * (np.arange(-1, ny + 1) + 0.5)
-    X, Y = np.meshgrid(xs, ys)
-    if callable(depth):
-        b_grid = np.asarray(depth(X, Y), dtype=float)
-    else:
-        b_grid = np.full(X.shape, float(depth))
-    b_grid = np.maximum(b_grid, 0.0)
-    return _assemble_lake(preset_id, domain, xs, ys, h, b_grid=b_grid)
+    b = depth if callable(depth) else lambda X, Y: np.full(X.shape, float(depth))
+    return _assemble_lake(preset_id, domain, xs, ys, h, b)
 
 
 # ---------------------------------------------------------------------------

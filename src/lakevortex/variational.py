@@ -280,20 +280,9 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
     remaining = np.cumsum(np.concatenate(([params.target_mass], -(value_of * nuw)[order])))
     k = int(np.searchsorted(-remaining[1:], 0.0))  # first cell whose mass covers the rest
     zeta[order[:k]] = value_of[order[:k]]
-    remaining = float(remaining[k])
-    for c in order[k:]:
-        cell_mass = value_of[c] * nuw[c]
-        if cell_mass >= remaining:
-            zeta[c] = remaining / nuw[c]
-            if zeta[c] > params.cap:  # cannot fit the remainder in this cell
-                zeta[c] = params.cap
-                remaining -= params.cap * nuw[c]
-                continue
-            remaining = 0.0
-            break
-        zeta[c] = value_of[c]
-        remaining -= cell_mass
-    if remaining > MASS_TOL_REL * params.target_mass:
+    if k < lake.n_cells:  # it takes the rest, within its cap
+        zeta[order[k]] = min(remaining[k] / nuw[order[k]], params.cap)
+    elif remaining[k] > MASS_TOL_REL * params.target_mass:
         raise AdmissibilityError("initial patch cannot carry the target mass")
     return zeta
 

@@ -10,7 +10,9 @@ import pytest
 
 from lakevortex import __version__
 from lakevortex.cli import (
+    COMMANDS,
     CONFIG_DIR,
+    CONFIG_KEYS,
     config_hash,
     load_config,
     main,
@@ -192,12 +194,16 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": "64"}}),
     ("solve", {"flux": {"preset": "cosine", "amplitude": "0.02"}}),
     ("solve", {"seed": [True, False]}),
+    # every field present is parsed, also one the preset does not read
+    ("solve", {"nonlinearity": {"preset": "jump_linear", "c": 0.5, "p": "junk"}}),
+    ("solve", {"nonlinearity": {"preset": "jump_linear", "c": 0.5, "points": 5}}),
+    ("solve", {"nonlinearity": {"preset": "power", "p": 2.0, "c": [1]}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
-        "seed-booleans"])
+        "seed-booleans", "jump-unread-p", "jump-unread-points", "power-unread-c"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -225,14 +231,41 @@ NEGATIVE_JUMP_TABLE = {"preset": "table", "points": [[0, -1], [1, 0.5], [2, 2]]}
     ("sweep", {"nonlinearity": FALLING_TABLE}),
     ("sweep", {"nonlinearity": NEGATIVE_JUMP_TABLE}),
     ("oracle-test", {"nonlinearity": FALLING_TABLE}),
+    ("solve", {"lake": {"preset": ["disk_interior_max_b"], "resolution": 64}}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], schedule=5)}),
 ], ids=["lake-int", "flux-int", "nonlinearity-int", "params-int", "solver-list", "sweep-int",
         "hypotheses-int", "flux-points-int", "flux-amplitude-list", "table-points-int",
         "power-p-list", "solve-falling-table", "solve-negative-jump-table",
-        "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table"])
+        "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table",
+        "lake-preset-list", "sweep-schedule-int"])
 def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def _schema_fields():
+    for key, fields in CONFIG_KEYS.items():
+        command = next(c for c, (_, keys) in COMMANDS.items() if key in keys)
+        for name, (kind, _) in (fields or {}).items():
+            if kind != "name":
+                yield pytest.param(command, key, name, id=f"{key}.{name}")
+
+
+@pytest.mark.parametrize("command, key, name", _schema_fields())
+def test_every_schema_field_rejects_a_string(tmp_path, monkeypatch, capsys, command, key, name):
+    # a field added to CONFIG_KEYS without a parse rule for its kind fails here
+    import lakevortex.cli as cli
+
+    def set_up(*args, **kwargs):
+        raise AssertionError(f"{key}.{name} = 'junk' was accepted")
+
+    for first_step in ("build_lake", "verify_hypotheses"):
+        monkeypatch.setattr(cli, first_step, set_up)
+    base = BASES[command]
+    cfg = _write(tmp_path, dict(base, **{key: dict(base.get(key, {}), **{name: "junk"})}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}.{name} must be")
 
 
 @pytest.mark.parametrize("command, changes, set_up", [
@@ -314,7 +347,7 @@ def test_oversized_grid_is_rejected_before_allocation(tmp_path, monkeypatch, com
         raise AssertionError("build_lake went past the cell budget")
 
     # the first step of build_lake after its checks; nothing is allocated before it
-    monkeypatch.setattr(geometry, "_domain_for", allocate)
+    monkeypatch.setattr(geometry, "DiskDomain", allocate)
     cfg = _write(tmp_path, dict(SMALL_SOLVE, **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
