@@ -86,14 +86,15 @@ class Profile:
 
 
 def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
-                    center) -> Profile:
+                    center, diam: float | None = None) -> Profile:
     """Sample the rescaled vorticity by bilinear interpolation around a center.
 
     Requires the support to be resolved by at least 4 cells across its
-    diameter; the local 64 x 64 grid spans 3 support radii and the radial
-    profile has 24 bins.
+    diameter (support_diameter unless given); the local 64 x 64 grid spans
+    3 support radii and the radial profile has 24 bins.
     """
-    diam = support_diameter(lake, zeta)
+    if diam is None:
+        diam = support_diameter(lake, zeta)
     if diam < 4.0 * lake.h:
         raise ValueError(
             f"support under-resolved: diameter {diam:.4g} spans "
@@ -234,8 +235,9 @@ def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
     # vorticity_center raises on a zero field, so the support is not empty
     xc = vorticity_center(lake, state.zeta)
     sp = lake.centers[support_cells(lake, state.zeta)]
+    diam = max_pairwise_distance(sp)
     try:
-        score = radial_monotonicity_score(rescale_profile(lake, state.zeta, params, xc))
+        score = radial_monotonicity_score(rescale_profile(lake, state.zeta, params, xc, diam))
     except ValueError:
         score = float("nan")
     anchor, supp_dist = xc, float("nan")
@@ -249,7 +251,7 @@ def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
     return Diagnostics(
         eps=params.eps,
         delta=params.delta,
-        diam_supp=support_diameter(lake, state.zeta),
+        diam_supp=diam,
         xc=float(xc[0]),
         yc=float(xc[1]),
         dist_boundary=float(lake.domain.dist_to_boundary(sp).min()),

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import ConvexHull, QhullError
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,7 +28,10 @@ PRESETS = {
 }
 
 # bounding-box cells (resolution^2) build_lake accepts; checked before any
-# array is allocated, so an oversized grid is rejected up front
+# array is allocated, so an oversized grid is rejected up front.  The LU
+# holds about 1 KB per interior cell: peak RSS of a fresh process after
+# assemble_operator is 109, 160, 266 and 1016 MB at 257^2, 363^2, 513^2 and
+# 1024^2 (823,592 cells, factored in 11 s), from 61 MB before build_lake
 MAX_CELLS = 1 << 20
 
 
@@ -261,28 +264,57 @@ class Lake:
 
 
 def _connected(mask: np.ndarray) -> bool:
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, count = ndimage.label(mask, structure=structure)
-    return count == 1
+    """Whether the True cells of a 2-d mask form one 4-connected component.
+
+    The nodes are the row runs of True cells; runs on adjacent rows are joined
+    when their column ranges overlap."""
+    width = mask.shape[1] + 1
+    # flat indices into the (rows, width) steps where each run starts and stops
+    runs = np.flatnonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8)))
+    start, stop = runs[0::2], runs[1::2]
+    # the runs of the row above that overlap run r are lo[r] <= p < hi[r]
+    lo = np.searchsorted(stop, start - width, side="right")
+    hi = np.searchsorted(start, stop - width, side="left")
+    count = np.maximum(hi - lo, 0)
+    ptr = np.r_[0, np.cumsum(count)]
+    p = np.arange(ptr[-1]) - np.repeat(ptr[:-1] - lo, count)
+    graph = csr_matrix((np.ones(p.size), p, ptr), shape=(start.size,) * 2)
+    return connected_components(graph, directed=False, return_labels=False) == 1
+
+
+def _line_extremes(key: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """True where value is the least or greatest among the points of equal key."""
+    _, group = np.unique(key, return_inverse=True)
+    lo = np.full(group.max() + 1, np.inf)
+    hi = -lo
+    np.minimum.at(lo, group, value)
+    np.maximum.at(hi, group, value)
+    return (value == lo[group]) | (value == hi[group])
+
+
+# pairs of points max_pairwise_distance compares at once: bounds its memory
+# for any point set
+_PAIR_BLOCK = 1 << 20
 
 
 def max_pairwise_distance(points: np.ndarray) -> float:
-    """Diameter of a finite point set; hull-accelerated, robust to collinearity."""
+    """Diameter of a finite point set.
+
+    A point strictly between two others of its row (equal y) or its column
+    (equal x) is no farther from any point q than the farther of those two,
+    in rounded arithmetic too.  So only the points that are extremes of both
+    their row and their column are compared, all pairs.
+    """
     points = np.asarray(points, dtype=float)
     if points.shape[0] <= 1:
         return 0.0
-    hull_pts = points
-    if points.shape[0] > 16:
-        try:
-            hull_pts = points[ConvexHull(points).vertices]
-        except QhullError:
-            # degenerate (collinear) input; exact via principal-axis extremes
-            centered = points - points.mean(axis=0)
-            axis = np.linalg.svd(centered, full_matrices=False)[2][0]
-            proj = centered @ axis
-            hull_pts = points[[int(np.argmin(proj)), int(np.argmax(proj))]]
-    d2 = np.sum((hull_pts[:, None, :] - hull_pts[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.max()))
+    x, y = points.T
+    keep = _line_extremes(y, x) & _line_extremes(x, y)
+    x, y = x[keep], y[keep]
+    rows = max(1, _PAIR_BLOCK // x.size)
+    d2 = max(((x[i:i + rows, None] - x) ** 2 + (y[i:i + rows, None] - y) ** 2).max()
+             for i in range(0, x.size, rows))
+    return float(np.sqrt(d2))
 
 
 def _build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> BoundaryTrace:

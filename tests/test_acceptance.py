@@ -11,7 +11,9 @@ regression state, of the mixed iteration against the frozen plain loop from
 the same seeds, of the seed patch against its frozen per-cell loop on every
 bundled seed, a count of the cells the bathtub passes to f on a 257^2 state,
 a count of the argpartitions and f calls of a bathtub call per start size,
-and a count of the argpartitions over a 129^2 solve.
+a count of the argpartitions over a 129^2 solve, and a check of the support
+diameter and lake connectivity against their frozen Qhull and ndimage
+versions on every regression state.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy_geometry_reference as scipy_ref
 from cold_bathtub_reference import bathtub as cold_bathtub
 from plain_iteration_reference import initial_patch_loop
 from plain_iteration_reference import solve_vortex as plain_solve_vortex
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
 
+from lakevortex import geometry
 from lakevortex.asymptotics import run_sweep, support_cells
 from lakevortex.elliptic import (
     CompatibilityError,
@@ -227,6 +231,22 @@ def test_bathtub_matches_frozen_full_sort(regression_states):
         assert float(np.dot(np.abs(zeta_new - zeta_full), lake.nu_weights)) <= tol
         for zeta in (zeta_full, zeta_new):
             assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
+
+
+def test_support_diameter_matches_frozen_qhull(regression_states):
+    """The support diameter of every regression state, and each lake's
+    diameter and connectivity, against the frozen Qhull diameter and
+    ndimage label count, bit for bit."""
+    assert len(regression_states) == 23
+    lakes = {id(lake): lake for lake, _ in regression_states}
+    for lake in lakes.values():
+        assert lake.diameter == scipy_ref.max_pairwise_distance(lake.centers)
+        assert geometry._connected(lake.mask) and scipy_ref._connected(lake.mask)
+    for lake, state in regression_states:
+        support = lake.centers[support_cells(lake, state.zeta)]
+        assert len(support) > 16  # past the reference's brute-force cut-off
+        assert (geometry.max_pairwise_distance(support)
+                == scipy_ref.max_pairwise_distance(support))
 
 
 @pytest.fixture(scope="module")

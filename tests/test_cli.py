@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lakevortex
 from lakevortex import __version__
 from lakevortex.cli import (
     COMMANDS,
@@ -531,3 +535,15 @@ def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, criti
     expected = dict(payload, version=__version__, config_sha256="abc")
     text = json.dumps(_walked_jsonable(expected), sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "state.json").read_text() == text
+
+
+def test_cli_imports_neither_ndimage_nor_spatial():
+    """A fresh process that imports the CLI loads no scipy.ndimage or
+    scipy.spatial: the two cost about 9 MB of resident memory on every run."""
+    src = str(Path(lakevortex.__file__).resolve().parents[1])
+    code = ("import lakevortex.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.ndimage', 'scipy.spatial'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -275,6 +275,15 @@ def test_apply_K_validates_input(disk_const_64_handle):
             apply_K(disk_const_64_handle, bad)
 
 
+def test_solve_background_rejects_non_finite_flux(disk_const_64_handle):
+    # a NaN flux passes the compatibility check (NaN compares false), so the
+    # solve's screen is what keeps a NaN background from coming back
+    nu = np.zeros(len(disk_const_64_handle.lake.boundary))
+    nu[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_background(disk_const_64_handle, nu)
+
+
 def test_apply_K_overflowing_norm_is_a_solver_error(disk_const_64_handle):
     # a finite field whose norm overflows is not a non-finite field
     with pytest.raises(SolverError), np.errstate(over="ignore", invalid="ignore"):

@@ -5,10 +5,13 @@ import math
 import loop_assembly_reference as loop_ref
 import numpy as np
 import pytest
+import scipy_geometry_reference as scipy_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from lakevortex import geometry
 from lakevortex.geometry import (
     PRESETS,
     DiskDomain,
@@ -75,6 +78,82 @@ def test_diameter_matches_brute_force():
     pts = lake.centers
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     assert lake.diameter == pytest.approx(math.sqrt(d2.max()), abs=1e-12)
+
+
+def _brute_diameter(points: np.ndarray) -> float:
+    if len(points) <= 1:
+        return 0.0
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    return float(np.sqrt(d2.max()))
+
+
+def _assert_diameter_matches_qhull(points: np.ndarray) -> None:
+    """The row/column-extreme diameter equals the frozen Qhull one and the
+    brute force over every pair, bit for bit."""
+    d = geometry.max_pairwise_distance(points)
+    assert d == scipy_ref.max_pairwise_distance(points)
+    assert d == _brute_diameter(points)
+
+
+masks = hnp.arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks, st.sampled_from([16, 64, 129, 257]))
+def test_diameter_matches_qhull_on_grid_subsets(mask, resolution):
+    # cell centers of build_lake's grid, offset by a few cells
+    h = 2.0 / resolution
+    rows, cols = np.nonzero(mask)
+    _assert_diameter_matches_qhull(np.column_stack([-1.0 + h * (cols + 3.5),
+                                                    -1.0 + h * (rows + 5.5)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=60),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.sampled_from([2.0 / 129, 2.0 / 257, 0.1]))
+def test_diameter_matches_qhull_on_collinear_sets(direction, steps, x0, y0, h):
+    t = np.asarray(steps, dtype=float)
+    _assert_diameter_matches_qhull(np.column_stack([x0 + direction[0] * h * t,
+                                                    y0 + direction[1] * h * t]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(0, 60), st.just(2)),
+                  elements=st.floats(-10.0, 10.0)))
+def test_diameter_matches_qhull_on_random_points(points):
+    _assert_diameter_matches_qhull(points)
+
+
+def test_diameter_in_blocks_matches_one_block(monkeypatch):
+    # on a diagonal every point is the extreme of its row and its column
+    t = np.arange(50.0)
+    points = np.column_stack([0.01 * t, 0.02 * t - 0.5])
+    expect = _brute_diameter(points)
+    for block in (1, 7, 49, 2500):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        assert geometry.max_pairwise_distance(points) == expect
+
+
+@settings(max_examples=500, deadline=None)
+@given(masks)
+def test_connected_matches_label_reference(mask):
+    assert geometry._connected(mask) == scipy_ref._connected(mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.booleans())
+def test_connected_rejects_blocks_joined_at_a_corner(a, b, c, d, flip):
+    # two filled blocks whose only contact is one diagonal corner
+    mask = np.zeros((a + c, b + d), dtype=bool)
+    mask[:a, :b] = True
+    mask[a:, b:] = True
+    mask = mask[:, ::-1] if flip else mask
+    assert not geometry._connected(mask)
+    assert not scipy_ref._connected(mask)
+    mask[a - 1, :] = True  # a shared row joins them through an edge
+    assert geometry._connected(mask)
 
 
 def test_boundary_trace_ordering_and_weights(disk_const_64):
