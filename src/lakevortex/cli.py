@@ -272,10 +272,14 @@ def write_json(path: Path, payload: dict, cfg_hash: str) -> None:
 
     def expand(m: re.Match) -> str:
         values = arrays[int(m.group(3))]
-        if not values:
+        if not len(values):
             return f"{m.group(1)}{m.group(2)}[]"
         inner = m.group(1) + "  "
-        items = f",\n{inner}".join(map(float.__repr__, values))
+        # repr only the nonzeros: most of a full-grid field is 0.0
+        items = np.where(np.signbit(values), "-0.0", "0.0").astype(object)
+        nonzero = values != 0.0
+        items[nonzero] = list(map(float.__repr__, values[nonzero].tolist()))
+        items = f",\n{inner}".join(items)
         return f"{m.group(1)}{m.group(2)}[\n{inner}{items}\n{m.group(1)}]"
 
     path.write_text(_ARRAY_MARKER.sub(expand, text) + "\n")
@@ -288,7 +292,7 @@ def _jsonable(obj, arrays: list):
         return [_jsonable(v, arrays) for v in obj]
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim == 1 and np.isfinite(obj).all():
-            arrays.append(obj.tolist())  # plain finite floats: repr is json's form
+            arrays.append(obj)  # finite floats: repr is json's form
             return f"\0{len(arrays) - 1}"
         return [_jsonable(v, arrays) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):

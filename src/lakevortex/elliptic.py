@@ -7,6 +7,10 @@ Faces cut by the curved boundary keep the matrix symmetric: the Dirichlet
 value enters through a shortened arm of length theta*h (linear-extrapolation
 ghost treatment), which preserves the M-matrix property and restores
 second-order accuracy that a staircase mask would destroy.
+
+A is assembled in CSR, where the residual product A x is a row gather, and
+SuperLU factors its free CSC view A^T, whose transposed solve answers A x = b
+for any A; the symmetry only makes that factor the same bits as A's.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .geometry import Lake, green_disk_grid
@@ -48,7 +52,7 @@ class OperatorHandle:
     """Assembled weighted operator with a cached sparse factorization."""
 
     lake: Lake
-    matrix: csc_matrix
+    matrix: csr_matrix
     lu: object
     cut_rows: np.ndarray      # interior cell index per cut face
     cut_coeffs: np.ndarray    # c/(theta*h^2) per cut face
@@ -62,11 +66,11 @@ class OperatorHandle:
         norm = np.linalg.norm(rhs)  # screens; a finite field's norm may still overflow
         if not np.isfinite(norm) and not np.isfinite(rhs).all():
             raise ValueError("field contains non-finite values")
-        # A is exactly symmetric, so A^T x = b is the same system, and
-        # SuperLU's transposed solve is the faster one (4.7 against 5.7 ms at 257^2)
+        # lu factors A^T, so its transposed solve answers A x = b; it is also
+        # SuperLU's faster solve (4.7 against 5.7 ms at 257^2)
         sol = self.lu.solve(rhs, "T")
         if norm > 0.0:
-            res = self.matrix @ sol  # the residual of A x = b: an A that lost symmetry fails here
+            res = self.matrix @ sol  # the residual of A x = b: a factor of another A fails here
             res -= rhs
             res = np.linalg.norm(res) / norm
             if not np.isfinite(res) or res > RESIDUAL_TOL:
@@ -126,13 +130,13 @@ def assemble_operator(lake: Lake) -> OperatorHandle:
     rows_i.append(np.arange(n))
     cols_i.append(np.arange(n))
     vals.append(diag)
-    matrix = csc_matrix((np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_i))),
+    matrix = csr_matrix((np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_i))),
                         shape=(n, n))
     try:
         # exactly symmetric: minimum degree on A^T + A halves the fill of COLAMD.
         # The 5-point stencil's supernodes are tiny: one-column panels factor
         # 257^2 in 186 ms instead of 259 (x86-64), with the same ordering and fill
-        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(matrix.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"operator factorization failed: {exc}") from exc
@@ -208,9 +212,10 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
     """Per-boundary-cell flux values for a named preset.
 
     'zero' and 'cosine' are analytic; 'custom' interpolates (angle, value)
-    pairs periodically.  The cosine and custom fluxes are mean-corrected in
-    the trace quadrature so the compatibility condition holds to rounding,
-    and the correction magnitude is logged.
+    pairs periodically, one per direction (angle mod 2 pi).  The cosine and
+    custom fluxes are mean-corrected in the trace quadrature so the
+    compatibility condition holds to rounding, and the correction magnitude
+    is logged.
     """
     trace = lake.boundary
     if name == "zero":
@@ -224,9 +229,11 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
             raise ValueError("custom flux needs finite (angle, value) pairs")
-        order = np.argsort(pts[:, 0])
-        ang = pts[order, 0]
-        val = pts[order, 1]
+        ang = np.mod(pts[:, 0], 2.0 * np.pi)  # directions, so -1 and 2 pi - 1 agree
+        order = np.argsort(ang)
+        ang, val = ang[order], pts[order, 1]
+        if (np.diff(ang) == 0.0).any():
+            raise ValueError("custom flux has two points at one direction")
         theta = trace.params / lake.domain.perimeter() * 2.0 * np.pi
         ang_ext = np.concatenate([ang, [ang[0] + 2.0 * np.pi]])
         val_ext = np.concatenate([val, [val[0]]])

@@ -7,8 +7,8 @@ linearized subproblem exactly, whose solution is the capped level-set
 ("bathtub") profile zeta = min((delta/eps^2) f(psi_free - mu), cap) with the
 multiplier mu found exactly from the sorted levels of psi_free and the prefix
 sums of their weights.  Convexity of E_q makes every step an ascent step.
-Each step's bathtub starts its search from the size of the previous
-step's support and keeps the support it filled, so the step's bookkeeping
+Each step's bathtub starts its search from the candidate cells the previous
+step's carried and keeps the support it filled, so the step's bookkeeping
 stays on the support.
 In the tail, where the support stops changing, steps start from an Anderson
 mix of the last two outputs and are kept only if the energy does not fall.
@@ -154,73 +154,84 @@ def energy(lake: Lake, q: np.ndarray, params: AdmissibleParams,
 
 class Rearrangement(NamedTuple):
     """One bathtub output: the multiplier, the field, the cells with zeta > 0
-    in index order, and how many candidate cells were sorted to find them."""
+    in index order, and the candidates the next call starts from: the cells
+    down to the highest level whose mass reaches the target, in level order."""
 
     mu: float
     zeta: np.ndarray
     support: np.ndarray
-    candidates: int
+    candidates: np.ndarray
 
 
 def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
-            psi_free: np.ndarray, size: int = 0) -> Rearrangement:
+            psi_free: np.ndarray, cells=()) -> Rearrangement:
     """zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass, with its mu.
 
-    Only a candidate set of the highest levels is sorted: the top k cells,
-    ordered by level and, at equal levels, by cell index, with t the lowest
-    level among them.  Every cell above t is a candidate, so the mass at t is
-    exact from the candidates alone; once it reaches the target, mu >= t and
-    the support lies inside the set.  Otherwise k grows fourfold, up to every
-    cell.  Over the sorted levels with prefix sums W of nu, the cells above
-    mu + f_inv(lam) weigh cap*W and f is evaluated on the band below them only.
-    A search over the levels finds the segment holding the target and
-    bisection finds mu in it; a target inside the jump of f at 0+ at a level
-    sets mu to it and fills the cells exactly at that level by a fraction.
+    Only a candidate set of the highest levels is sorted, by level and, at
+    equal levels, by cell index, with t the lowest level among them.  Every
+    cell above t is a candidate, so the mass at t is exact from the
+    candidates alone; once it reaches the target, mu >= t and the support
+    lies inside the set.  Otherwise the set is the top cells of a rung that
+    grows fourfold, up to every cell.  Over the sorted levels with prefix
+    sums W of nu, the cells above mu + f_inv(lam) weigh cap*W and f is
+    evaluated on the band below them only, once per level of a set.  A search
+    over the levels finds the segment holding the target and bisection finds
+    mu in it; a target inside the jump of f at 0+ at a level sets mu to it
+    and fills the cells exactly at that level by a fraction.
 
-    size, the support size of the output for a nearby psi_free (the previous
-    fixed-point step's, or the seed patch's), only moves where the work
-    begins: the first rung holds 2 size + 1 cells, and the level search
-    gallops out from level size before it bisects.  The cells above any
-    level, their order and so every mass evaluated do not depend on k, and
-    the search ends at the same segment from any size, so mu and zeta are the
-    same bits for every size.
+    cells, the candidates of the output for a nearby psi_free (the previous
+    fixed-point step's) or the seed patch's support, only moves where the
+    work begins: the first set is every cell at or above the lowest level
+    among cells, found by one comparison and already in index order; the
+    first rung holds 2 len(cells) + 1 cells, and the level search gallops
+    out from level len(cells) before it bisects.  The cells above any level,
+    their order and so every mass evaluated do not depend on the set, and
+    the search ends at the same segment from any start, so mu and zeta are
+    the same bits for every cells.
     """
     params.check_nonempty(lake, vf)
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
     reach = float(vf.f_inv(params.lam))  # psi - mu beyond which a cell is capped
     nu_all, n = lake.nu_weights, len(psi_free)
 
-    # the closures read the sorted candidate set of the current rung
+    # the closures read the sorted candidate set in hand
     def count_above(t: float, side: str = "left") -> int:
         return int(np.searchsorted(neg_levels, -t, side))
 
-    def band(mu: float):
+    def band(mu: float):  # the mass at mu, and the band's bounds and values
         k_cap, k_sup = count_above(mu + reach), count_above(mu)
-        return k_cap, k_sup, np.minimum(scale * vf.f(levels[k_cap:k_sup] - mu), cap)
+        values = np.minimum(scale * vf.f(levels[k_cap:k_sup] - mu), cap)
+        mass = cap * prefix[k_cap] + float(np.dot(values, nuw[k_cap:k_sup]))
+        return mass, (k_cap, k_sup, values)
 
-    def mass_at(mu: float) -> float:
-        k_cap, k_sup, values = band(mu)
-        return cap * prefix[k_cap] + float(np.dot(values, nuw[k_cap:k_sup]))
+    def at_level(j: int):  # band(levels[j]), once per candidate set
+        if j not in memo:
+            memo[j] = band(float(levels[j]))
+        return memo[j]
 
     def reaches(j: int) -> bool:
-        return mass_at(float(levels[j])) >= target
+        return at_level(j)[0] >= target
 
-    k = min(n, 2 * size + 1)
+    cand = np.flatnonzero(psi_free >= psi_free[cells].min()) if len(cells) else None
+    rung = min(n, 2 * len(cells) + 1)  # the top cells taken if that set falls short
     while True:
-        order = np.argpartition(psi_free, n - k)[n - k:]
-        order.sort()  # ties in index order, whatever k is
-        order = order[np.argsort(-psi_free[order], kind="stable")]
+        if cand is None:
+            cand = np.argpartition(psi_free, n - rung)[n - rung:]
+            cand.sort()  # ties in index order, whatever the rung
+            rung = min(n, 4 * rung)
+        order = cand[np.argsort(-psi_free[cand], kind="stable")]
         levels = psi_free[order]
         neg_levels = -levels  # ascending, for searchsorted
         nuw = nu_all[order]
         prefix = np.concatenate(([0.0], np.cumsum(nuw)))
+        memo, k = {}, len(order)
         if k == n or reaches(k - 1):
             break
-        k = min(n, 4 * k)
+        cand = None
 
     # smallest j with mass(levels[j]) >= target (j = n: all capped, the bracket bottom)
     lo, hi = 0, k  # mass(levels[0]) = 0 < target
-    j, step = min(max(size, 1), k - 1), 1  # steps double until one crosses the bracket it made
+    j, step = min(max(len(cells), 1), k - 1), 1  # steps double until one crosses its bracket
     while lo < j < hi:
         lo, hi, j = (lo, j, j - step) if reaches(j) else (j, hi, j + step)
         step *= 2
@@ -232,25 +243,26 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
 
     tie_lo, tie_hi = count_above(upper), count_above(upper, "right")
     jump_value = scale * vf.f_at_zero_plus
-    deficit = target - mass_at(upper)
+    deficit = target - at_level(lo)[0]
     tie_capacity = jump_value * (prefix[tie_hi] - prefix[tie_lo])
     if deficit <= tie_capacity:  # the target sits inside the jump at upper
         mu, fill = upper, deficit / tie_capacity
     else:  # largest mu with mass(mu) >= target, to float resolution
         mu, fill, above = lower, 0.0, upper
         while mu < (mid := 0.5 * (mu + above)) < above:
-            mu, above = (mid, above) if mass_at(mid) >= target else (mu, mid)
+            mu, above = (mid, above) if band(mid)[0] >= target else (mu, mid)
+    k_cap, k_sup, values = (at_level(lo) if mu == upper else band(mu))[1]
 
-    k_cap, k_sup, values = band(mu)
     zeta = np.zeros(n)
     zeta[order[:k_cap]] = cap
     zeta[order[k_cap:k_sup]] = values
     zeta[order[tie_lo:tie_hi]] += fill * jump_value
-    error = float(np.dot(zeta, nu_all)) - target
+    filled = order[:tie_hi if fill > 0.0 else k_sup]  # zeta is 0 elsewhere
+    error = float(np.dot(zeta[filled], nuw[:len(filled)])) - target
     if abs(error) > MASS_TOL_REL * target:
         raise AdmissibilityError(f"bathtub missed the mass target by {error:.3e}")
-    support = np.sort(order[:tie_hi if fill > 0.0 else k_sup])
-    return Rearrangement(mu, zeta, support[zeta[support] != 0.0], k)
+    support = np.sort(filled)
+    return Rearrangement(mu, zeta, support[zeta[support] != 0.0], order[:hi + 1])
 
 
 def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
@@ -287,14 +299,14 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
     return zeta
 
 
-def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray, size: int = 0):
+def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray, cells=()):
     """One linearize-and-rearrange step from zeta, given k_zeta = K zeta: (the
     bathtub output, K of its field, its energy, weighted L1 norm of its change
-    from zeta).  size is the previous support's size, where the bathtub
-    begins its work.  The energy never decreases."""
+    from zeta).  cells are the previous output's candidates, where the
+    bathtub begins its work.  The energy never decreases."""
     # no n-sized array outlives its use: psi_free is freed before apply_K and
     # the residual reuses its difference (peak RSS 0.4-1.1 MB lower at 257^2)
-    new = bathtub(ctx.lake, ctx.params, ctx.vf, k_zeta + ctx.q, size)
+    new = bathtub(ctx.lake, ctx.params, ctx.vf, k_zeta + ctx.q, cells)
     k_new = apply_K(ctx.handle, new.zeta)
     e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, new.zeta, k_new, new.support)
     change = new.zeta - zeta
@@ -309,10 +321,11 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     iteration stops when the weighted L1 difference between a step's output
     and its input drops below FP_TOL_REL * kappa0 * delta, or after MAX_ITERS
     steps with the best state and converged=False.  Each step's bathtub starts
-    from the size of the last accepted support, the first from the seed
-    patch's (or init field's) nonzero count.  With -v, every step
+    from the candidate cells of the last accepted output, the first from the
+    seed patch's (or init field's) support, so a step partitions the full
+    grid only when those cells fall short of the target.  With -v, every step
     logs one DEBUG line: its index, E, residual, mu, support size and the
-    bathtub's candidate-set size.
+    number of candidates it carries to the next step.
 
     Once two consecutive outputs share their support and capped cells, the
     map is one fixed contraction on that support.  From then on, while the
@@ -351,10 +364,11 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
             zeta_in[support] = x
         else:
             zeta_in, k_x = zeta, k
-        new, k_new, e_new, r_new = iterate_step(ctx, zeta_in, k_x, len(support))
+        new, k_new, e_new, r_new = iterate_step(ctx, zeta_in, k_x,
+                                               support if last is None else last.candidates)
         discard = mixed and e_new.total < trace[-1] - ENERGY_RTOL * abs(trace[-1])
         log.debug("step %d: E=%.17g residual=%.3e mu=%.17g support=%d candidates=%d%s",
-                  len(trace), e_new.total, r_new, new.mu, len(new.support), new.candidates,
+                  len(trace), e_new.total, r_new, new.mu, len(new.support), len(new.candidates),
                   " (mixed, discarded)" if discard else " (mixed)" if mixed else "")
         if discard:
             history = []
@@ -501,24 +515,6 @@ def oracle_gap_bound(lake: Lake, q: np.ndarray, params: AdmissibleParams,
 # distributional steadiness
 
 
-def _bump(p: np.ndarray, center, radius: float):
-    """Smooth compactly supported bump and its analytic gradient at points p."""
-    dx = p[:, 0] - center[0]
-    dy = p[:, 1] - center[1]
-    r2 = (dx * dx + dy * dy) / radius**2
-    inside = r2 < 1.0 - 1e-12
-    phi = np.zeros(len(p))
-    gx = np.zeros(len(p))
-    gy = np.zeros(len(p))
-    u = r2[inside]
-    e = np.exp(1.0 - 1.0 / (1.0 - u))
-    phi[inside] = e
-    dphi = -e / (1.0 - u) ** 2  # d phi / d r2
-    gx[inside] = dphi * 2.0 * dx[inside] / radius**2
-    gy[inside] = dphi * 2.0 * dy[inside] / radius**2
-    return phi, gx, gy
-
-
 def _test_field_family(center):
     """Deterministic family of smooth compactly supported test fields."""
     offsets = [(0.0, 0.0), (0.12, 0.0), (-0.12, 0.0), (0.0, 0.12), (0.0, -0.12)]
@@ -532,37 +528,55 @@ def _test_field_family(center):
     return fields
 
 
+def _test_gradient(p: np.ndarray, kind: str, center, radius: float):
+    """Analytic gradient at points p of a smooth bump compactly supported on
+    the disc, or of the bump times x - c_x ('xbump') or y - c_y ('ybump')."""
+    dx = p[:, 0] - center[0]
+    dy = p[:, 1] - center[1]
+    r2 = (dx * dx + dy * dy) / radius**2
+    inside = r2 < 1.0 - 1e-12
+    phi, gx, gy = np.zeros((3, len(p)))
+    u = r2[inside]
+    e = np.exp(1.0 - 1.0 / (1.0 - u))
+    phi[inside] = e
+    dphi = -e / (1.0 - u) ** 2  # d phi / d r2
+    gx[inside] = dphi * 2.0 * dx[inside] / radius**2
+    gy[inside] = dphi * 2.0 * dy[inside] / radius**2
+    if kind == "xbump":
+        return phi + dx * gx, dx * gy
+    if kind == "ybump":
+        return dy * gx, phi + dy * gy
+    return gx, gy
+
+
 def steady_residual(lake: Lake, state: SolveState) -> float:
     """Weak-form steadiness defect max_phi |sum zeta * rot(psi) . grad(phi) h^2|
     normalized by the plain L1 mass of zeta and max |grad phi|.
 
     rot(psi) = (d2 psi, -d1 psi) is evaluated by centered differences (one-
     sided at mask edges); the test fields are smooth bumps and coordinate-
-    modulated bumps near the vorticity core.
+    modulated bumps near the vorticity core.  The sum runs over the support,
+    where zeta > 0, and max |grad phi| over the cells in the square around
+    the test field's disc, outside which grad phi vanishes.
     """
     zeta = state.zeta
     mass_plain = float(zeta.sum()) * lake.cell_area
     if mass_plain <= 0.0:
         return 0.0
+    support = np.flatnonzero(zeta)
     psi_grid = lake.field_to_grid(state.psi_total, fill=np.nan)
-    dpsi_dx = _masked_gradient(psi_grid, lake.h, axis=1)
-    dpsi_dy = _masked_gradient(psi_grid, lake.h, axis=0)
-    rot_x = dpsi_dy[lake.mask]
-    rot_y = -dpsi_dx[lake.mask]
+    rot_x = _masked_gradient(psi_grid, lake.h, axis=0)[lake.mask][support]
+    rot_y = -_masked_gradient(psi_grid, lake.h, axis=1)[lake.mask][support]
 
-    wz = zeta * lake.cell_area
+    wz = zeta[support] * lake.cell_area
     worst = 0.0
     for kind, c, rad in _test_field_family(vorticity_center(lake, zeta)):
-        phi, gx, gy = _bump(lake.centers, c, rad)
-        if kind == "xbump":
-            sx = lake.centers[:, 0] - c[0]
-            gx, gy = phi + sx * gx, sx * gy
-        elif kind == "ybump":
-            sy = lake.centers[:, 1] - c[1]
-            gx, gy = sy * gx, phi + sy * gy
-        gnorm = float(np.hypot(gx, gy).max())
+        near = lake.index[np.ix_(np.abs(lake.ys - c[1]) <= rad, np.abs(lake.xs - c[0]) <= rad)]
+        gx, gy = _test_gradient(lake.centers[near[near >= 0]], kind, c, rad)
+        gnorm = float(np.hypot(gx, gy).max(initial=0.0))
         if gnorm <= 0.0:
             continue
+        gx, gy = _test_gradient(lake.centers[support], kind, c, rad)
         integral = float(np.dot(wz, rot_x * gx + rot_y * gy))
         worst = max(worst, abs(integral) / (mass_plain * gnorm))
     return worst

@@ -6,12 +6,15 @@ each vanishing-rate regime uses its bundled flux amplitude (0.02 / 0.02 /
 0.15).  Run with `pytest tests/test_acceptance.py -v -s`.  The file also
 holds the differential tests of the candidate-set bathtub against the frozen
 full-sort bathtub on every regression state, of the bathtub started from
-support sizes 0, 1, s and n against the frozen cold-started one on every
-regression state, of the mixed iteration against the frozen plain loop from
+no cells, unrelated cells, the support, carried candidates and every cell
+against the frozen cold-started one on every regression state, of the mixed iteration against the frozen plain loop from
 the same seeds, of the seed patch against its frozen per-cell loop on every
 bundled seed, a count of the cells the bathtub passes to f on a 257^2 state,
-a count of the argpartitions and f calls of a bathtub call per start size,
-a count of the argpartitions over a 129^2 solve, and a check of the support
+a count of the argpartitions and f calls of a bathtub call per start,
+a count of the argpartitions and repeated f levels over a 129^2 solve, a
+check of every step of that solve against the cold-started bathtub, a
+check of the steadiness defect against its frozen all-cell version on every
+regression state, and a check of the support
 diameter and lake connectivity against their frozen Qhull and ndimage
 versions on every regression state.
 """
@@ -24,6 +27,7 @@ import time
 import numpy as np
 import pytest
 import scipy_geometry_reference as scipy_ref
+import steady_residual_reference
 from cold_bathtub_reference import bathtub as cold_bathtub
 from plain_iteration_reference import initial_patch_loop
 from plain_iteration_reference import solve_vortex as plain_solve_vortex
@@ -260,93 +264,151 @@ def power_state_129(critical_state_129):
     return lake, state
 
 
-def _rungs(first: int, last: int, n: int) -> int:
-    """The candidate rungs from a first rung of first cells to one of last:
-    each holds four times the cells of the one before, up to n."""
-    rungs, k = 1, first
-    while k < last:
-        rungs, k = rungs + 1, min(n, 4 * k)
-    return rungs
+def _starts(state, psi_free, n: int) -> dict:
+    """Carried-cell starts for the bathtub on the next problem of state: none,
+    an unrelated set (the lowest levels), a random set, the state's support,
+    the candidates a call on that problem carries, and every cell."""
+    rng = np.random.default_rng(n)
+    return {"empty": (), "lowest": np.argsort(psi_free, kind="stable")[:50],
+            "random": np.sort(rng.choice(n, 50, replace=False)),
+            "support": np.flatnonzero(state.zeta),
+            "carried": bathtub(state.ctx.lake, state.ctx.params, state.ctx.vf,
+                               psi_free).candidates,
+            "all": np.arange(n)}
+
+
+def _same_as_cold(warm, cold, psi_free) -> None:
+    """warm has the frozen cold call's mu and zeta bit for bit, returns the
+    support of zeta, and carries the top candidates, support included."""
+    assert warm.mu == cold.mu
+    assert np.array_equal(warm.zeta, cold.zeta)
+    assert np.array_equal(warm.support, np.flatnonzero(warm.zeta))
+    levels = psi_free[warm.candidates]
+    assert (np.diff(levels) <= 0.0).all()
+    assert np.isin(warm.support, warm.candidates).all()
 
 
 def test_warm_bathtub_matches_cold_bit_for_bit(regression_states, power_state_129):
     """On the next linearized problem of every regression state and of a
-    power-f state, the bathtub started from support size 0, 1, the state's
-    own s or every cell n gives the frozen cold-started call's mu and zeta
-    bit for bit, and the support it returns is that of zeta."""
+    power-f state, the bathtub started from no cells, unrelated cells (the
+    fallback to rungs), the state's support, carried candidates or every
+    cell gives the frozen cold-started call's mu and zeta bit for bit, and
+    carries the same candidates from every start."""
     assert len(regression_states) == 23
     for lake, state in regression_states + [power_state_129]:
         ctx = state.ctx
         psi_free = state.k_zeta + ctx.q
         cold = cold_bathtub(lake, ctx.params, ctx.vf, psi_free)
         assert np.array_equal(cold.support, np.flatnonzero(cold.zeta))
-        n = lake.n_cells
-        for size in (0, 1, np.count_nonzero(state.zeta), n):
-            warm = bathtub(lake, ctx.params, ctx.vf, psi_free, size)
-            assert warm.mu == cold.mu
-            assert np.array_equal(warm.zeta, cold.zeta)
-            assert np.array_equal(warm.support, np.flatnonzero(warm.zeta))
-            # the first rung holds 2 size + 1 cells and grows fourfold
-            assert warm.candidates in {min(n, (2 * size + 1) * 4**i) for i in range(12)}
+        carried = None
+        for cells in _starts(state, psi_free, lake.n_cells).values():
+            warm = bathtub(lake, ctx.params, ctx.vf, psi_free, cells)
+            _same_as_cold(warm, cold, psi_free)
+            carried = warm.candidates if carried is None else carried
+            assert np.array_equal(warm.candidates, carried)
 
 
-def test_warm_bathtub_sorts_once_and_calls_f_less(critical_state_129, monkeypatch):
-    """On the 129^2 critical state, the bathtub started from support size 0,
-    1, the state's own s or n takes one argpartition per candidate rung:
-    one from s and from n.  From s it calls f less often than the frozen
-    cold-started call."""
-    lake, _, q, params, state = critical_state_129
-    vf = state.ctx.vf
-    counts = {"argpartition": 0, "f": 0}
-    argpartition, f = np.argpartition, VorticityFunction.f
-
-    def counting_argpartition(*args, **kwargs):
-        counts["argpartition"] += 1
-        return argpartition(*args, **kwargs)
-
-    def counting_f(self, s):
-        counts["f"] += 1
-        return f(self, s)
-
-    monkeypatch.setattr(np, "argpartition", counting_argpartition)
-    monkeypatch.setattr(VorticityFunction, "f", counting_f)
-    psi_free = state.k_zeta + q
-    cold_bathtub(lake, params, vf, psi_free)
-    cold = dict(counts)
-    s, n = np.count_nonzero(state.zeta), lake.n_cells
-    for size in (0, 1, s, n):
-        counts.update(argpartition=0, f=0)
-        warm = bathtub(lake, params, vf, psi_free, size)
-        assert counts["argpartition"] == _rungs(min(n, 2 * size + 1), warm.candidates, n)
-        if size in (s, n):
-            assert counts["argpartition"] == 1
-        if size == s:
-            assert counts["argpartition"] < cold["argpartition"]
-            assert counts["f"] < cold["f"]
-
-
-def test_solve_takes_one_argpartition_per_bathtub_call(critical_state_129, monkeypatch):
-    """Over the 129^2 critical solve, every bathtub call sorts one candidate
-    rung: the first step starts from the seed patch's support size."""
+def test_every_step_of_the_solve_matches_cold_bit_for_bit(critical_state_129, monkeypatch):
+    """Every bathtub call of the 129^2 critical solve, from the cells the
+    solve carries, from no cells and from unrelated cells, against the frozen
+    cold-started call, bit for bit."""
     import lakevortex.variational as variational
 
     lake, handle, q, params, state = critical_state_129
-    counts = {"argpartition": 0, "bathtub": 0}
-    argpartition, live_bathtub = np.argpartition, variational.bathtub
+    live_bathtub, calls = variational.bathtub, []
 
-    def counting_argpartition(*args, **kwargs):
-        counts["argpartition"] += 1
-        return argpartition(*args, **kwargs)
+    def checked_bathtub(lake, params, vf, psi_free, cells=()):
+        warm = live_bathtub(lake, params, vf, psi_free, cells)
+        cold = cold_bathtub(lake, params, vf, psi_free)
+        _same_as_cold(warm, cold, psi_free)
+        for start in ((), np.argsort(psi_free, kind="stable")[:50]):
+            _same_as_cold(live_bathtub(lake, params, vf, psi_free, start), cold, psi_free)
+        calls.append(len(cells))
+        return warm
+
+    monkeypatch.setattr(variational, "bathtub", checked_bathtub)
+    again = solve_vortex(lake, q, params, state.ctx.vf, init=(0.0, 0.28), handle=handle)
+    assert len(calls) == again.iterations == state.iterations
+    assert np.array_equal(again.zeta, state.zeta) and again.mu == state.mu
+    assert min(calls) > 0  # every step starts from carried cells
+
+
+class _Counts:
+    """Counts the full-grid argpartitions and the f calls of each bathtub
+    call, and the levels at which f was evaluated twice in one call."""
+
+    def __init__(self, monkeypatch):
+        self.argpartition = self.f = self.repeats = 0
+        self.seen = set()
+        argpartition, f = np.argpartition, VorticityFunction.f
+
+        def counting_argpartition(a, *args, **kwargs):
+            self.argpartition += 1
+            return argpartition(a, *args, **kwargs)
+
+        def counting_f(vf, s):
+            self.f += 1
+            key = np.asarray(s).tobytes()
+            self.repeats += bool(key) and key in self.seen  # an empty band repeats freely
+            self.seen.add(key)
+            return f(vf, s)
+
+        monkeypatch.setattr(np, "argpartition", counting_argpartition)
+        monkeypatch.setattr(VorticityFunction, "f", counting_f)
+
+    def reset(self) -> None:
+        self.argpartition = self.f = self.repeats = 0
+        self.seen.clear()
+
+
+def test_warm_bathtub_sorts_once_and_calls_f_less(critical_state_129, monkeypatch):
+    """On the 129^2 critical state, the bathtub started from the candidates
+    it carries, or from every cell, partitions nothing; from no cells it
+    partitions once per rung.  From the carried candidates it calls f less
+    often than the frozen cold-started call.  Within one candidate set no
+    level is evaluated twice: a start that sorts one set repeats none."""
+    lake, _, q, params, state = critical_state_129
+    vf = state.ctx.vf
+    psi_free = state.k_zeta + q
+    starts = _starts(state, psi_free, lake.n_cells)
+    counts = _Counts(monkeypatch)
+    cold_bathtub(lake, params, vf, psi_free)
+    cold_f = counts.f
+    for name, cells in starts.items():
+        counts.reset()
+        warm = bathtub(lake, params, vf, psi_free, cells)
+        if name in ("carried", "all"):
+            assert counts.argpartition == 0 and counts.repeats == 0
+        if name == "empty":
+            assert counts.argpartition >= 1
+        if name == "carried":
+            assert counts.f < cold_f
+            assert len(warm.candidates) <= 2 * len(warm.support)
+
+
+def test_solve_partitions_the_grid_only_in_its_first_step(critical_state_129, monkeypatch):
+    """Over the 129^2 critical solve only the first bathtub call, which
+    starts from the seed patch's support, may partition the full grid; every
+    later call starts from the candidates the one before carried, sorts that
+    one set and evaluates f at no level twice."""
+    import lakevortex.variational as variational
+
+    lake, handle, q, params, state = critical_state_129
+    counts = _Counts(monkeypatch)
+    live_bathtub, partitions, repeats = variational.bathtub, [], []
 
     def counting_bathtub(*args, **kwargs):
-        counts["bathtub"] += 1
-        return live_bathtub(*args, **kwargs)
+        counts.reset()
+        out = live_bathtub(*args, **kwargs)
+        partitions.append(counts.argpartition)
+        repeats.append(counts.repeats)
+        return out
 
-    monkeypatch.setattr(np, "argpartition", counting_argpartition)
     monkeypatch.setattr(variational, "bathtub", counting_bathtub)
     again = solve_vortex(lake, q, params, state.ctx.vf, init=(0.0, 0.28), handle=handle)
-    assert again.iterations == state.iterations == counts["bathtub"]
-    assert counts["argpartition"] == counts["bathtub"]
+    assert again.iterations == state.iterations == len(partitions)
+    assert partitions[0] <= 1 and not any(partitions[1:])
+    assert not any(repeats[1:])
 
 
 def _regression_seeds(regime_reports) -> list:
@@ -478,6 +540,16 @@ def test_criterion_9_steadiness(critical_state_129, regime_reports, acceptance_r
     acceptance_report("9 steadiness refinement", ok,
             f"residual {coarse:.3e} -> {fine:.3e}, factor {factor:.2f} (>=1.5)")
     assert ok
+
+
+def test_steady_residual_matches_frozen_all_cell_sum(regression_states):
+    """The steadiness defect over the support and the test fields' discs
+    against the frozen one over every cell, on every regression state."""
+    assert len(regression_states) == 23
+    for lake, state in regression_states:
+        frozen = steady_residual_reference.steady_residual(lake, state)
+        assert frozen > 0.0
+        assert steady_residual(lake, state) == pytest.approx(frozen, rel=1e-12, abs=0.0)
 
 
 def test_criterion_10_kernel_validation(acceptance_report):

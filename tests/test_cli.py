@@ -181,6 +181,7 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("solve", {"nonlinearity": {"preset": "power", "p": NAN}}),
     ("solve", {"seed": [0.0]}),
     ("solve", {"flux": {"preset": "custom", "points": [1.0, 2.0]}}),
+    ("solve", {"flux": {"preset": "custom", "points": [[-1.0, 1.0], [5.283185307179586, 0.0]]}}),
     ("sweep", {"seed": [0.0]}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=["x"])}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, NAN])}),
@@ -203,6 +204,7 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("solve", {"nonlinearity": {"preset": "jump_linear", "c": 0.5, "points": 5}}),
     ("solve", {"nonlinearity": {"preset": "power", "p": 2.0, "c": [1]}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
+        "flux-points-one-direction",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
@@ -517,6 +519,8 @@ def test_write_json_matches_value_by_value_walk(tmp_path):
         "nan_array": np.array([1.0, NAN, -2.5]),
         "inf_array": np.array([1.0, float("inf"), -float("inf")]),
         "nan_grid": with_nan,
+        "zero_array": np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, 5e-324]),
+        "zero_float32_array": np.array([-0.0, 0.0, 0.1], dtype=np.float32),
         "int_array": np.arange(-3, 4),
         "bool_array": np.array([True, False]),
         "nested": {"list": [1, 2.5, NAN, (3, "x"), [np.arange(3.0), {"z": None}]],

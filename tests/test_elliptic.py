@@ -6,8 +6,9 @@ import math
 import loop_assembly_reference as loop_ref
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_matrix
 
+from lakevortex import elliptic
 from lakevortex.elliptic import (
     CompatibilityError,
     SolverError,
@@ -123,8 +124,9 @@ def test_array_assembly_matches_frozen_loop():
 
 
 def test_operator_is_exactly_symmetric_and_transposed_solve_matches():
-    """OperatorHandle.solve uses SuperLU's transposed solve, which is the
-    plain solve only because the assembled matrix equals its transpose."""
+    """OperatorHandle.solve uses SuperLU's transposed solve with the factor
+    of A^T; its plain solve, of A^T x = b, agrees because the assembled
+    matrix equals its transpose."""
     rng = np.random.default_rng(3)
     for lake in _differential_lakes():
         handle = assemble_operator(lake)
@@ -308,17 +310,36 @@ def test_corrupted_solution_fails_residual_check(disk_const_64_handle):
             apply_K(corrupted, zeta)
 
 
+def _skewed(matrix):
+    """A copy of matrix with one off-diagonal entry scaled by 1.5: A != A^T."""
+    matrix = matrix.copy()
+    p = matrix.shape[0] // 2
+    assert matrix[p, p + 1] != 0.0
+    matrix[p, p + 1] *= 1.5
+    return matrix
+
+
 def test_operator_that_lost_symmetry_fails_residual_check(disk_const_64_handle):
-    # the solve is transposed, so only a residual taken against A itself
-    # tells A x = b from A^T x = b
+    # a factor that does not match the handle's matrix fails the residual,
+    # which is taken against the handle's A itself
     handle = disk_const_64_handle
-    matrix = handle.matrix.copy()
-    p, q = handle.lake.n_cells // 2, handle.lake.n_cells // 2 + 1
-    assert matrix[p, q] != 0.0
-    matrix[p, q] *= 1.5
-    skewed = dataclasses.replace(handle, matrix=matrix, lu=splu(matrix))
+    skewed = dataclasses.replace(handle, matrix=_skewed(handle.matrix))
     with pytest.raises(SolverError, match="residual"):
         apply_K(skewed, np.ones(handle.n))
+
+
+def test_assembled_operator_without_symmetry_solves_A_not_its_transpose(disk_const_64,
+                                                                       monkeypatch):
+    # the factor is of A^T and the solve transposed: that answers A x = b for
+    # any assembled A, not only for a symmetric one
+    monkeypatch.setattr(elliptic, "csr_matrix", lambda *a, **k: _skewed(csr_matrix(*a, **k)))
+    handle = assemble_operator(disk_const_64)
+    rhs = disk_const_64.b_int.copy()
+    x = apply_K(handle, np.ones(handle.n))
+    a = handle.matrix
+    assert (a != a.T).nnz == 2
+    assert np.linalg.norm(a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert np.linalg.norm(a.T @ x - rhs) > 1e-6 * np.linalg.norm(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +383,19 @@ def test_custom_flux_mean_corrected(disk_const_64):
     pts = [(0.0, 1.0), (math.pi / 2, 0.3), (math.pi, -0.2), (3 * math.pi / 2, 0.1)]
     nu = flux_preset(disk_const_64, "custom", points=pts)
     assert abs(flux_compatibility(disk_const_64, nu)) <= 1e-12
+
+
+def test_custom_flux_angles_are_directions():
+    # -1 and 2 pi - 1 name one direction: the flux between them interpolates
+    # periodically instead of taking the first point's value
+    lake = build_lake("disk_interior_max_b", 64)
+    negative = flux_preset(lake, "custom", points=[(-1.0, 1.0), (1.0, 0.0), (3.0, -1.0)])
+    wrapped = flux_preset(lake, "custom",
+                          points=[(TWO_PI - 1.0, 1.0), (1.0, 0.0), (3.0, -1.0)])
+    assert np.array_equal(negative, wrapped)
+    for duplicate in ([(0.0, 1.0), (TWO_PI, 0.0)], [(-1.0, 1.0), (TWO_PI - 1.0, 0.5)]):
+        with pytest.raises(ValueError, match="one direction"):
+            flux_preset(lake, "custom", points=duplicate)
 
 
 def test_flux_needs_matching_length(disk_const_64_handle):

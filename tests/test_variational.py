@@ -242,13 +242,14 @@ def _random_vf(family: str, rng) -> VorticityFunction:
     distinct=st.sampled_from([0, 1, 2, 3, 6]),  # 0: continuous levels, else ties
     lam_excess=st.floats(0.01, 10.0),
     log_fill=st.floats(-3.0, -0.02),  # log10 of target / (cap * |D|_nu)
-    size=st.integers(0, 300),
+    start=st.integers(0, 300),
 )
 def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinct,
-                                                   lam_excess, log_fill, size):
+                                                   lam_excess, log_fill, start):
     # few distinct levels put ties at the candidate floor and at the jump
     # level; a small lam gives a short reach, so the top cells are capped.
-    # A start from any support size gives the frozen cold-started call's bits.
+    # A start from any cells (none, random ones, or those a call on a nearby
+    # psi carries) gives the frozen cold-started call's bits.
     rng = np.random.default_rng(seed)
     vf = _random_vf(family, rng)
     lake = rect_lake(nx, ny, 0.1, depth=lambda x, y: rng.uniform(0.2, 2.0, x.shape))
@@ -266,9 +267,13 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
     cold = cold_bathtub(lake, params, vf, psi)
     mu, zeta = cold.mu, cold.zeta
     assert np.array_equal(cold.support, np.flatnonzero(zeta))
-    warm = bathtub(lake, params, vf, psi, size)
-    assert warm.mu == mu and np.array_equal(warm.zeta, zeta)
-    assert np.array_equal(warm.support, cold.support)
+    cells = rng.choice(lake.n_cells, min(start, lake.n_cells), replace=False)
+    nearby = psi + 1e-3 * spread * rng.standard_normal(lake.n_cells)
+    for cells in (cells, bathtub(lake, params, vf, nearby, cells).candidates):
+        warm = bathtub(lake, params, vf, psi, cells)
+        assert warm.mu == mu and np.array_equal(warm.zeta, zeta)
+        assert np.array_equal(warm.support, cold.support)
+        assert np.isin(warm.support, warm.candidates).all()
     tol = MASS_TOL_REL * params.target_mass
     assert mu == pytest.approx(mu_full, rel=1e-12, abs=1e-12 * spread)
     assert float(np.dot(np.abs(zeta - zeta_full), lake.nu_weights)) <= tol
@@ -281,7 +286,7 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
 def test_warm_bathtub_matches_cold_on_tied_levels(family):
     # thousands of cells share each of a few levels and weigh differently, so
     # the prefix sums depend on the order of tied cells: it must not depend
-    # on how many candidates a start size sorts
+    # on which candidates a start sorts
     vf = VorticityFunction(family, p=2.0, c=0.5)
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -292,8 +297,11 @@ def test_warm_bathtub_matches_cold_on_tied_levels(family):
         psi = rng.choice(np.linspace(0.0, 1.0, 7)[1:], lake.n_cells) \
             + 0.1 * rng.integers(0, 3, lake.n_cells)
         cold = cold_bathtub(lake, params, vf, psi)
-        for size in (0, 10, 100, 1000, 5000):
-            warm = bathtub(lake, params, vf, psi, size)
+        starts = [rng.choice(lake.n_cells, size, replace=False) for size in (0, 10, 100, 1000)]
+        starts += [cold.support, np.arange(lake.n_cells)]
+        starts.append(bathtub(lake, params, vf, psi, starts[0]).candidates)
+        for cells in starts:
+            warm = bathtub(lake, params, vf, psi, cells)
             assert warm.mu == cold.mu and np.array_equal(warm.zeta, cold.zeta)
 
 
