@@ -35,6 +35,9 @@ ETA_FLOOR = 0.2
 # radius of the ball around the target in which mass_frac is measured
 TARGET_RADIUS = 0.2
 
+# cells across its diameter a support needs for rescale_profile
+MIN_PROFILE_CELLS = 4
+
 DIAG_COLUMNS = (
     "eps", "delta", "diam_supp", "xc", "yc", "dist_boundary", "mu",
     "sup_K", "E_q", "F_eps", "E_total", "mass_frac", "radial_score",
@@ -89,16 +92,16 @@ def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
                     center, diam: float | None = None) -> Profile:
     """Sample the rescaled vorticity by bilinear interpolation around a center.
 
-    Requires the support to be resolved by at least 4 cells across its
-    diameter (support_diameter unless given); the local 64 x 64 grid spans
-    3 support radii and the radial profile has 24 bins.
+    Requires the support to be resolved by at least MIN_PROFILE_CELLS cells
+    across its diameter (support_diameter unless given); the local 64 x 64
+    grid spans 3 support radii and the radial profile has 24 bins.
     """
     if diam is None:
         diam = support_diameter(lake, zeta)
-    if diam < 4.0 * lake.h:
+    if diam < MIN_PROFILE_CELLS * lake.h:
         raise ValueError(
             f"support under-resolved: diameter {diam:.4g} spans "
-            f"{diam / lake.h:.1f} cells, need >= 4"
+            f"{diam / lake.h:.1f} cells, need >= {MIN_PROFILE_CELLS}"
         )
     center = np.asarray(center, dtype=float)
     half_width = 3.0 * (diam / 2.0) / params.eps
@@ -236,10 +239,9 @@ def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
     xc = vorticity_center(lake, state.zeta)
     sp = lake.centers[support_cells(lake, state.zeta)]
     diam = max_pairwise_distance(sp)
-    try:
+    score = float("nan")  # an under-resolved support has no profile
+    if diam >= MIN_PROFILE_CELLS * lake.h:
         score = radial_monotonicity_score(rescale_profile(lake, state.zeta, params, xc, diam))
-    except ValueError:
-        score = float("nan")
     anchor, supp_dist = xc, float("nan")
     if ties is not None:
         ties = np.asarray(ties, dtype=float)
@@ -323,12 +325,7 @@ def _nearest_tie(ties: np.ndarray, point) -> np.ndarray:
 def _depth_max_is_interior(lake: Lake) -> bool:
     """True when the deepest cell does not touch the mask boundary."""
     r, c = lake.cells[int(np.argmax(lake.b_int))]
-    ny, nx = lake.mask.shape
-    for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        rr, cc = r + dr, c + dc
-        if not (0 <= rr < ny and 0 <= cc < nx) or not lake.mask[rr, cc]:
-            return False
-    return True
+    return bool(lake.mask[[r, r, r + 1, r - 1], [c + 1, c - 1, c, c]].all())
 
 
 def _trend(first_dev: float, last_dev: float, tol: float) -> bool:

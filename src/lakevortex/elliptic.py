@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
-from .geometry import Lake, green_disk_grid
+from .geometry import Lake, green_disk_grid, periodic_interp
 
 log = logging.getLogger(__name__)
 
@@ -88,18 +88,14 @@ def assemble_operator(lake: Lake) -> OperatorHandle:
         raise SolverError("empty interior: nothing to assemble")
     h2 = lake.cell_area
     mask, index, b = lake.mask, lake.index, lake.b
-    ny, nx = mask.shape
     rows_i, cols_i, vals = [], [], []
     diag = np.zeros(n)
     cut_rows, cut_coeffs, cut_params = [], [], []
 
     for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-        src = (slice(max(di, 0), ny + min(di, 0)), slice(max(dj, 0), nx + min(dj, 0)))
-        dst = (slice(max(-di, 0), ny + min(-di, 0)), slice(max(-dj, 0), nx + min(-dj, 0)))
-        # cut faces: interior cell whose neighbor is outside the mask
-        # (cells at the grid edge keep cut=True, treating off-grid as outside)
-        cut = mask.copy()
-        cut[dst] &= ~mask[src]
+        # cut faces: interior cell whose neighbor is outside the mask; the
+        # roll wraps only the grid's edge cells, which the padding keeps outside
+        cut = mask & ~np.roll(mask, (-di, -dj), axis=(0, 1))
 
         # interior faces (each handled once, from the +x / +y sides)
         if (di, dj) in ((0, 1), (1, 0)):
@@ -118,9 +114,7 @@ def assemble_operator(lake: Lake) -> OperatorHandle:
         center = np.column_stack([lake.xs[c], lake.ys[r]])
         ghost = center + np.array([dj * lake.h, di * lake.h])
         theta = np.clip(lake.domain.cut_fraction(center, ghost), _THETA_MIN, 1.0)
-        # an off-grid neighbor clips back onto the cell itself, whose depth it takes
-        b_ghost = np.maximum(b[np.clip(r + di, 0, ny - 1), np.clip(c + dj, 0, nx - 1)],
-                             _B_FACE_MIN)
+        b_ghost = np.maximum(b[r + di, c + dj], _B_FACE_MIN)
         cf = 2.0 / (b[r, c] + b_ghost) / (theta * h2)
         diag[p] += cf
         cut_rows.append(p)
@@ -201,7 +195,8 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
     if not nu.any():
         return np.zeros(handle.n)
     q_bnd = circulation_potential(lake, nu)
-    dirichlet = lake.boundary.interp_values(handle.cut_params, q_bnd)
+    dirichlet = periodic_interp(handle.cut_params, lake.boundary.params, q_bnd,
+                                lake.boundary.perimeter)
     rhs = np.zeros(handle.n)
     np.add.at(rhs, handle.cut_rows, handle.cut_coeffs * dirichlet)
     return handle.solve(rhs)
@@ -220,8 +215,8 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
     trace = lake.boundary
     if name == "zero":
         return np.zeros(len(trace))
+    theta = trace.params / lake.domain.perimeter() * 2.0 * np.pi
     if name == "cosine":
-        theta = trace.params / lake.domain.perimeter() * 2.0 * np.pi
         nu = amplitude * np.cos(theta)
     elif name == "custom":
         if points is None or len(points) == 0:
@@ -234,11 +229,7 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
         ang, val = ang[order], pts[order, 1]
         if (np.diff(ang) == 0.0).any():
             raise ValueError("custom flux has two points at one direction")
-        theta = trace.params / lake.domain.perimeter() * 2.0 * np.pi
-        ang_ext = np.concatenate([ang, [ang[0] + 2.0 * np.pi]])
-        val_ext = np.concatenate([val, [val[0]]])
-        theta = np.where(theta < ang_ext[0], theta + 2.0 * np.pi, theta)
-        nu = amplitude * np.interp(theta, ang_ext, val_ext)
+        nu = amplitude * periodic_interp(theta, ang, val, 2.0 * np.pi)
     else:
         raise ValueError(f"unknown flux preset {name!r}")
     correction = flux_compatibility(lake, nu) / trace.weights.sum()

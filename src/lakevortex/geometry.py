@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -190,14 +188,15 @@ class BoundaryTrace:
     def __len__(self) -> int:
         return self.ij.shape[0]
 
-    def interp_values(self, params_query: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Periodic linear interpolation of per-cell boundary values."""
-        s = np.asarray(params_query, dtype=float) % self.perimeter
-        sp = np.concatenate([self.params, [self.params[0] + self.perimeter]])
-        vp = np.concatenate([values, [values[0]]])
-        # shift queries below the first knot into the wrap-around segment
-        s = np.where(s < sp[0], s + self.perimeter, s)
-        return np.interp(s, sp, vp)
+
+def periodic_interp(x, xp: np.ndarray, fp: np.ndarray, period: float) -> np.ndarray:
+    """Linear interpolation at x of the knots (xp, fp), xp increasing within
+    one period, extended with the given period."""
+    x = np.asarray(x, dtype=float) % period
+    xp_ext = np.concatenate([xp, [xp[0] + period]])
+    fp_ext = np.concatenate([fp, [fp[0]]])
+    # shift queries below the first knot into the wrap-around segment
+    return np.interp(np.where(x < xp[0], x + period, x), xp_ext, fp_ext)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +260,6 @@ class Lake:
         g = np.full(self.mask.shape, fill, dtype=float)
         g[self.mask] = u
         return g
-
-
-def _connected(mask: np.ndarray) -> bool:
-    """Whether the True cells of a 2-d mask form one 4-connected component.
-
-    The nodes are the row runs of True cells; runs on adjacent rows are joined
-    when their column ranges overlap."""
-    width = mask.shape[1] + 1
-    # flat indices into the (rows, width) steps where each run starts and stops
-    runs = np.flatnonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8)))
-    start, stop = runs[0::2], runs[1::2]
-    # the runs of the row above that overlap run r are lo[r] <= p < hi[r]
-    lo = np.searchsorted(stop, start - width, side="right")
-    hi = np.searchsorted(start, stop - width, side="left")
-    count = np.maximum(hi - lo, 0)
-    ptr = np.r_[0, np.cumsum(count)]
-    p = np.arange(ptr[-1]) - np.repeat(ptr[:-1] - lo, count)
-    graph = csr_matrix((np.ones(p.size), p, ptr), shape=(start.size,) * 2)
-    return connected_components(graph, directed=False, return_labels=False) == 1
 
 
 def _line_extremes(key: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -354,8 +334,7 @@ def _assemble_lake(preset: str, domain, xs: np.ndarray, ys: np.ndarray, h: float
     mask = domain.contains(np.stack([X, Y], axis=-1))
     if not mask.any():
         raise GeometryError("resolution too small: no interior cell")
-    if not _connected(mask):
-        raise GeometryError("interior mask is not connected")
+    # each mask row is one run, and adjacent rows overlap: connected by construction
     b_grid = np.maximum(np.asarray(depth(X, Y), dtype=float), 0.0)
     rows, cols = np.nonzero(mask)
     index = -np.ones(mask.shape, dtype=np.int64)

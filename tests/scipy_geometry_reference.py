@@ -1,22 +1,13 @@
-"""Frozen reference: the point-set diameter through Qhull's convex hull and the
-4-connectivity count through ``scipy.ndimage.label``, which
-``geometry.max_pairwise_distance`` and ``geometry._connected`` replaced with
-numpy and ``scipy.sparse.csgraph`` so that the package no longer imports
-``scipy.spatial`` or ``scipy.ndimage``.  Kept verbatim for the differential
-tests of the two.  Test-only code.
+"""Frozen reference: the point-set diameter through Qhull's convex hull, which
+``geometry.max_pairwise_distance`` replaced with numpy so that the package no
+longer imports ``scipy.spatial``.  Kept verbatim for the differential tests of
+the two.  Test-only code.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
-
-
-def _connected(mask: np.ndarray) -> bool:
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, count = ndimage.label(mask, structure=structure)
-    return count == 1
 
 
 def max_pairwise_distance(points: np.ndarray) -> float:

@@ -239,13 +239,11 @@ def test_bathtub_matches_frozen_full_sort(regression_states):
 
 def test_support_diameter_matches_frozen_qhull(regression_states):
     """The support diameter of every regression state, and each lake's
-    diameter and connectivity, against the frozen Qhull diameter and
-    ndimage label count, bit for bit."""
+    diameter, against the frozen Qhull diameter, bit for bit."""
     assert len(regression_states) == 23
     lakes = {id(lake): lake for lake, _ in regression_states}
     for lake in lakes.values():
         assert lake.diameter == scipy_ref.max_pairwise_distance(lake.centers)
-        assert geometry._connected(lake.mask) and scipy_ref._connected(lake.mask)
     for lake, state in regression_states:
         support = lake.centers[support_cells(lake, state.zeta)]
         assert len(support) > 16  # past the reference's brute-force cut-off

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lakevortex.asymptotics import (
+    MIN_PROFILE_CELLS,
     Profile,
     ScheduleError,
     delta_of_eps,
@@ -299,3 +300,31 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     with pytest.raises(TypeError, match="not a numerical failure"):
         run_sweep(lake, flux_preset(lake, "zero"), "critical", kappa0=1.0,
                   lam=50.0, eps_list=[0.2], vf=vf, handle=assemble_operator(lake))
+
+
+def test_sweep_propagates_value_errors_from_the_profile(monkeypatch):
+    # a resolved support always has a profile: an error there is a bug
+    import lakevortex.asymptotics as asymptotics
+
+    def broken(*args, **kwargs):
+        raise ValueError("not an under-resolved support")
+
+    monkeypatch.setattr(asymptotics, "rescale_profile", broken)
+    lake = build_lake("disk_interior_max_b", 32)
+    vf = VorticityFunction("jump_linear", c=0.5)
+    with pytest.raises(ValueError, match="not an under-resolved support"):
+        run_sweep(lake, flux_preset(lake, "zero"), "critical", kappa0=1.0,
+                  lam=50.0, eps_list=[0.2], vf=vf, handle=assemble_operator(lake))
+
+
+def test_sweep_scores_under_resolved_support_as_nan():
+    lake = build_lake("disk_interior_max_b", 32)
+    vf = VorticityFunction("jump_linear", c=0.5)
+    report = run_sweep(lake, flux_preset(lake, "zero"), "critical", kappa0=1.0,
+                       lam=50.0, eps_list=[0.2, 0.1], vf=vf, handle=assemble_operator(lake))
+    resolved, unresolved = report.rows
+    assert resolved.converged and unresolved.converged
+    assert resolved.diam_supp >= MIN_PROFILE_CELLS * lake.h
+    assert resolved.radial_score == 1.0
+    assert unresolved.diam_supp < MIN_PROFILE_CELLS * lake.h
+    assert math.isnan(unresolved.radial_score)

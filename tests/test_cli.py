@@ -541,12 +541,14 @@ def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, criti
     assert (tmp_path / "state.json").read_text() == text
 
 
-def test_cli_imports_neither_ndimage_nor_spatial():
-    """A fresh process that imports the CLI loads no scipy.ndimage or
-    scipy.spatial: the two cost about 9 MB of resident memory on every run."""
+def test_cli_imports_no_csgraph_ndimage_or_spatial():
+    """A fresh process that imports the CLI loads no scipy.sparse.csgraph,
+    scipy.ndimage or scipy.spatial: the last two cost about 9 MB of resident
+    memory on every run, and csgraph about 1 MB at import."""
     src = str(Path(lakevortex.__file__).resolve().parents[1])
+    prefixes = ("scipy.sparse.csgraph", "scipy.ndimage", "scipy.spatial")
     code = ("import lakevortex.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.ndimage', 'scipy.spatial'))))")
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)

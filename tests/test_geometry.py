@@ -62,15 +62,35 @@ def test_resolution_too_small_rejected():
         build_lake("disk_constant_b", 8)
 
 
+def _assert_connected_inside_grid(mask: np.ndarray) -> None:
+    """One 4-connected component, and no interior cell on the grid's edge."""
+    _, n_components = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    assert n_components == 1
+    assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any())
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_preset_invariants(preset):
-    lake = build_lake(preset, 32)
-    assert np.all(lake.b_int > 0.0)
-    assert lake.measure_nu > 0.0
-    # interior mask is 4-connected
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, n_components = ndimage.label(lake.mask, structure=structure)
-    assert n_components == 1
+    # build_lake does not check connectivity: its masks are connected by
+    # construction, on odd and even grids up to the cell budget
+    resolutions = [16, 17, 32, 33, 128, 129, 257]
+    if preset in ("disk_constant_b", "rect_constant_b"):
+        resolutions += [1023, 1024]
+    for resolution in resolutions:
+        lake = build_lake(preset, resolution)
+        assert np.all(lake.b_int > 0.0)
+        assert lake.measure_nu > 0.0
+        _assert_connected_inside_grid(lake.mask)
+
+
+@pytest.mark.parametrize("h", [0.1, 1.0 / 3.0, 2.0 / 129])
+def test_rect_lake_fills_its_grid_inside_one_cell_of_padding(h):
+    for nx in (1, 2, 3, 8, 29):
+        for ny in (1, 2, 5, 29):
+            lake = rect_lake(nx, ny, h)
+            assert lake.n_cells == nx * ny
+            assert lake.mask[1:-1, 1:-1].all()
+            _assert_connected_inside_grid(lake.mask)
 
 
 def test_diameter_matches_brute_force():
@@ -135,25 +155,12 @@ def test_diameter_in_blocks_matches_one_block(monkeypatch):
         assert geometry.max_pairwise_distance(points) == expect
 
 
-@settings(max_examples=500, deadline=None)
-@given(masks)
-def test_connected_matches_label_reference(mask):
-    assert geometry._connected(mask) == scipy_ref._connected(mask)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
-       st.booleans())
-def test_connected_rejects_blocks_joined_at_a_corner(a, b, c, d, flip):
-    # two filled blocks whose only contact is one diagonal corner
-    mask = np.zeros((a + c, b + d), dtype=bool)
-    mask[:a, :b] = True
-    mask[a:, b:] = True
-    mask = mask[:, ::-1] if flip else mask
-    assert not geometry._connected(mask)
-    assert not scipy_ref._connected(mask)
-    mask[a - 1, :] = True  # a shared row joins them through an edge
-    assert geometry._connected(mask)
+def test_periodic_interp_wraps_around_the_period():
+    xp, fp = np.array([1.0, 2.0, 4.0]), np.array([10.0, 20.0, 40.0])
+    x = np.array([1.0, 3.0, 0.5, -4.5, 5.5, 6.0, 4.5])
+    # 0.5, -4.5 and 5.5 are one point, on the segment from 4 to 1 + 5
+    expect = [10.0, 30.0, 17.5, 17.5, 17.5, 10.0, 32.5]
+    assert geometry.periodic_interp(x, xp, fp, 5.0) == pytest.approx(expect, rel=1e-15)
 
 
 def test_boundary_trace_ordering_and_weights(disk_const_64):

@@ -11,7 +11,8 @@ directory, as ``tools/bench_pairs.py`` does.  Each file in the checkout's
 the command taken from the file name's first word (``solve``, ``sweep``,
 ``oracle``, ``hypotheses``, ``kernel``) and BLAS on one thread.  The script
 compares each run's exit code, stdout and every output file, prints one line
-per config, lists the files that differ and exits 1 if any does.  Standard
+per config, lists the files that differ and exits 1 if any does.  It also
+prints the line count of ``src/lakevortex/*.py`` in both trees.  Standard
 library only.
 """
 
@@ -43,6 +44,11 @@ def run(tree: Path, config: Path, out: Path) -> dict:
     return {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, **outputs}
 
 
+def src_lines(tree: Path) -> int:
+    """Newlines in the package's modules, as ``wc -l src/lakevortex/*.py`` counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "lakevortex").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
@@ -52,6 +58,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
         extract(git("rev-parse", args.base), tmp / "base")
+        print(f"src/lakevortex/*.py: {src_lines(tmp / 'base')} lines in the base, "
+              f"{src_lines(ROOT)} in the checkout", flush=True)
         for config in sorted(CONFIGS.glob("*.json")):
             base = run(tmp / "base", config, tmp / "out" / "base" / config.stem)
             change = run(ROOT, config, tmp / "out" / "change" / config.stem)
