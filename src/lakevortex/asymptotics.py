@@ -72,32 +72,15 @@ def support_cells(lake: Lake, zeta: np.ndarray) -> np.ndarray:
     return zeta > 1e-12 * zmax
 
 
-def support_diameter(lake: Lake, zeta: np.ndarray) -> float:
-    """Max pairwise distance among active cell centers (0 if <= 1 cell)."""
-    return max_pairwise_distance(lake.centers[support_cells(lake, zeta)])
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Rescaled core profile xi(x) = (eps^2/delta) zeta(center + eps x) on a
-    local grid, with radial bin averages."""
-
-    grid: np.ndarray        # (res, res) rescaled samples
-    half_width: float       # local grid spans [-half_width, half_width]^2 (rescaled units)
-    bin_edges: np.ndarray
-    bin_means: np.ndarray   # NaN for empty bins
-
-
 def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
-                    center, diam: float | None = None) -> Profile:
-    """Sample the rescaled vorticity by bilinear interpolation around a center.
+                    center, diam: float) -> np.ndarray:
+    """Radial bin means of the rescaled vorticity xi(x) = (eps^2/delta)
+    zeta(center + eps x), sampled by bilinear interpolation (NaN for an empty bin).
 
-    Requires the support to be resolved by at least MIN_PROFILE_CELLS cells
-    across its diameter (support_diameter unless given); the local 64 x 64
-    grid spans 3 support radii and the radial profile has 24 bins.
+    Requires the support diameter diam to span at least MIN_PROFILE_CELLS
+    cells; the local 64 x 64 grid spans 3 support radii and the radial
+    profile has 24 bins.
     """
-    if diam is None:
-        diam = support_diameter(lake, zeta)
     if diam < MIN_PROFILE_CELLS * lake.h:
         raise ValueError(
             f"support under-resolved: diameter {diam:.4g} spans "
@@ -110,7 +93,7 @@ def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
     px = center[0] + params.eps * XX
     py = center[1] + params.eps * YY
 
-    grid_z = lake.field_to_grid(zeta, fill=0.0)
+    grid_z = lake.field_to_grid(zeta)
     fx = (px - lake.xs[0]) / lake.h
     fy = (py - lake.ys[0]) / lake.h
     i0 = np.clip(np.floor(fy).astype(int), 0, grid_z.shape[0] - 2)
@@ -135,13 +118,14 @@ def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
         sel = idx == k
         if sel.any():
             means[k] = vv[sel].mean()
-    return Profile(grid=xi, half_width=half_width, bin_edges=edges, bin_means=means)
+    return means
 
 
-def radial_monotonicity_score(profile: Profile) -> float:
-    """1 - (positive increments)/(total variation) of the radial bin means;
-    1 for exactly nonincreasing profiles, 0 for strictly increasing ones."""
-    v = profile.bin_means[~np.isnan(profile.bin_means)]
+def radial_monotonicity_score(bin_means: np.ndarray) -> float:
+    """1 - (positive increments)/(total variation) of the radial bin means,
+    empty (NaN) bins skipped; 1 for exactly nonincreasing profiles, 0 for
+    strictly increasing ones."""
+    v = bin_means[~np.isnan(bin_means)]
     if v.size < 2:
         return 1.0
     d = np.diff(v)

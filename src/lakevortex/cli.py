@@ -58,8 +58,6 @@ from .variational import (
 
 log = logging.getLogger(__name__)
 
-CONFIG_DIR = Path(__file__).parent / "configs"
-
 
 class ConfigError(ValueError):
     """Invalid or missing configuration."""
@@ -360,13 +358,20 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     eps_list = scfg["eps_list"]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("sweep: eps_list must be strictly decreasing")
-    try:
-        delta_of_eps(regime, eps_list[0])  # an unknown regime, or the largest eps out of its domain
+    try:  # an unknown regime, or the largest eps out of its domain
+        first = AdmissibleParams(eps_list[0], delta_of_eps(regime, eps_list[0]), scfg["kappa0"],
+                                 scfg["lam"])
     except ScheduleError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     seed = seed_from(cfg)
     vf = solver_vf_from(cfg)
     lake = build_lake_from(cfg)
+    # lam > f(0+) + 1 does not depend on eps and lam |D|_nu >= kappa0 eps^2 is
+    # hardest at the largest eps: an empty class at any point is empty at the first
+    try:
+        first.check_nonempty(lake, vf)
+    except AdmissibilityError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     nu = flux_from(cfg, lake)
     handle = assemble_operator(lake)
     report = run_sweep(lake, nu, regime, scfg["kappa0"], scfg["lam"], eps_list, vf, handle,

@@ -180,7 +180,6 @@ class BoundaryTrace:
     """
 
     ij: np.ndarray          # (m, 2) row, col indices into the grid
-    centers: np.ndarray     # (m, 2) cell-center coordinates
     params: np.ndarray      # (m,) arclength coordinates, increasing
     weights: np.ndarray     # (m,) arclength weights
     perimeter: float
@@ -256,8 +255,8 @@ class Lake:
         """Max pairwise distance between interior cell centers, computed on first use."""
         return max_pairwise_distance(self.centers)
 
-    def field_to_grid(self, u: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        g = np.full(self.mask.shape, fill, dtype=float)
+    def field_to_grid(self, u: np.ndarray) -> np.ndarray:
+        g = np.zeros(self.mask.shape)
         g[self.mask] = u
         return g
 
@@ -304,8 +303,7 @@ def _build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bo
     )
     ghost = neighbor_of_interior & ~mask
     rows, cols = np.nonzero(ghost)
-    centers = np.column_stack([xs[cols], ys[rows]])
-    params = domain.boundary_param(centers)
+    params = domain.boundary_param(np.column_stack([xs[cols], ys[rows]]))
     order = np.argsort(params, kind="stable")
     perim = domain.perimeter()
     # start from the cell whose parameter is nearest 0 (mod perimeter)
@@ -313,14 +311,12 @@ def _build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bo
     start = int(np.argmin(np.minimum(p_sorted, perim - p_sorted)))
     order = np.roll(order, -start)
 
-    rows, cols, centers = rows[order], cols[order], centers[order]
-    params = params[order]
+    rows, cols, params = rows[order], cols[order], params[order]
     gaps = np.diff(params, append=params[0] + perim) % perim
     gaps_prev = np.roll(gaps, 1)
     weights = 0.5 * (gaps + gaps_prev)
     return BoundaryTrace(
         ij=np.column_stack([rows, cols]),
-        centers=centers,
         params=params,
         weights=weights,
         perimeter=perim,

@@ -32,7 +32,6 @@ log = logging.getLogger(__name__)
 MASS_TOL_REL = 1e-8
 FP_TOL_REL = 1e-8
 MAX_ITERS = 500
-PATCH_REL_TOL = 1e-9
 # mix only once a step moves less than this fraction of the mass: a vortex
 # crawling across the grid moves 1e-3 to 1e-2 of it per step, and a mix there
 # can carry it past the fixed point the plain iteration settles in
@@ -112,11 +111,6 @@ class SolveState:
     fp_residual: float
     ctx: "SolveContext" = field(repr=False)
 
-    @property
-    def psi_total(self) -> np.ndarray:
-        """K zeta + q - mu, the full stream function whose level sets carry the vorticity."""
-        return self.k_zeta + self.ctx.q - self.mu
-
 
 @dataclass
 class SolveContext:
@@ -129,22 +123,15 @@ class SolveContext:
     vf: VorticityFunction
 
 
-def mass(lake: Lake, zeta: np.ndarray) -> float:
-    """Weighted mass sum(zeta * b * h^2)."""
-    return float(np.dot(zeta, lake.nu_weights))
-
-
 def energy(lake: Lake, q: np.ndarray, params: AdmissibleParams,
            vf: VorticityFunction, zeta: np.ndarray, k_zeta: np.ndarray,
-           support: np.ndarray | None = None) -> Energy:
+           support: np.ndarray) -> Energy:
     """Evaluate the functional at zeta, given k_zeta = K zeta.
 
     E_q = 0.5*sum(zeta*K zeta*b h^2) + sum(q*zeta*b h^2) and the penalty is
     (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2), each summed over
-    support, the cells with zeta > 0 in index order (found when not given).
+    support, the cells with zeta > 0 in index order.
     """
-    if support is None:
-        support = np.flatnonzero(zeta)
     nuw, z = lake.nu_weights[support], zeta[support]
     e_q = 0.5 * float(np.dot(z * nuw, k_zeta[support])) + float(np.dot(q[support] * nuw, z))
     scale = params.delta / params.eps**2
@@ -408,31 +395,6 @@ def _anderson_mix(history, nu: np.ndarray):
     return g1 - gamma * (g1 - g0), k1 - gamma * (k1 - k0)
 
 
-def optimality_violations(state: SolveState) -> dict:
-    """Cell-wise residuals of the three-case optimality conditions.
-
-    On {zeta = cap}: psi >= f_inv((eps^2/delta) zeta); on {0 < zeta < cap}:
-    psi = f_inv(...); on {zeta = 0}: psi <= f_inv(...) = 0.  Returns the
-    maximal violation per case.
-    """
-    ctx = state.ctx
-    params = ctx.params
-    scale = params.eps**2 / params.delta
-    psi = state.psi_total
-    zeta = state.zeta
-    finv = ctx.vf.f_inv(scale * zeta)
-    at_cap = zeta >= (1.0 - PATCH_REL_TOL) * params.cap
-    at_zero = zeta <= 0.0
-    interior = ~at_cap & ~at_zero
-    out = {
-        "cap": float(np.maximum(finv[at_cap] - psi[at_cap], 0.0).max()) if at_cap.any() else 0.0,
-        "interior": float(np.abs(psi[interior] - finv[interior]).max()) if interior.any() else 0.0,
-        "zero": float(np.maximum(psi[at_zero] - finv[at_zero], 0.0).max()) if at_zero.any() else 0.0,
-    }
-    out["max"] = max(out.values())
-    return out
-
-
 def vorticity_center(lake: Lake, zeta: np.ndarray) -> np.ndarray:
     """Area-weighted first moment (plain area measure, not the depth-weighted one)."""
     w = zeta * lake.cell_area
@@ -509,87 +471,3 @@ def oracle_gap_bound(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     rounding_l1 = (cap / (2 * m)) * float(nuw.sum())
     quantum = (cap / m) * float(nuw.max())
     return lipschitz * (2.0 * rounding_l1 + 2.0 * quantum)
-
-
-# ---------------------------------------------------------------------------
-# distributional steadiness
-
-
-def _test_field_family(center):
-    """Deterministic family of smooth compactly supported test fields."""
-    offsets = [(0.0, 0.0), (0.12, 0.0), (-0.12, 0.0), (0.0, 0.12), (0.0, -0.12)]
-    fields = []
-    for ox, oy in offsets:
-        for rad in (0.15, 0.3):
-            c = (center[0] + ox, center[1] + oy)
-            fields.append(("bump", c, rad))
-            fields.append(("xbump", c, rad))
-            fields.append(("ybump", c, rad))
-    return fields
-
-
-def _test_gradient(p: np.ndarray, kind: str, center, radius: float):
-    """Analytic gradient at points p of a smooth bump compactly supported on
-    the disc, or of the bump times x - c_x ('xbump') or y - c_y ('ybump')."""
-    dx = p[:, 0] - center[0]
-    dy = p[:, 1] - center[1]
-    r2 = (dx * dx + dy * dy) / radius**2
-    inside = r2 < 1.0 - 1e-12
-    phi, gx, gy = np.zeros((3, len(p)))
-    u = r2[inside]
-    e = np.exp(1.0 - 1.0 / (1.0 - u))
-    phi[inside] = e
-    dphi = -e / (1.0 - u) ** 2  # d phi / d r2
-    gx[inside] = dphi * 2.0 * dx[inside] / radius**2
-    gy[inside] = dphi * 2.0 * dy[inside] / radius**2
-    if kind == "xbump":
-        return phi + dx * gx, dx * gy
-    if kind == "ybump":
-        return dy * gx, phi + dy * gy
-    return gx, gy
-
-
-def steady_residual(lake: Lake, state: SolveState) -> float:
-    """Weak-form steadiness defect max_phi |sum zeta * rot(psi) . grad(phi) h^2|
-    normalized by the plain L1 mass of zeta and max |grad phi|.
-
-    rot(psi) = (d2 psi, -d1 psi) is evaluated by centered differences (one-
-    sided at mask edges); the test fields are smooth bumps and coordinate-
-    modulated bumps near the vorticity core.  The sum runs over the support,
-    where zeta > 0, and max |grad phi| over the cells in the square around
-    the test field's disc, outside which grad phi vanishes.
-    """
-    zeta = state.zeta
-    mass_plain = float(zeta.sum()) * lake.cell_area
-    if mass_plain <= 0.0:
-        return 0.0
-    support = np.flatnonzero(zeta)
-    psi_grid = lake.field_to_grid(state.psi_total, fill=np.nan)
-    rot_x = _masked_gradient(psi_grid, lake.h, axis=0)[lake.mask][support]
-    rot_y = -_masked_gradient(psi_grid, lake.h, axis=1)[lake.mask][support]
-
-    wz = zeta[support] * lake.cell_area
-    worst = 0.0
-    for kind, c, rad in _test_field_family(vorticity_center(lake, zeta)):
-        near = lake.index[np.ix_(np.abs(lake.ys - c[1]) <= rad, np.abs(lake.xs - c[0]) <= rad)]
-        gx, gy = _test_gradient(lake.centers[near[near >= 0]], kind, c, rad)
-        gnorm = float(np.hypot(gx, gy).max(initial=0.0))
-        if gnorm <= 0.0:
-            continue
-        gx, gy = _test_gradient(lake.centers[support], kind, c, rad)
-        integral = float(np.dot(wz, rot_x * gx + rot_y * gy))
-        worst = max(worst, abs(integral) / (mass_plain * gnorm))
-    return worst
-
-
-def _masked_gradient(grid: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Centered differences falling back to one-sided next to NaN cells."""
-    fwd = np.roll(grid, -1, axis=axis)
-    bwd = np.roll(grid, 1, axis=axis)
-    centered = (fwd - bwd) / (2 * h)
-    one_fwd = (fwd - grid) / h
-    one_bwd = (grid - bwd) / h
-    out = centered
-    out = np.where(np.isnan(out), one_fwd, out)
-    out = np.where(np.isnan(out), one_bwd, out)
-    return np.where(np.isnan(out), 0.0, out)

@@ -1,7 +1,7 @@
-"""Frozen reference: the steadiness defect evaluated over every cell, which
-``variational.steady_residual`` replaced with one over the support and the
-cells around each test field's disc.  Kept verbatim, with the helpers it
-calls, for the differential test of the two.  Test-only code.
+"""Certificates of a solved state, which the tests check and no command
+writes: its weighted mass, the three-case optimality conditions of its
+bathtub profile, and the weak-form steadiness defect of the vortex.  The
+full stream function is K zeta + q - mu, with mu the state's multiplier.
 """
 
 from __future__ import annotations
@@ -10,6 +10,39 @@ import numpy as np
 
 from lakevortex.geometry import Lake
 from lakevortex.variational import SolveState, vorticity_center
+
+# a cell within this relative distance of the cap counts as capped
+PATCH_REL_TOL = 1e-9
+
+
+def mass(lake: Lake, zeta: np.ndarray) -> float:
+    """Weighted mass sum(zeta * b * h^2)."""
+    return float(np.dot(zeta, lake.nu_weights))
+
+
+def optimality_violations(state: SolveState) -> dict:
+    """Cell-wise residuals of the three-case optimality conditions.
+
+    On {zeta = cap}: psi >= f_inv((eps^2/delta) zeta); on {0 < zeta < cap}:
+    psi = f_inv(...); on {zeta = 0}: psi <= f_inv(...) = 0.  Returns the
+    maximal violation per case.
+    """
+    ctx = state.ctx
+    params = ctx.params
+    scale = params.eps**2 / params.delta
+    psi = state.k_zeta + ctx.q - state.mu
+    zeta = state.zeta
+    finv = ctx.vf.f_inv(scale * zeta)
+    at_cap = zeta >= (1.0 - PATCH_REL_TOL) * params.cap
+    at_zero = zeta <= 0.0
+    interior = ~at_cap & ~at_zero
+    out = {
+        "cap": float(np.maximum(finv[at_cap] - psi[at_cap], 0.0).max()) if at_cap.any() else 0.0,
+        "interior": float(np.abs(psi[interior] - finv[interior]).max()) if interior.any() else 0.0,
+        "zero": float(np.maximum(psi[at_zero] - finv[at_zero], 0.0).max()) if at_zero.any() else 0.0,
+    }
+    out["max"] = max(out.values())
+    return out
 
 
 def _bump(p: np.ndarray, center, radius: float):
@@ -55,7 +88,8 @@ def steady_residual(lake: Lake, state: SolveState) -> float:
     mass_plain = float(zeta.sum()) * lake.cell_area
     if mass_plain <= 0.0:
         return 0.0
-    psi_grid = lake.field_to_grid(state.psi_total, fill=np.nan)
+    psi_grid = np.full(lake.mask.shape, np.nan)  # NaN outside: one-sided differences there
+    psi_grid[lake.mask] = state.k_zeta + state.ctx.q - state.mu
     dpsi_dx = _masked_gradient(psi_grid, lake.h, axis=1)
     dpsi_dy = _masked_gradient(psi_grid, lake.h, axis=0)
     rot_x = dpsi_dy[lake.mask]

@@ -1,8 +1,8 @@
 """Frozen reference: the per-cut-face loop assembly of the weighted operator and
 the per-ghost-cell boundary trace, with the scalar domain queries they called,
 which ``elliptic.assemble_operator`` and ``geometry._build_trace`` replaced with
-array operations per direction.  Kept verbatim for the differential tests of
-the two.  Test-only code.
+array operations per direction.  Kept verbatim, less the trace's former
+centers field, for the differential tests of the two.  Test-only code.
 """
 
 from __future__ import annotations
@@ -124,14 +124,12 @@ def build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bou
     start = int(np.argmin(np.minimum(p_sorted, perim - p_sorted)))
     order = np.roll(order, -start)
 
-    rows, cols, centers = rows[order], cols[order], centers[order]
-    params = params[order]
+    rows, cols, params = rows[order], cols[order], params[order]
     gaps = np.diff(params, append=params[0] + perim) % perim
     gaps_prev = np.roll(gaps, 1)
     weights = 0.5 * (gaps + gaps_prev)
     return BoundaryTrace(
         ij=np.column_stack([rows, cols]),
-        centers=centers,
         params=params,
         weights=weights,
         perimeter=perim,

@@ -40,7 +40,7 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     zeta = initial_patch(lake, params, np.asarray(init, dtype=float))
     ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
     k = apply_K(handle, zeta)
-    e = energy(lake, q, params, vf, zeta, k_zeta=k)
+    e = energy(lake, q, params, vf, zeta, k, np.flatnonzero(zeta))
     mu, residual, trace = 0.0, math.inf, [e.total]
     tol = FP_TOL_REL * params.target_mass
     for _ in range(MAX_ITERS):

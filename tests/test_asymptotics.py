@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from certificates import PATCH_REL_TOL, mass
 
 from lakevortex.asymptotics import (
     MIN_PROFILE_CELLS,
-    Profile,
     ScheduleError,
     delta_of_eps,
     mass_fraction_near,
@@ -15,11 +15,11 @@ from lakevortex.asymptotics import (
     radial_monotonicity_score,
     rescale_profile,
     run_sweep,
-    support_diameter,
+    support_cells,
     vorticity_center,
 )
 from lakevortex.elliptic import assemble_operator, flux_preset, solve_background
-from lakevortex.geometry import build_lake, disk_indicator_averaged
+from lakevortex.geometry import build_lake, disk_indicator_averaged, max_pairwise_distance
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import AdmissibleParams
 
@@ -61,27 +61,6 @@ def test_delta_rejects_large_eps():
 # support and center diagnostics
 
 
-def test_support_diameter_degenerate_cases(disk_const_64):
-    lake = disk_const_64
-    z = np.zeros(lake.n_cells)
-    assert support_diameter(lake, z) == 0.0
-    z[10] = 1.0
-    assert support_diameter(lake, z) == 0.0
-    z[200] = 1.0
-    expect = float(np.hypot(*(lake.centers[10] - lake.centers[200])))
-    assert support_diameter(lake, z) == pytest.approx(expect, rel=1e-12)
-
-
-def test_support_diameter_collinear_support(disk_const_64):
-    lake = disk_const_64
-    z = np.zeros(lake.n_cells)
-    row = np.nonzero(np.abs(lake.centers[:, 1] - lake.centers[0, 1]) < 1e-12)[0][:20]
-    z[row] = 1.0
-    pts = lake.centers[row]
-    expect = float(np.hypot(*(pts[-1] - pts[0])))
-    assert support_diameter(lake, z) == pytest.approx(expect, rel=1e-12)
-
-
 def test_vorticity_center(disk_const_64):
     lake = disk_const_64
     z = disk_indicator_averaged(lake, (0.25, -0.15), 0.2)
@@ -97,13 +76,18 @@ def test_vorticity_center(disk_const_64):
 # profiles
 
 
+def _profile(lake, zeta, params):
+    """The radial bin means around the origin, with the support's diameter."""
+    diam = max_pairwise_distance(lake.centers[support_cells(lake, zeta)])
+    return rescale_profile(lake, zeta, params, (0.0, 0.0), diam)
+
+
 def test_rescale_profile_radial_bump(disk_const_64):
     lake = disk_const_64
     r2 = np.sum(lake.centers**2, axis=1)
     z = np.exp(-r2 / 0.02)
     params = AdmissibleParams(eps=0.1, delta=0.5, kappa0=1.0, lam=50.0)
-    prof = rescale_profile(lake, z, params, (0.0, 0.0))
-    assert radial_monotonicity_score(prof) >= 0.99
+    assert radial_monotonicity_score(_profile(lake, z, params)) >= 0.99
 
 
 def test_rescale_profile_constant_ball_amplitude(disk_const_64):
@@ -111,14 +95,11 @@ def test_rescale_profile_constant_ball_amplitude(disk_const_64):
     params = AdmissibleParams(eps=0.1, delta=0.5, kappa0=1.0, lam=50.0)
     c = 2.5
     z = c * disk_indicator_averaged(lake, (0.0, 0.0), 3.0 * params.eps)
-    prof = rescale_profile(lake, z, params, (0.0, 0.0))
-    # rescaled amplitude c * eps^2/delta well inside the rescaled ball radius 3
-    rr = np.hypot(*np.meshgrid(
-        np.linspace(-prof.half_width, prof.half_width, prof.grid.shape[0]),
-        np.linspace(-prof.half_width, prof.half_width, prof.grid.shape[0]),
-    ))
-    inner = prof.grid[rr < 2.0]
-    assert inner == pytest.approx(c * params.eps**2 / params.delta, rel=1e-6)
+    means = _profile(lake, z, params)
+    # rescaled amplitude c * eps^2/delta well inside the rescaled ball radius 3:
+    # the support spans at most 0.7, so 24 bins over 3 support radii are at
+    # most 0.44 wide and the first four lie within rescaled radius 1.75
+    assert means[:4] == pytest.approx(c * params.eps**2 / params.delta, rel=1e-6)
 
 
 def test_rescale_profile_rejects_unresolved(disk_const_64):
@@ -127,20 +108,15 @@ def test_rescale_profile_rejects_unresolved(disk_const_64):
     z[np.argmin(np.sum(lake.centers**2, axis=1))] = 1.0
     params = AdmissibleParams(eps=0.01, delta=0.5, kappa0=1.0, lam=50.0)
     with pytest.raises(ValueError, match="under-resolved"):
-        rescale_profile(lake, z, params, (0.0, 0.0))
+        _profile(lake, z, params)
 
 
 def test_radial_score_extremes():
-    edges = np.linspace(0, 1, 7)
-    prof = Profile(grid=np.zeros((2, 2)), half_width=1.0, bin_edges=edges,
-                   bin_means=np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5]))
-    assert radial_monotonicity_score(prof) == 1.0
-    prof_up = Profile(grid=np.zeros((2, 2)), half_width=1.0, bin_edges=edges,
-                      bin_means=np.array([0.5, 1.0, 2.0, 3.0, 4.0, 5.0]))
-    assert radial_monotonicity_score(prof_up) == 0.0
-    flat = Profile(grid=np.zeros((2, 2)), half_width=1.0, bin_edges=edges,
-                   bin_means=np.full(6, 2.0))
-    assert radial_monotonicity_score(flat) == 1.0
+    assert radial_monotonicity_score(np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5])) == 1.0
+    assert radial_monotonicity_score(np.array([0.5, 1.0, 2.0, 3.0, 4.0, 5.0])) == 0.0
+    assert radial_monotonicity_score(np.full(6, 2.0)) == 1.0
+    # empty bins are skipped
+    assert radial_monotonicity_score(np.array([3.0, np.nan, 2.0, np.nan])) == 1.0
 
 
 def test_radial_score_ring_profile(disk_const_64):
@@ -151,8 +127,7 @@ def test_radial_score_ring_profile(disk_const_64):
     r = np.hypot(*lake.centers.T)
     ring = np.exp(-((r - 0.25) ** 2) / 0.003)  # annular peak away from center
     params = AdmissibleParams(eps=0.1, delta=0.5, kappa0=1.0, lam=50.0)
-    prof = rescale_profile(lake, ring, params, (0.0, 0.0))
-    score = radial_monotonicity_score(prof)
+    score = radial_monotonicity_score(_profile(lake, ring, params))
     assert score == pytest.approx(0.5, abs=2e-3)
     assert score < 0.9
 
@@ -231,7 +206,6 @@ def test_sweep_rows_satisfy_solve_invariants(small_sweep):
         assert 0.0 <= row.mass_frac <= 1.0
         assert np.isfinite(row.mu) and np.isfinite(row.E_total)
         params = state.ctx.params
-        from lakevortex.variational import PATCH_REL_TOL, mass
         assert mass(lake, state.zeta) == pytest.approx(params.target_mass, rel=1e-8)
         assert not np.any(state.zeta >= (1.0 - PATCH_REL_TOL) * params.cap)
 

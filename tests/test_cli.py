@@ -15,7 +15,6 @@ import lakevortex
 from lakevortex import __version__
 from lakevortex.cli import (
     COMMANDS,
-    CONFIG_DIR,
     CONFIG_KEYS,
     config_hash,
     load_config,
@@ -23,6 +22,8 @@ from lakevortex.cli import (
     state_to_dict,
     write_json,
 )
+
+CONFIG_DIR = Path(lakevortex.__file__).parent / "configs"
 
 SMALL_SOLVE = {
     "lake": {"preset": "disk_interior_max_b", "resolution": 64},
@@ -186,6 +187,11 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=["x"])}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, NAN])}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.4, 0.2])}),  # 0.4 >= 1/e
+    # an empty admissible class: lam <= f(0+) + 1 = 1.5, or cap |D|_nu below the mass
+    ("solve", {"params": dict(SMALL_SOLVE["params"], lam=1.0)}),
+    ("solve", {"params": dict(SMALL_SOLVE["params"], kappa0=1e4)}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], lam=1.0)}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], kappa0=1e4)}),
     ("check-hypotheses", {"hypotheses": {"n": "many"}}),
     ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
                           "hypotheses": {"s_max": 1e300, "n": 100}}),
@@ -206,6 +212,7 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "flux-points-one-direction",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
+        "solve-lam-below-jump", "solve-empty-class", "sweep-lam-below-jump", "sweep-empty-class",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
@@ -279,7 +286,9 @@ def test_every_schema_field_rejects_a_string(tmp_path, monkeypatch, capsys, comm
     ("solve", {"nonlinearity": FALLING_TABLE}, "assemble_operator"),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, 0.3])}, "build_lake"),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], schedule="sideways")}, "build_lake"),
-], ids=["solve-params-eps", "solve-falling-table", "sweep-eps-list", "sweep-schedule"])
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], lam=1.0)}, "assemble_operator"),
+], ids=["solve-params-eps", "solve-falling-table", "sweep-eps-list", "sweep-schedule",
+        "sweep-lam-below-jump"])
 def test_config_is_checked_before_set_up(tmp_path, monkeypatch, command, changes, set_up):
     import lakevortex.cli as cli
 

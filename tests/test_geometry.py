@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from lakevortex import geometry
+from lakevortex.asymptotics import support_cells
 from lakevortex.geometry import (
     PRESETS,
     DiskDomain,
@@ -93,11 +94,21 @@ def test_rect_lake_fills_its_grid_inside_one_cell_of_padding(h):
             _assert_connected_inside_grid(lake.mask)
 
 
-def test_diameter_matches_brute_force():
+def test_diameter_matches_brute_force(disk_const_64):
     lake = build_lake("rect_constant_b", 24)
     pts = lake.centers
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     assert lake.diameter == pytest.approx(math.sqrt(d2.max()), abs=1e-12)
+    # degenerate supports: none, one cell, two cells, the first grid row
+    lake = disk_const_64
+    row = np.flatnonzero(lake.cells[:, 0] == lake.cells[0, 0])
+    pair = float(np.hypot(*(lake.centers[10] - lake.centers[200])))
+    ends = float(np.hypot(*(lake.centers[row[-1]] - lake.centers[row[0]])))
+    for cells, expect in (([], 0.0), ([10], 0.0), ([10, 200], pair), (row, ends)):
+        zeta = np.zeros(lake.n_cells)
+        zeta[cells] = 1.0
+        support = lake.centers[support_cells(lake, zeta)]
+        assert geometry.max_pairwise_distance(support) == pytest.approx(expect, rel=1e-12)
 
 
 def _brute_diameter(points: np.ndarray) -> float:
@@ -171,7 +182,7 @@ def test_boundary_trace_ordering_and_weights(disk_const_64):
     assert trace.params[0] < 4 * disk_const_64.h
     assert trace.weights.sum() == pytest.approx(TWO_PI, rel=1e-12)
     # ghost cells sit outside the unit disk, each within one cell of an interior cell
-    r = np.hypot(trace.centers[:, 0], trace.centers[:, 1])
+    r = np.hypot(disk_const_64.xs[trace.ij[:, 1]], disk_const_64.ys[trace.ij[:, 0]])
     assert np.all(r >= 1.0) and np.all(r < 1.0 + disk_const_64.h)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from certificates import PATCH_REL_TOL, mass, optimality_violations, steady_residual
 from cold_bathtub_reference import bathtub as cold_bathtub
 from plain_iteration_reference import initial_patch_loop
 from product_oracle_reference import brute_force_oracle as product_oracle
@@ -18,7 +19,6 @@ from lakevortex.geometry import build_lake, disk_indicator_averaged, rect_lake
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
     MASS_TOL_REL,
-    PATCH_REL_TOL,
     AdmissibilityError,
     AdmissibleParams,
     SolveContext,
@@ -28,11 +28,8 @@ from lakevortex.variational import (
     energy,
     initial_patch,
     iterate_step,
-    mass,
-    optimality_violations,
     oracle_gap_bound,
     solve_vortex,
-    steady_residual,
 )
 
 # frozen run record for the reference fixture (disk_interior_max_b at 128,
@@ -67,7 +64,7 @@ def test_energy_of_zero_field(interior_128, interior_128_q, vf_power2,
     params = AdmissibleParams(eps=0.1, delta=0.3, kappa0=1.0, lam=50.0)
     zeta = np.zeros(interior_128.n_cells)
     e = energy(interior_128, interior_128_q, params, vf_power2, zeta,
-               apply_K(interior_128_handle, zeta))
+               apply_K(interior_128_handle, zeta), np.flatnonzero(zeta))
     assert e.e_q == 0.0 and e.f_eps == 0.0 and e.total == 0.0
 
 
@@ -80,7 +77,7 @@ def test_energy_one_cell_matches_dense_quadratic():
     params = AdmissibleParams(eps=0.3, delta=0.5, kappa0=1.0, lam=50.0)
     zeta = np.zeros(lake.n_cells)
     zeta[17] = 0.7
-    e = energy(lake, q, params, vf, zeta, apply_K(handle, zeta))
+    e = energy(lake, q, params, vf, zeta, apply_K(handle, zeta), np.flatnonzero(zeta))
     # dense-inverse oracle
     a_inv = np.linalg.inv(handle.matrix.toarray())
     nuw = lake.nu_weights
@@ -103,7 +100,7 @@ def test_seed_patch_energy_growth_coefficient_stable(
         delta = 1.0 / math.log(1.0 / eps)
         params = AdmissibleParams(eps=eps, delta=delta, kappa0=1.0, lam=50.0)
         zeta = initial_patch(lake, params, (0.0, 0.0))
-        e = energy(lake, q, params, vf_jump, zeta, apply_K(handle, zeta))
+        e = energy(lake, q, params, vf_jump, zeta, apply_K(handle, zeta), np.flatnonzero(zeta))
         lead = lake.b_int.max() / (4.0 * math.pi) * delta**2 * math.log(1.0 / eps)
         cs.append((e.total - lead) / delta)
     assert max(cs) - min(cs) <= 0.06  # measured spread 0.024
@@ -462,7 +459,7 @@ def test_oracle_single_cell_closed_form(vf_jump):
     z_expect = params.target_mass / lake.nu_weights[0]
     assert z_star[0] == pytest.approx(z_expect, rel=1e-12)
     z = np.array([z_expect])
-    e_direct = energy(lake, q, params, vf_jump, z, apply_K(handle, z))
+    e_direct = energy(lake, q, params, vf_jump, z, apply_K(handle, z), np.flatnonzero(z))
     assert e_star == pytest.approx(e_direct.total, rel=1e-10)
 
 
@@ -533,7 +530,7 @@ def test_oracle_matches_frozen_product_walk(shape, m, c, kappa0, q_seed):
 def test_steady_residual_radial_case(disk_const_64, disk_const_64_handle, vf_power2):
     lake = disk_const_64
     zeta = disk_indicator_averaged(lake, (0.0, 0.0), 0.4)
-    # no background flow and mu = 0: psi_total is K zeta alone
+    # no background flow and mu = 0: the stream function is K zeta alone
     ctx = SolveContext(lake=lake, handle=disk_const_64_handle, q=np.zeros(lake.n_cells),
                        params=AdmissibleParams(eps=0.1, delta=0.5, kappa0=1.0, lam=50.0),
                        vf=vf_power2)

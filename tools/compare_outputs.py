@@ -12,8 +12,9 @@ the command taken from the file name's first word (``solve``, ``sweep``,
 ``oracle``, ``hypotheses``, ``kernel``) and BLAS on one thread.  The script
 compares each run's exit code, stdout and every output file, prints one line
 per config, lists the files that differ and exits 1 if any does.  It also
-prints the line count of ``src/lakevortex/*.py`` in both trees.  Standard
-library only.
+prints the line counts of ``src/lakevortex/*.py`` and of ``tests/*.py`` in
+both trees: code moved from the package into the tests is not a reduction.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ def run(tree: Path, config: Path, out: Path) -> dict:
     return {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, **outputs}
 
 
-def src_lines(tree: Path) -> int:
-    """Newlines in the package's modules, as ``wc -l src/lakevortex/*.py`` counts."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "lakevortex").glob("*.py"))
+def line_count(tree: Path, pattern: str) -> int:
+    """Newlines in the files of tree matching pattern, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in tree.glob(pattern))
 
 
 def main(argv=None) -> int:
@@ -58,8 +59,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
         extract(git("rev-parse", args.base), tmp / "base")
-        print(f"src/lakevortex/*.py: {src_lines(tmp / 'base')} lines in the base, "
-              f"{src_lines(ROOT)} in the checkout", flush=True)
+        for pattern in ("src/lakevortex/*.py", "tests/*.py"):
+            print(f"{pattern}: {line_count(tmp / 'base', pattern)} lines in the base, "
+                  f"{line_count(ROOT, pattern)} in the checkout", flush=True)
         for config in sorted(CONFIGS.glob("*.json")):
             base = run(tmp / "base", config, tmp / "out" / "base" / config.stem)
             change = run(ROOT, config, tmp / "out" / "change" / config.stem)
