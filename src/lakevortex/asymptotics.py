@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,14 +78,9 @@ def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
     zeta(center + eps x), sampled by bilinear interpolation (NaN for an empty bin).
 
     Requires the support diameter diam to span at least MIN_PROFILE_CELLS
-    cells; the local 64 x 64 grid spans 3 support radii and the radial
-    profile has 24 bins.
+    cells, which the caller checks; the local 64 x 64 grid spans 3 support
+    radii and the radial profile has 24 bins.
     """
-    if diam < MIN_PROFILE_CELLS * lake.h:
-        raise ValueError(
-            f"support under-resolved: diameter {diam:.4g} spans "
-            f"{diam / lake.h:.1f} cells, need >= {MIN_PROFILE_CELLS}"
-        )
     center = np.asarray(center, dtype=float)
     half_width = 3.0 * (diam / 2.0) / params.eps
     coords = np.linspace(-half_width, half_width, 64)
@@ -200,7 +195,6 @@ class SweepReport:
     target_ties: np.ndarray
     diam_slope: float | None
     checks: dict
-    states: list = field(repr=False)
 
 
 def _fit_loglog_slope(eps: np.ndarray, diam: np.ndarray) -> float | None:
@@ -262,7 +256,8 @@ def run_sweep(lake: Lake, flux: np.ndarray, regime: str,
 
     A point whose solve fails with a numerical error is recorded as a row of
     NaNs with converged=False and the sweep goes on; any other error
-    propagates.
+    propagates.  Only each point's Diagnostics row is kept, not its solved
+    state, so a sweep's memory does not grow with its eps list.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if np.any(np.diff(eps_arr) >= 0):
@@ -271,7 +266,7 @@ def run_sweep(lake: Lake, flux: np.ndarray, regime: str,
     target, ties = predicted_target(lake, q, kappa0, regime)
     seed_pt = np.asarray(seed, dtype=float) if seed is not None else target
 
-    def solve_point(eps: float) -> tuple[Diagnostics, SolveState | None]:
+    def solve_point(eps: float) -> Diagnostics:
         delta = float("nan")
         try:
             delta = delta_of_eps(regime, eps)
@@ -279,12 +274,10 @@ def run_sweep(lake: Lake, flux: np.ndarray, regime: str,
             state = solve_vortex(lake, q, params, vf, init=seed_pt, handle=handle)
         except (ScheduleError, AdmissibilityError, SolverError) as exc:
             log.error("sweep point eps=%g failed: %s", eps, exc)
-            return Diagnostics(eps=eps, delta=delta, converged=False, error=str(exc)), None
-        return diagnose(lake, state, ties), state
+            return Diagnostics(eps=eps, delta=delta, converged=False, error=str(exc))
+        return diagnose(lake, state, ties)
 
-    results = [solve_point(e) for e in eps_arr]
-    rows = [r for r, _ in results]
-    states = [s for _, s in results]
+    rows = [solve_point(e) for e in eps_arr]
     checks = _regime_checks(lake, q, regime, kappa0, rows, ties)
     report = SweepReport(
         regime=regime,
@@ -293,7 +286,6 @@ def run_sweep(lake: Lake, flux: np.ndarray, regime: str,
         target_ties=ties,
         diam_slope=_fit_loglog_slope(eps_arr, np.array([r.diam_supp for r in rows])),
         checks=checks,
-        states=states,
     )
     report.checks["diam_slope"] = report.diam_slope
     if report.diam_slope is not None:

@@ -83,9 +83,27 @@ class OperatorHandle:
 
 def assemble_operator(lake: Lake) -> OperatorHandle:
     """Assemble the weighted 5-point operator and factorize it."""
-    n = lake.n_cells
-    if n == 0:
+    if lake.n_cells == 0:
         raise SolverError("empty interior: nothing to assemble")
+    # the COO triplets and face arrays (about 90 B per cell) die with
+    # _assemble's frame, before the factorization's peak
+    matrix, cut_rows, cut_coeffs, cut_params = _assemble(lake)
+    try:
+        # exactly symmetric: minimum degree on A^T + A halves the fill of COLAMD.
+        # The 5-point stencil's supernodes are tiny: one-column panels factor
+        # 257^2 in 186 ms instead of 259 (x86-64), with the same ordering and fill
+        lu = splu(matrix.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  panel_size=1, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # singular factorization
+        raise SolverError(f"operator factorization failed: {exc}") from exc
+    return OperatorHandle(lake=lake, matrix=matrix, lu=lu, cut_rows=cut_rows,
+                          cut_coeffs=cut_coeffs, cut_params=cut_params)
+
+
+def _assemble(lake: Lake) -> tuple[csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """The operator's CSR matrix and its cut faces' rows, coefficients and
+    boundary parameters."""
+    n = lake.n_cells
     h2 = lake.cell_area
     mask, index, b = lake.mask, lake.index, lake.b
     rows_i, cols_i, vals = [], [], []
@@ -126,22 +144,8 @@ def assemble_operator(lake: Lake) -> OperatorHandle:
     vals.append(diag)
     matrix = csr_matrix((np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_i))),
                         shape=(n, n))
-    try:
-        # exactly symmetric: minimum degree on A^T + A halves the fill of COLAMD.
-        # The 5-point stencil's supernodes are tiny: one-column panels factor
-        # 257^2 in 186 ms instead of 259 (x86-64), with the same ordering and fill
-        lu = splu(matrix.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  panel_size=1, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"operator factorization failed: {exc}") from exc
-    return OperatorHandle(
-        lake=lake,
-        matrix=matrix,
-        lu=lu,
-        cut_rows=np.concatenate(cut_rows),
-        cut_coeffs=np.concatenate(cut_coeffs),
-        cut_params=np.concatenate(cut_params),
-    )
+    return (matrix, np.concatenate(cut_rows), np.concatenate(cut_coeffs),
+            np.concatenate(cut_params))
 
 
 def apply_K(handle: OperatorHandle, zeta: np.ndarray) -> np.ndarray:

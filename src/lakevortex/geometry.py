@@ -28,8 +28,8 @@ PRESETS = {
 # bounding-box cells (resolution^2) build_lake accepts; checked before any
 # array is allocated, so an oversized grid is rejected up front.  The LU
 # holds about 1 KB per interior cell: peak RSS of a fresh process after
-# assemble_operator is 109, 160, 266 and 1016 MB at 257^2, 363^2, 513^2 and
-# 1024^2 (823,592 cells, factored in 11 s), from 61 MB before build_lake
+# assemble_operator is 104, 151, 250 and 952 MB at 257^2, 363^2, 513^2 and
+# 1024^2 (823,592 cells, factored in 10 s), from 61 MB before build_lake
 MAX_CELLS = 1 << 20
 
 

@@ -31,9 +31,10 @@ from cold_bathtub_reference import bathtub as cold_bathtub
 from plain_iteration_reference import initial_patch_loop
 from plain_iteration_reference import solve_vortex as plain_solve_vortex
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
+from sweep_states import sweep_with_states
 
 from lakevortex import geometry
-from lakevortex.asymptotics import run_sweep, support_cells
+from lakevortex.asymptotics import support_cells
 from lakevortex.elliptic import (
     CompatibilityError,
     apply_K,
@@ -74,28 +75,29 @@ def fixture_lake():
 
 @pytest.fixture(scope="module")
 def regime_reports(fixture_lake):
-    """The three regime sweeps on the shared 257^2 fixture lake."""
+    """The three regime sweeps on the shared 257^2 fixture lake, with each
+    point's solved state."""
     lake, handle = fixture_lake
     t0 = time.monotonic()
-    reports = {}
+    reports, states = {}, {}
     for regime, amplitude in REGIME_AMPLITUDE.items():
         flux = flux_preset(lake, "cosine", amplitude=amplitude)
-        reports[regime] = run_sweep(
+        reports[regime], states[regime] = sweep_with_states(
             lake, flux, regime, kappa0=1.0, lam=50.0,
             eps_list=EPS_LIST, vf=FIXTURE_VF, handle=handle,
         )
     elapsed = time.monotonic() - t0
-    return lake, reports, elapsed
+    return lake, reports, states, elapsed
 
 
 @pytest.fixture(scope="module")
 def regression_states(regime_reports, critical_state_129, interior_128,
                       interior_128_handle, interior_128_q, vf_power2):
     """Every converged state the regression suite produces."""
-    lake257, reports, _ = regime_reports
+    lake257, _, swept, _ = regime_reports
     states = []
-    for rep in reports.values():
-        states.extend((lake257, s) for s in rep.states if s is not None)
+    for sweep in swept.values():
+        states.extend((lake257, s) for s in sweep if s is not None)
     lake129, _, _, _, st129 = critical_state_129
     states.append((lake129, st129))
     params = AdmissibleParams(eps=0.1, delta=0.3, kappa0=1.0, lam=50.0)
@@ -406,8 +408,9 @@ def test_solve_partitions_the_grid_only_in_its_first_step(critical_state_129, mo
 
 def _regression_seeds(regime_reports) -> list:
     """The seed point of each regression state, in the fixture's order."""
-    _, reports, _ = regime_reports
-    seeds = [rep.target for rep in reports.values() for s in rep.states if s is not None]
+    _, reports, swept, _ = regime_reports
+    seeds = [reports[regime].target for regime, sweep in swept.items()
+             for s in sweep if s is not None]
     return seeds + [(0.0, 0.28), (0.0, 0.0)]
 
 
@@ -434,7 +437,7 @@ def test_initial_patch_matches_frozen_loop_on_bundled_seeds(regime_reports,
     three regime sweeps, the 129^2 solve and the tiny oracle fixtures."""
     from lakevortex.cli import tiny_oracle_fixtures
 
-    lake257, reports, _ = regime_reports
+    lake257, reports, _, _ = regime_reports
     cases = [(lake257, AdmissibleParams(eps=row.eps, delta=row.delta, kappa0=1.0, lam=50.0),
               rep.target) for rep in reports.values() for row in rep.rows]
     lake129, _, _, params129, _ = critical_state_129
@@ -464,7 +467,7 @@ def test_bathtub_passes_few_cells_to_f(regression_states, monkeypatch):
 
 
 def test_criterion_6_regime_classification(regime_reports, acceptance_report):
-    lake, reports, elapsed = regime_reports
+    lake, reports, _, elapsed = regime_reports
     msgs = []
 
     rep = reports["above_critical"]
@@ -504,7 +507,7 @@ def test_criterion_6_regime_classification(regime_reports, acceptance_report):
 
 
 def test_criterion_7_support_scaling(regime_reports, acceptance_report):
-    _, reports, _ = regime_reports
+    _, reports, _, _ = regime_reports
     slopes = {regime: rep.diam_slope for regime, rep in reports.items()}
     ok = all(s is not None and 0.8 <= s <= 1.2 for s in slopes.values())
     acceptance_report("7 support scaling", ok,
@@ -513,7 +516,7 @@ def test_criterion_7_support_scaling(regime_reports, acceptance_report):
 
 
 def test_criterion_8_profile_shape(regime_reports, acceptance_report):
-    _, reports, _ = regime_reports
+    _, reports, _, _ = regime_reports
     scores = {regime: rep.rows[-1].radial_score for regime, rep in reports.items()}
     ok = all(np.isfinite(s) and s >= 0.9 for s in scores.values())
     acceptance_report("8 profile shape", ok,
@@ -523,10 +526,10 @@ def test_criterion_8_profile_shape(regime_reports, acceptance_report):
 
 def test_criterion_9_steadiness(critical_state_129, regime_reports, acceptance_report):
     lake129, _, _, _, state129 = critical_state_129
-    lake257, reports, _ = regime_reports
+    lake257, _, swept, _ = regime_reports
     coarse = steady_residual(lake129, state129)
     idx = EPS_LIST.index(0.1)
-    state257 = reports["critical"].states[idx]
+    state257 = swept["critical"][idx]
     fine = steady_residual(lake257, state257)
     factor = coarse / fine
     ok = factor >= 1.5

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from certificates import PATCH_REL_TOL, mass
+from sweep_states import sweep_with_states
 
 from lakevortex.asymptotics import (
     MIN_PROFILE_CELLS,
@@ -102,15 +104,6 @@ def test_rescale_profile_constant_ball_amplitude(disk_const_64):
     assert means[:4] == pytest.approx(c * params.eps**2 / params.delta, rel=1e-6)
 
 
-def test_rescale_profile_rejects_unresolved(disk_const_64):
-    lake = disk_const_64
-    z = np.zeros(lake.n_cells)
-    z[np.argmin(np.sum(lake.centers**2, axis=1))] = 1.0
-    params = AdmissibleParams(eps=0.01, delta=0.5, kappa0=1.0, lam=50.0)
-    with pytest.raises(ValueError, match="under-resolved"):
-        _profile(lake, z, params)
-
-
 def test_radial_score_extremes():
     assert radial_monotonicity_score(np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5])) == 1.0
     assert radial_monotonicity_score(np.array([0.5, 1.0, 2.0, 3.0, 4.0, 5.0])) == 0.0
@@ -185,13 +178,13 @@ def small_sweep():
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
-    report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                       eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
-    return lake, report
+    report, states = sweep_with_states(lake, flux, "critical", kappa0=1.0, lam=50.0,
+                                       eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
+    return lake, report, states
 
 
 def test_sweep_rows_and_slope(small_sweep):
-    _, report = small_sweep
+    _, report, _ = small_sweep
     assert len(report.rows) == 3
     assert all(r.converged for r in report.rows)
     assert report.diam_slope is not None
@@ -200,8 +193,8 @@ def test_sweep_rows_and_slope(small_sweep):
 
 
 def test_sweep_rows_satisfy_solve_invariants(small_sweep):
-    lake, report = small_sweep
-    for row, state in zip(report.rows, report.states):
+    lake, report, states = small_sweep
+    for row, state in zip(report.rows, states, strict=True):
         assert row.dist_boundary > 0
         assert 0.0 <= row.mass_frac <= 1.0
         assert np.isfinite(row.mu) and np.isfinite(row.E_total)
@@ -252,13 +245,39 @@ def test_sweep_continues_past_failed_point():
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
     # the first point is outside the schedule's domain and must fail alone
-    report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                       eps_list=[0.5, 0.2, 0.14], vf=vf, handle=handle)
+    report, states = sweep_with_states(lake, flux, "critical", kappa0=1.0, lam=50.0,
+                                       eps_list=[0.5, 0.2, 0.14], vf=vf, handle=handle)
     assert [r.converged for r in report.rows] == [False, True, True]
+    assert [s is None for s in states] == [True, False, False]
     assert report.rows[0].error != ""
     failed = report.rows[0].row()
     assert failed[0] == 0.5 and all(math.isnan(v) for v in failed[1:])
     assert report.checks["all_converged"] is False
+
+
+def test_sweep_retains_no_per_point_field():
+    """What a sweep still holds when it returns does not grow with its eps
+    points by a field per point: four more points add under one n-sized float
+    array each (a kept zeta and K zeta would add two)."""
+    lake = build_lake("disk_interior_max_b", 64)
+    handle = assemble_operator(lake)
+    flux = flux_preset(lake, "cosine", amplitude=0.02)
+    vf = VorticityFunction("jump_linear", c=0.5)
+    eps_list = [0.2, 0.17, 0.14, 0.12, 0.1, 0.085]
+    run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0, eps_list=eps_list[:2],
+              vf=vf, handle=handle)  # first-call caches are not the sweep's
+    held = {}
+    for count in (2, 6):
+        tracemalloc.start()
+        try:
+            report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
+                               eps_list=eps_list[:count], vf=vf, handle=handle)
+            held[count] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(r.converged for r in report.rows)
+        del report
+    assert held[6] - held[2] < 4 * 8 * lake.n_cells
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):

@@ -389,7 +389,9 @@ def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):
     import csv
     import math
 
-    from lakevortex.asymptotics import DIAG_COLUMNS, run_sweep
+    from sweep_states import sweep_with_states
+
+    from lakevortex.asymptotics import DIAG_COLUMNS
     from lakevortex.cli import build_lake_from, flux_from, seed_from, vf_from
     from lakevortex.elliptic import assemble_operator
 
@@ -400,11 +402,11 @@ def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):
         (solved,) = list(csv.DictReader(fh))
     cfg = load_config(path)
     lake = build_lake_from(cfg)
-    report = run_sweep(lake, flux_from(cfg, lake), "critical",
-                       kappa0=cfg["params"]["kappa0"], lam=cfg["params"]["lam"],
-                       eps_list=[cfg["params"]["eps"]], vf=vf_from(cfg),
-                       handle=assemble_operator(lake), seed=seed_from(cfg))
-    (swept,), (state,) = report.rows, report.states
+    report, states = sweep_with_states(
+        lake, flux_from(cfg, lake), "critical", kappa0=cfg["params"]["kappa0"],
+        lam=cfg["params"]["lam"], eps_list=[cfg["params"]["eps"]], vf=vf_from(cfg),
+        handle=assemble_operator(lake), seed=seed_from(cfg))
+    (swept,), (state,) = report.rows, states
     # mass_frac differs only by its anchor: the seed in solve, the nearest tie in sweep
     for column in DIAG_COLUMNS:
         if column != "mass_frac":

@@ -11,10 +11,12 @@ directory, as ``tools/bench_pairs.py`` does.  Each file in the checkout's
 the command taken from the file name's first word (``solve``, ``sweep``,
 ``oracle``, ``hypotheses``, ``kernel``) and BLAS on one thread.  The script
 compares each run's exit code, stdout and every output file, prints one line
-per config, lists the files that differ and exits 1 if any does.  It also
-prints the line counts of ``src/lakevortex/*.py`` and of ``tests/*.py`` in
-both trees: code moved from the package into the tests is not a reduction.
-Standard library only.
+per config with each run's peak RSS, lists the files that differ and exits 1
+if any does.  The peak RSS is the child's own ``ru_maxrss``, read with
+``os.wait4``, so it also covers the configs the benchmark does not run.  It
+also prints the line counts of ``src/lakevortex/*.py`` and of ``tests/*.py``
+in both trees: code moved from the package into the tests is not a
+reduction.  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,15 +36,23 @@ COMMANDS = {"solve": "solve", "sweep": "sweep", "oracle": "oracle-test",
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run(tree: Path, config: Path, out: Path) -> dict:
+def run(tree: Path, config: Path, out: Path) -> tuple[dict, float]:
     """Run config's command with the package in tree: each output's bytes by
-    name, and the exit code and stdout under their own names."""
+    name, and the exit code and stdout under their own names; and the run's
+    peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(THREAD_VARS, "1"))
     command = COMMANDS[config.stem.split("_")[0]]
-    proc = subprocess.run([sys.executable, "-m", "lakevortex.cli", command, "--config",
-                           str(config), "--out", str(out)], cwd=tree, env=env, capture_output=True)
+    proc = subprocess.Popen([sys.executable, "-m", "lakevortex.cli", command, "--config",
+                             str(config), "--out", str(out)], cwd=tree, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    # wait4 reaps the child with its own resource usage; ru_maxrss is in KiB on Linux
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
     outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, **outputs}
+    return ({"exit code": str(proc.returncode).encode(), "stdout": stdout, **outputs},
+            usage.ru_maxrss / 1024.0)
 
 
 def line_count(tree: Path, pattern: str) -> int:
@@ -63,12 +73,13 @@ def main(argv=None) -> int:
             print(f"{pattern}: {line_count(tmp / 'base', pattern)} lines in the base, "
                   f"{line_count(ROOT, pattern)} in the checkout", flush=True)
         for config in sorted(CONFIGS.glob("*.json")):
-            base = run(tmp / "base", config, tmp / "out" / "base" / config.stem)
-            change = run(ROOT, config, tmp / "out" / "change" / config.stem)
+            base, base_mb = run(tmp / "base", config, tmp / "out" / "base" / config.stem)
+            change, change_mb = run(ROOT, config, tmp / "out" / "change" / config.stem)
             names = sorted(set(base) | set(change))
             bad = [name for name in names if base.get(name) != change.get(name)]
             differ += [f"{config.name}: {name}" for name in bad]
-            print(f"{config.name}: {len(names) - len(bad)} of {len(names)} match", flush=True)
+            print(f"{config.name}: {len(names) - len(bad)} of {len(names)} match; peak RSS "
+                  f"{base_mb:.1f} MB in the base, {change_mb:.1f} MB in the checkout", flush=True)
     for line in differ:
         print(f"differs: {line}")
     return 1 if differ else 0
