@@ -64,12 +64,9 @@ def delta_of_eps(regime: str, eps: float) -> float:
     raise ScheduleError(f"unknown regime {regime!r}")
 
 
-def support_cells(lake: Lake, zeta: np.ndarray) -> np.ndarray:
+def support_cells(zeta: np.ndarray) -> np.ndarray:
     """Cells above 1e-12 of the field's maximum (none for a field without a positive value)."""
-    zmax = zeta.max() if zeta.size else 0.0
-    if zmax <= 0.0:
-        return np.zeros(lake.n_cells, dtype=bool)
-    return zeta > 1e-12 * zmax
+    return zeta > 1e-12 * zeta.max()
 
 
 def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
@@ -120,10 +117,7 @@ def radial_monotonicity_score(bin_means: np.ndarray) -> float:
     """1 - (positive increments)/(total variation) of the radial bin means,
     empty (NaN) bins skipped; 1 for exactly nonincreasing profiles, 0 for
     strictly increasing ones."""
-    v = bin_means[~np.isnan(bin_means)]
-    if v.size < 2:
-        return 1.0
-    d = np.diff(v)
+    d = np.diff(bin_means[~np.isnan(bin_means)])
     tv = float(np.abs(d).sum())
     if tv <= 0.0:
         return 1.0
@@ -180,7 +174,6 @@ class Diagnostics:
     mass_frac: float = math.nan
     radial_score: float = math.nan
     converged: bool = True
-    error: str = ""
     supp_target_dist: float = math.nan  # max support distance to the target set
 
     def row(self) -> list:
@@ -215,7 +208,7 @@ def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
     params = state.ctx.params
     # vorticity_center raises on a zero field, so the support is not empty
     xc = vorticity_center(lake, state.zeta)
-    sp = lake.centers[support_cells(lake, state.zeta)]
+    sp = lake.centers[support_cells(state.zeta)]
     diam = max_pairwise_distance(sp)
     score = float("nan")  # an under-resolved support has no profile
     if diam >= MIN_PROFILE_CELLS * lake.h:
@@ -254,30 +247,30 @@ def run_sweep(lake: Lake, flux: np.ndarray, regime: str,
               seed=None) -> SweepReport:
     """Solve along a decreasing eps list and evaluate the regime trend checks.
 
-    A point whose solve fails with a numerical error is recorded as a row of
-    NaNs with converged=False and the sweep goes on; any other error
-    propagates.  Only each point's Diagnostics row is kept, not its solved
-    state, so a sweep's memory does not grow with its eps list.
+    Every point's params are built before the first solve, so a bad eps, regime
+    or kappa0 raises.  A point whose solve fails with an AdmissibilityError or
+    SolverError is logged and kept as its eps and delta with NaNs and
+    converged=False; any other error propagates.  Only the rows are kept, not
+    the solved states, so a sweep's memory does not grow with its eps list.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if np.any(np.diff(eps_arr) >= 0):
         raise ScheduleError("eps list must be strictly decreasing")
+    points = [AdmissibleParams(eps=e, delta=delta_of_eps(regime, e), kappa0=kappa0, lam=lam)
+              for e in eps_arr]
     q = solve_background(handle, np.asarray(flux, dtype=float))
     target, ties = predicted_target(lake, q, kappa0, regime)
     seed_pt = np.asarray(seed, dtype=float) if seed is not None else target
 
-    def solve_point(eps: float) -> Diagnostics:
-        delta = float("nan")
+    def solve_point(params: AdmissibleParams) -> Diagnostics:
         try:
-            delta = delta_of_eps(regime, eps)
-            params = AdmissibleParams(eps=eps, delta=delta, kappa0=kappa0, lam=lam)
             state = solve_vortex(lake, q, params, vf, init=seed_pt, handle=handle)
-        except (ScheduleError, AdmissibilityError, SolverError) as exc:
-            log.error("sweep point eps=%g failed: %s", eps, exc)
-            return Diagnostics(eps=eps, delta=delta, converged=False, error=str(exc))
+        except (AdmissibilityError, SolverError) as exc:
+            log.error("sweep point eps=%g failed: %s", params.eps, exc)
+            return Diagnostics(eps=params.eps, delta=params.delta, converged=False)
         return diagnose(lake, state, ties)
 
-    rows = [solve_point(e) for e in eps_arr]
+    rows = [solve_point(p) for p in points]
     checks = _regime_checks(lake, q, regime, kappa0, rows, ties)
     report = SweepReport(
         regime=regime,

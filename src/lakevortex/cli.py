@@ -294,7 +294,7 @@ def _jsonable(obj, arrays: list):
             return f"\0{len(arrays) - 1}"
         return [_jsonable(v, arrays) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()  # then a NaN is caught as a Python float
     if isinstance(obj, float) and math.isnan(obj):
         return None
     return obj

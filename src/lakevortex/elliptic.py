@@ -194,7 +194,7 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
             f"flux must have one value per boundary cell ({len(lake.boundary)})"
         )
     integral = flux_compatibility(lake, nu)
-    if abs(integral) > COMPATIBILITY_TOL:
+    if not abs(integral) <= COMPATIBILITY_TOL:  # a NaN integral fails too
         raise CompatibilityError(integral)
     if not nu.any():
         return np.zeros(handle.n)
@@ -214,7 +214,7 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
     pairs periodically, one per direction (angle mod 2 pi).  The cosine and
     custom fluxes are mean-corrected in the trace quadrature so the
     compatibility condition holds to rounding, and the correction magnitude
-    is logged.
+    is logged.  A flux that overflows to non-finite values raises ValueError.
     """
     trace = lake.boundary
     if name == "zero":
@@ -239,7 +239,9 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
     correction = flux_compatibility(lake, nu) / trace.weights.sum()
     if correction != 0.0:
         log.info("flux preset %s: mean correction %.3e applied", name, correction)
-    return nu - correction
+    if not np.isfinite(nu := nu - correction).all():  # finite points and amplitude can overflow
+        raise ValueError("values are not finite: the flux overflows")
+    return nu
 
 
 def kernel_representation_residual(handle: OperatorHandle, zeta: np.ndarray,

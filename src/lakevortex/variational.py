@@ -174,9 +174,9 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     out from level len(cells) before it bisects.  The cells above any level,
     their order and so every mass evaluated do not depend on the set, and
     the search ends at the same segment from any start, so mu and zeta are
-    the same bits for every cells.
+    the same bits for every cells.  params must pass check_nonempty, which
+    solve_vortex makes once; on an empty class the mass check raises.
     """
-    params.check_nonempty(lake, vf)
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
     reach = float(vf.f_inv(params.lam))  # psi - mu beyond which a cell is capped
     nu_all, n = lake.nu_weights, len(psi_free)
@@ -262,6 +262,8 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
     remaining mass before each cell, subtracted in fill order.
     """
     seed = np.asarray(seed, dtype=float)
+    if seed.shape != (2,):
+        raise ValueError(f"seed must be a point (x, y), got shape {seed.shape}")
     d2 = (lake.centers[:, 0] - seed[0]) ** 2 + (lake.centers[:, 1] - seed[1]) ** 2
     # all cells: numpy's default sort decides which of the cells at equal
     # distance on the rim takes the rest, and a different rim can send the
@@ -304,15 +306,15 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
                  vf: VorticityFunction, handle: OperatorHandle, init=None) -> SolveState:
     """Iterate the capped level-set update to a fixed point.
 
-    init is a seed point (patch centered there) or an admissible field; the
-    iteration stops when the weighted L1 difference between a step's output
-    and its input drops below FP_TOL_REL * kappa0 * delta, or after MAX_ITERS
-    steps with the best state and converged=False.  Each step's bathtub starts
-    from the candidate cells of the last accepted output, the first from the
-    seed patch's (or init field's) support, so a step partitions the full
-    grid only when those cells fall short of the target.  With -v, every step
-    logs one DEBUG line: its index, E, residual, mu, support size and the
-    number of candidates it carries to the next step.
+    The iteration starts from initial_patch at the seed point init (None: the
+    deepest cell) and stops when the weighted L1 difference between a step's
+    output and its input drops below FP_TOL_REL * kappa0 * delta, or after
+    MAX_ITERS steps with the best state and converged=False.  Each step's
+    bathtub starts from the candidate cells of the last accepted output, the
+    first from the seed patch's support, so a step partitions the full grid
+    only when those cells fall short of the target.  With -v, every step logs
+    one DEBUG line: its index, E, residual, mu, support size and the number
+    of candidates it carries to the next step.
 
     Once two consecutive outputs share their support and capped cells, the
     map is one fixed contraction on that support.  From then on, while the
@@ -327,15 +329,8 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     bathtub output.
     """
     params.check_nonempty(lake, vf)
-    if init is None:
-        init = lake.centers[np.argmax(lake.b_int)]
-    init_arr = np.asarray(init, dtype=float)
-    if init_arr.shape == (2,):
-        zeta = initial_patch(lake, params, init_arr)
-    else:
-        zeta = init_arr.copy()
-        if zeta.shape != (lake.n_cells,):
-            raise ValueError("init must be a seed point or a per-cell field")
+    seed = lake.centers[np.argmax(lake.b_int)] if init is None else init
+    zeta = initial_patch(lake, params, seed)
     ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
     k = apply_K(handle, zeta)
     support, capped = np.flatnonzero(zeta), None  # of the last accepted output, or of the input

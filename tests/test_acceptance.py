@@ -242,7 +242,7 @@ def test_support_diameter_matches_frozen_qhull(regression_states):
     for lake in lakes.values():
         assert lake.diameter == scipy_ref.max_pairwise_distance(lake.centers)
     for lake, state in regression_states:
-        support = lake.centers[support_cells(lake, state.zeta)]
+        support = lake.centers[support_cells(state.zeta)]
         assert len(support) > 16  # past the reference's brute-force cut-off
         assert (geometry.max_pairwise_distance(support)
                 == scipy_ref.max_pairwise_distance(support))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import tracemalloc
 
@@ -20,10 +21,10 @@ from lakevortex.asymptotics import (
     support_cells,
     vorticity_center,
 )
-from lakevortex.elliptic import assemble_operator, flux_preset, solve_background
+from lakevortex.elliptic import SolverError, assemble_operator, flux_preset, solve_background
 from lakevortex.geometry import build_lake, disk_indicator_averaged, max_pairwise_distance
 from lakevortex.nonlinearity import VorticityFunction
-from lakevortex.variational import AdmissibleParams
+from lakevortex.variational import AdmissibilityError, AdmissibleParams
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_vorticity_center(disk_const_64):
 
 def _profile(lake, zeta, params):
     """The radial bin means around the origin, with the support's diameter."""
-    diam = max_pairwise_distance(lake.centers[support_cells(lake, zeta)])
+    diam = max_pairwise_distance(lake.centers[support_cells(zeta)])
     return rescale_profile(lake, zeta, params, (0.0, 0.0), diam)
 
 
@@ -239,20 +240,51 @@ def test_boundary_depth_max_records_decay_not_floor():
     assert "boundary_decay_exponent" in report.checks
 
 
-def test_sweep_continues_past_failed_point():
+def test_sweep_continues_past_failed_point(monkeypatch, caplog):
+    # a numerical failure at the middle point fails that point alone
+    import lakevortex.asymptotics as asymptotics
+
+    live = asymptotics.solve_vortex
+
+    def failing_at_014(lake, q, params, *rest, **kw):
+        if params.eps == 0.14:
+            raise SolverError("injected residual failure")
+        return live(lake, q, params, *rest, **kw)
+
+    monkeypatch.setattr(asymptotics, "solve_vortex", failing_at_014)
     lake = build_lake("disk_interior_max_b", 96)
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
-    # the first point is outside the schedule's domain and must fail alone
-    report, states = sweep_with_states(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                                       eps_list=[0.5, 0.2, 0.14], vf=vf, handle=handle)
-    assert [r.converged for r in report.rows] == [False, True, True]
-    assert [s is None for s in states] == [True, False, False]
-    assert report.rows[0].error != ""
-    failed = report.rows[0].row()
-    assert failed[0] == 0.5 and all(math.isnan(v) for v in failed[1:])
+    with caplog.at_level(logging.ERROR, logger="lakevortex.asymptotics"):
+        report, states = sweep_with_states(lake, flux, "critical", kappa0=1.0, lam=50.0,
+                                           eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
+    assert [r.converged for r in report.rows] == [True, False, True]
+    assert [s is None for s in states] == [False, True, False]
+    failed = report.rows[1].row()
+    assert failed[:2] == [0.14, delta_of_eps("critical", 0.14)]
+    assert all(math.isnan(v) for v in failed[2:])
+    assert "sweep point eps=0.14 failed: injected residual failure" in caplog.text
     assert report.checks["all_converged"] is False
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"eps_list": [0.5, 0.2]}, ScheduleError),  # 0.5 is outside (0, 1/e)
+    ({"kappa0": 0.0}, AdmissibilityError),
+], ids=["eps-above-1/e", "kappa0-zero"])
+def test_sweep_rejects_bad_inputs_before_any_solve(monkeypatch, changes, error):
+    # the inputs of every point are checked before the first solve, not
+    # recorded as failed points
+    import lakevortex.asymptotics as asymptotics
+
+    calls = []
+    monkeypatch.setattr(asymptotics, "solve_vortex", lambda *a, **kw: calls.append(a))
+    lake = build_lake("disk_interior_max_b", 32)
+    vf = VorticityFunction("jump_linear", c=0.5)
+    args = dict(kappa0=1.0, lam=50.0, eps_list=[0.2, 0.14], vf=vf, handle=assemble_operator(lake))
+    with pytest.raises(error):
+        run_sweep(lake, flux_preset(lake, "zero"), "critical", **dict(args, **changes))
+    assert calls == []
 
 
 def test_sweep_retains_no_per_point_field():

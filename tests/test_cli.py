@@ -175,6 +175,7 @@ def test_nan_flux_amplitude_is_config_error(tmp_path, capsys):
 NAN = float("nan")
 # f rises by 0.01 over its first unit of s: 100 times less than s itself
 SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
+OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "amplitude": 1e10}
 
 
 @pytest.mark.parametrize("command, changes", [
@@ -192,6 +193,9 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
     ("solve", {"params": dict(SMALL_SOLVE["params"], kappa0=1e4)}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], lam=1.0)}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], kappa0=1e4)}),
+    # finite points and amplitude whose flux overflows
+    ("solve", {"flux": OVERFLOWING_FLUX}),
+    ("sweep", {"flux": OVERFLOWING_FLUX}),
     ("check-hypotheses", {"hypotheses": {"n": "many"}}),
     ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
                           "hypotheses": {"s_max": 1e300, "n": 100}}),
@@ -213,6 +217,7 @@ SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
         "flux-points-one-direction",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
         "solve-lam-below-jump", "solve-empty-class", "sweep-lam-below-jump", "sweep-empty-class",
+        "solve-flux-overflow", "sweep-flux-overflow",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
@@ -502,7 +507,8 @@ def test_load_config_rejects_non_object(tmp_path):
 
 def _walked_jsonable(obj):
     """Frozen copy of the writer's value-by-value conversion, before float
-    arrays without NaN went through one tolist()."""
+    arrays without NaN went through one tolist(); a numpy NaN scalar is null
+    like a Python NaN."""
     if isinstance(obj, dict):
         return {k: _walked_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -510,7 +516,7 @@ def _walked_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_walked_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and math.isnan(obj):
         return None
     return obj
@@ -541,6 +547,17 @@ def test_write_json_matches_value_by_value_walk(tmp_path):
     expected = dict(payload, version=__version__, config_sha256="abc")
     text = json.dumps(_walked_jsonable(expected), sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "out.json").read_text() == text
+
+
+def test_write_json_writes_every_nan_as_null(tmp_path):
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    write_json(tmp_path / "out.json", {"numpy": np.float64(NAN), "float32": np.float32(NAN),
+                                       "python": NAN, "list": [np.float64(NAN), 1.5]}, "abc")
+    data = json.loads((tmp_path / "out.json").read_text(), parse_constant=reject)
+    assert data["numpy"] is None and data["float32"] is None and data["python"] is None
+    assert data["list"] == [None, 1.5]
 
 
 def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, critical_state_129):

@@ -306,12 +306,13 @@ def test_apply_K_validates_input(disk_const_64_handle):
 
 
 def test_solve_background_rejects_non_finite_flux(disk_const_64_handle):
-    # a NaN flux passes the compatibility check (NaN compares false), so the
-    # solve's screen is what keeps a NaN background from coming back
-    nu = np.zeros(len(disk_const_64_handle.lake.boundary))
-    nu[3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_background(disk_const_64_handle, nu)
+    # a NaN or infinite flux has a NaN or infinite integral, which is not
+    # within the compatibility tolerance of zero
+    for values in ([np.nan], [np.inf], [np.inf, -np.inf]):
+        nu = np.zeros(len(disk_const_64_handle.lake.boundary))
+        nu[3:3 + len(values)] = values
+        with pytest.raises(CompatibilityError):
+            solve_background(disk_const_64_handle, nu)
 
 
 def test_apply_K_overflowing_norm_is_a_solver_error(disk_const_64_handle):

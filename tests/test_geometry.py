@@ -107,7 +107,7 @@ def test_diameter_matches_brute_force(disk_const_64):
     for cells, expect in (([], 0.0), ([10], 0.0), ([10, 200], pair), (row, ends)):
         zeta = np.zeros(lake.n_cells)
         zeta[cells] = 1.0
-        support = lake.centers[support_cells(lake, zeta)]
+        support = lake.centers[support_cells(zeta)]
         assert geometry.max_pairwise_distance(support) == pytest.approx(expect, rel=1e-12)
 
 

@@ -175,15 +175,24 @@ def test_mass_monotone_in_mu(interior_128, interior_128_q, vf_power2):
 
 
 def test_mu_unattainable_target_rejected(disk_const_64, vf_power2):
-    # lam too small for the requested circulation
+    # lam too small for the requested circulation: on the empty class the
+    # bathtub's own mass check raises
     params = AdmissibleParams(eps=1.0, delta=1.0, kappa0=10.0, lam=2.5)
     psi = np.zeros(disk_const_64.n_cells)
-    with pytest.raises(AdmissibilityError, match="empty"):
+    with pytest.raises(AdmissibilityError, match="missed the mass target"):
         bathtub(disk_const_64, params, vf_power2, psi)
+
+
+def test_solve_rejects_an_empty_class(disk_const_64, disk_const_64_handle, vf_power2):
+    lake, handle = disk_const_64, disk_const_64_handle
+    q = np.zeros(lake.n_cells)
+    params = AdmissibleParams(eps=1.0, delta=1.0, kappa0=10.0, lam=2.5)
+    with pytest.raises(AdmissibilityError, match="empty"):
+        solve_vortex(lake, q, params, vf_power2, handle)
     # lam <= f(0+) + 1 leaves no room above the jump
     jump = VorticityFunction("jump_linear", c=2.0)
     with pytest.raises(AdmissibilityError, match="truncation level"):
-        bathtub(disk_const_64, params, jump, psi)
+        solve_vortex(lake, q, params, jump, handle)
 
 
 def test_bathtub_fills_constant_level_at_the_jump(disk_const_64, vf_jump):
@@ -409,16 +418,10 @@ def test_seed_independence_logged(power_fixture, caplog):
     assert rel <= 1e-6  # observed on this fixture; not asserted as a general law
 
 
-def test_same_seed_different_initial_patches_agree(power_fixture):
+def test_solve_takes_a_seed_point_not_a_field(power_fixture):
     lake, handle, q, params, state = power_fixture
-    # a broader admissible blob at the same seed: triple-radius bathtub fill
-    wide = disk_indicator_averaged(lake, (0.0, 0.0), 3.0 * params.eps)
-    wide *= params.target_mass / mass(lake, wide)
-    assert wide.max() <= params.cap
-    other = solve_vortex(lake, q, params, state.ctx.vf, init=wide, handle=handle)
-    assert other.converged
-    rel = abs(other.energy.total - state.energy.total) / abs(state.energy.total)
-    assert rel <= 1e-6
+    with pytest.raises(ValueError, match="seed must be a point"):
+        solve_vortex(lake, q, params, state.ctx.vf, handle, init=state.zeta)
 
 
 def test_tiny_truncation_produces_patch(interior_128, interior_128_handle,
