@@ -106,10 +106,11 @@ def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
     edges = np.linspace(0.0, half_width, n_bins + 1)
     means = np.full(n_bins, np.nan)
     idx = np.clip(np.searchsorted(edges, rr, side="right") - 1, 0, n_bins - 1)
-    for k in range(n_bins):
-        sel = idx == k
-        if sel.any():
-            means[k] = vv[sel].mean()
+    grouped = vv[np.argsort(idx, kind="stable")]  # each bin's samples in order, in one run
+    ends = np.cumsum(np.bincount(idx, minlength=n_bins)).tolist()
+    for k, (start, end) in enumerate(zip([0] + ends, ends)):
+        if start < end:
+            means[k] = grouped[start:end].mean()
     return means
 
 

@@ -259,9 +259,9 @@ _ARRAY_MARKER = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
 
 
 def write_json(path: Path, payload: dict, cfg_hash: str) -> None:
-    """Sorted keys, indent 2, NaN as null.  json's indented encoder is pure
-    Python, so each finite 1-d float array goes in as a marker string and is
-    joined in afterwards at its line's depth, in the encoder's own layout."""
+    """Sorted keys, indent 2, NaN and +-inf as null.  json's indented encoder
+    is pure Python, so each finite 1-d float array goes in as a marker string
+    and is joined in afterwards at its line's depth, in the encoder's own layout."""
     payload = dict(payload)
     payload["version"] = __version__
     payload["config_sha256"] = cfg_hash
@@ -273,12 +273,17 @@ def write_json(path: Path, payload: dict, cfg_hash: str) -> None:
         if not len(values):
             return f"{m.group(1)}{m.group(2)}[]"
         inner = m.group(1) + "  "
-        # repr only the nonzeros: most of a full-grid field is 0.0
-        items = np.where(np.signbit(values), "-0.0", "0.0").astype(object)
-        nonzero = values != 0.0
-        items[nonzero] = list(map(float.__repr__, values[nonzero].tolist()))
-        items = f",\n{inner}".join(items)
-        return f"{m.group(1)}{m.group(2)}[\n{inner}{items}\n{m.group(1)}]"
+        sep = ",\n" + inner
+        # most of a full-grid field is 0.0: each run of them is one repeated
+        # string and repr writes the rest, -0.0 too, in one join
+        keep = (values != 0.0) | np.signbit(values)
+        keep[-1] = True  # repr(0.0) is "0.0": the pieces end with the last item
+        pieces, zero, last = [f"{m.group(1)}{m.group(2)}[\n{inner}"], "0.0" + sep, -1
+        for j, v in zip(np.flatnonzero(keep).tolist(), values[keep].tolist()):
+            pieces += (zero * (j - last - 1), repr(v), sep)
+            last = j
+        pieces[-1] = f"\n{m.group(1)}]"  # in place of the last item's separator
+        return "".join(pieces)
 
     path.write_text(_ARRAY_MARKER.sub(expand, text) + "\n")
 
@@ -294,8 +299,8 @@ def _jsonable(obj, arrays: list):
             return f"\0{len(arrays) - 1}"
         return [_jsonable(v, arrays) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()  # then a NaN is caught as a Python float
-    if isinstance(obj, float) and math.isnan(obj):
+        obj = obj.item()  # then a NaN or inf is caught as a Python float
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 

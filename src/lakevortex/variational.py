@@ -181,36 +181,36 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     reach = float(vf.f_inv(params.lam))  # psi - mu beyond which a cell is capped
     nu_all, n = lake.nu_weights, len(psi_free)
 
-    # the closures read the sorted candidate set in hand
+    # the closures read the sorted candidate set in hand; array methods skip numpy's wrappers
     def count_above(t: float, side: str = "left") -> int:
-        return int(np.searchsorted(neg_levels, -t, side))
+        return int(neg_levels.searchsorted(-t, side))
 
-    def band(mu: float):  # the mass at mu, and the band's bounds and values
-        k_cap, k_sup = count_above(mu + reach), count_above(mu)
+    def band(mu: float, k_sup: int):  # the mass at mu given count_above(mu), and the band
+        k_cap = count_above(mu + reach)
         values = np.minimum(scale * vf.f(levels[k_cap:k_sup] - mu), cap)
         mass = cap * prefix[k_cap] + float(np.dot(values, nuw[k_cap:k_sup]))
         return mass, (k_cap, k_sup, values)
 
     def at_level(j: int):  # band(levels[j]), once per candidate set
         if j not in memo:
-            memo[j] = band(float(levels[j]))
+            memo[j] = band(t := float(levels[j]), count_above(t))
         return memo[j]
 
     def reaches(j: int) -> bool:
         return at_level(j)[0] >= target
 
-    cand = np.flatnonzero(psi_free >= psi_free[cells].min()) if len(cells) else None
+    cand = (psi_free >= psi_free[cells].min()).nonzero()[0] if len(cells) else None
     rung = min(n, 2 * len(cells) + 1)  # the top cells taken if that set falls short
     while True:
         if cand is None:
             cand = np.argpartition(psi_free, n - rung)[n - rung:]
             cand.sort()  # ties in index order, whatever the rung
             rung = min(n, 4 * rung)
-        order = cand[np.argsort(-psi_free[cand], kind="stable")]
+        order = cand[(-psi_free[cand]).argsort(kind="stable")]
         levels = psi_free[order]
         neg_levels = -levels  # ascending, for searchsorted
         nuw = nu_all[order]
-        prefix = np.concatenate(([0.0], np.cumsum(nuw)))
+        prefix = np.concatenate(([0.0], nuw.cumsum()))
         memo, k = {}, len(order)
         if k == n or reaches(k - 1):
             break
@@ -234,11 +234,11 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     tie_capacity = jump_value * (prefix[tie_hi] - prefix[tie_lo])
     if deficit <= tie_capacity:  # the target sits inside the jump at upper
         mu, fill = upper, deficit / tie_capacity
-    else:  # largest mu with mass(mu) >= target, to float resolution
+    else:  # largest mu with mass(mu) >= target, to float resolution; count_above = tie_hi
         mu, fill, above = lower, 0.0, upper
         while mu < (mid := 0.5 * (mu + above)) < above:
-            mu, above = (mid, above) if band(mid)[0] >= target else (mu, mid)
-    k_cap, k_sup, values = (at_level(lo) if mu == upper else band(mu))[1]
+            mu, above = (mid, above) if band(mid, tie_hi)[0] >= target else (mu, mid)
+    k_cap, k_sup, values = (at_level(lo) if mu == upper else band(mu, tie_hi))[1]
 
     zeta = np.zeros(n)
     zeta[order[:k_cap]] = cap

@@ -24,6 +24,7 @@ import math
 import time
 
 import numpy as np
+import profile_passes_reference as profile_ref
 import pytest
 import scipy_geometry_reference as scipy_ref
 from certificates import PATCH_REL_TOL, mass, optimality_violations, steady_residual
@@ -34,7 +35,7 @@ from sorted_bathtub_reference import bathtub as full_sort_bathtub
 from sweep_states import sweep_with_states
 
 from lakevortex import geometry
-from lakevortex.asymptotics import support_cells
+from lakevortex.asymptotics import rescale_profile, support_cells
 from lakevortex.elliptic import (
     CompatibilityError,
     apply_K,
@@ -49,6 +50,7 @@ from lakevortex.geometry import (
     green_disk,
     h_kernel,
     h_kernel_bounds,
+    max_pairwise_distance,
 )
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
@@ -232,6 +234,21 @@ def test_bathtub_matches_frozen_full_sort(regression_states):
         assert float(np.dot(np.abs(zeta_new - zeta_full), lake.nu_weights)) <= tol
         for zeta in (zeta_full, zeta_new):
             assert abs(mass(lake, zeta) - ctx.params.target_mass) <= tol
+
+
+def test_rescale_profile_matches_frozen_bin_passes(regression_states):
+    """The radial bin means from one grouping of the samples against the
+    frozen one-pass-per-bin loop, bit for bit, at every regression state's
+    vorticity center and support diameter, and at diameter 0, where every
+    sample falls in the last bin and the others are empty (NaN)."""
+    assert len(regression_states) == 23
+    for lake, state in regression_states:
+        center = vorticity_center(lake, state.zeta)
+        diam = max_pairwise_distance(lake.centers[support_cells(state.zeta)])
+        for d in (diam, 0.0):
+            new = rescale_profile(lake, state.zeta, state.ctx.params, center, d)
+            old = profile_ref.rescale_profile(lake, state.zeta, state.ctx.params, center, d)
+            assert new.tobytes() == old.tobytes() and np.isnan(new).any() == (d == 0.0)
 
 
 def test_support_diameter_matches_frozen_qhull(regression_states):

@@ -4,8 +4,10 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,10 @@ import pytest
 import lakevortex
 from lakevortex import __version__
 from lakevortex.cli import (
+    _ARRAY_MARKER,
     COMMANDS,
     CONFIG_KEYS,
+    _jsonable,
     config_hash,
     load_config,
     main,
@@ -508,7 +512,7 @@ def test_load_config_rejects_non_object(tmp_path):
 def _walked_jsonable(obj):
     """Frozen copy of the writer's value-by-value conversion, before float
     arrays without NaN went through one tolist(); a numpy NaN scalar is null
-    like a Python NaN."""
+    like a Python NaN, and so is an infinity of either sign."""
     if isinstance(obj, dict):
         return {k: _walked_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -517,7 +521,7 @@ def _walked_jsonable(obj):
         return [_walked_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
@@ -560,6 +564,83 @@ def test_write_json_writes_every_nan_as_null(tmp_path):
     assert data["list"] == [None, 1.5]
 
 
+def test_write_json_writes_every_infinity_as_null(tmp_path):
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    inf = float("inf")
+    write_json(tmp_path / "out.json", {"python": [inf, -inf], "numpy": np.float64(-inf),
+                                       "array": np.array([1.0, inf])}, "abc")
+    data = json.loads((tmp_path / "out.json").read_text(), parse_constant=reject)
+    assert data["python"] == [None, None] and data["numpy"] is None
+    assert data["array"] == [1.0, None]
+
+
+def _object_array_write_json(path: Path, payload: dict, cfg_hash: str) -> None:
+    """Frozen copy of write_json before zero runs: each float array's items
+    were one object array of strings, joined once."""
+    payload = dict(payload)
+    payload["version"] = __version__
+    payload["config_sha256"] = cfg_hash
+    arrays: list = []
+    text = json.dumps(_jsonable(payload, arrays), sort_keys=True, indent=2)
+
+    def expand(m: re.Match) -> str:
+        values = arrays[int(m.group(3))]
+        if not len(values):
+            return f"{m.group(1)}{m.group(2)}[]"
+        inner = m.group(1) + "  "
+        # repr only the nonzeros: most of a full-grid field is 0.0
+        items = np.where(np.signbit(values), "-0.0", "0.0").astype(object)
+        nonzero = values != 0.0
+        items[nonzero] = list(map(float.__repr__, values[nonzero].tolist()))
+        items = f",\n{inner}".join(items)
+        return f"{m.group(1)}{m.group(2)}[\n{inner}{items}\n{m.group(1)}]"
+
+    path.write_text(_ARRAY_MARKER.sub(expand, text) + "\n")
+
+
+def test_write_json_zero_runs_match_the_object_array_text(tmp_path):
+    """Runs of 0.0 written as one repeated string give the text of the frozen
+    object-array writer, on arrays with -0.0, 5e-324 and runs at either end,
+    and on all-zero, zero-free, one-item and empty arrays, at two depths."""
+    rng = np.random.default_rng(7)
+    field = np.zeros(300)
+    field[rng.choice(300, 40, replace=False)] = rng.normal(size=40)
+    arrays = {
+        "signed_zeros": np.array([-0.0, 0.0, 0.0, -0.0, 1.5, -0.0]),
+        "subnormal": np.array([0.0, 5e-324, 0.0, -5e-324, 0.0, 0.0]),
+        "runs_at_both_ends": np.array([0.0, 0.0, 2.0, 0.0, -3.0, 0.0, 0.0, 0.0]),
+        "field": field,
+        "all_zero": np.zeros(17),
+        "no_zero": rng.normal(size=9),
+        "one_zero": np.zeros(1),
+        "one_negative_zero": np.array([-0.0]),
+        "one_value": np.array([0.25]),
+        "empty": np.empty(0),
+    }
+    payload = dict(arrays, nested={"deeper": dict(arrays)})
+    write_json(tmp_path / "runs.json", payload, "abc")
+    _object_array_write_json(tmp_path / "objects.json", payload, "abc")
+    assert (tmp_path / "runs.json").read_text() == (tmp_path / "objects.json").read_text()
+
+
+def test_write_json_of_a_129_state_traces_under_half_a_megabyte(tmp_path, critical_state_129):
+    """The 129^2 state.json (17,161 floats, most of them 0.0) is written with
+    under 0.5 MB traced at the peak: the text and its pieces, without a
+    string object per float (1.33 MB with one)."""
+    lake, _, _, _, state = critical_state_129
+    payload = state_to_dict(lake, state)
+    write_json(tmp_path / "warm.json", payload, "abc")  # first-call caches are not the write's
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "state.json", payload, "abc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
 def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, critical_state_129):
     lake, _, _, _, state = critical_state_129
     payload = state_to_dict(lake, state)
@@ -567,6 +648,22 @@ def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, criti
     expected = dict(payload, version=__version__, config_sha256="abc")
     text = json.dumps(_walked_jsonable(expected), sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "state.json").read_text() == text
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_overflowing_flux_prints_only_the_config_error(tmp_path, capfd, command):
+    """A flux that overflows leaves one line on stderr, the config error: no
+    numpy RuntimeWarning before it.  The command runs in a child process that
+    writes to the captured stderr, since pytest records warnings raised in
+    its own process instead of printing them."""
+    cfg = _write(tmp_path, dict(BASES[command], flux=OVERFLOWING_FLUX))
+    src = str(Path(lakevortex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = subprocess.run([sys.executable, "-m", "lakevortex.cli", command, "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], env=env).returncode
+    assert code == 2
+    err = capfd.readouterr().err
+    assert err.splitlines() == ["config error: flux: values are not finite: the flux overflows"]
 
 
 def test_cli_imports_no_csgraph_ndimage_or_spatial():
