@@ -64,6 +64,16 @@ def delta_of_eps(regime: str, eps: float) -> float:
     raise ScheduleError(f"unknown regime {regime!r}")
 
 
+def sweep_params(regime: str, kappa0: float, lam: float, eps_list) -> list:
+    """Each point's AdmissibleParams along eps_list, which must strictly decrease;
+    an unknown regime, an eps outside (0, 1/e) and a kappa0 <= 0 raise."""
+    eps_arr = np.asarray(list(eps_list), dtype=float)
+    if np.any(np.diff(eps_arr) >= 0):
+        raise ScheduleError("eps list must be strictly decreasing")
+    return [AdmissibleParams(eps=e, delta=delta_of_eps(regime, e), kappa0=kappa0, lam=lam)
+            for e in eps_arr]
+
+
 def support_cells(zeta: np.ndarray) -> np.ndarray:
     """Cells above 1e-12 of the field's maximum (none for a field without a positive value)."""
     return zeta > 1e-12 * zeta.max()
@@ -131,8 +141,7 @@ def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str):
 
     above_critical: argmax of the depth; critical: argmax of the combined
     potential kappa0*b/(4 pi) + q; below_critical: argmax of the background.
-    Returns (point, tie_points) where tie_points collects every cell within
-    1e-10 of the maximum.
+    Returns every cell within 1e-10 of the maximum; the first is the target.
     """
     if regime == "above_critical":
         score = lake.b_int
@@ -142,9 +151,7 @@ def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str):
         score = q
     else:
         raise ScheduleError(f"unknown regime {regime!r}")
-    smax = score.max()
-    ties = lake.centers[score >= smax - 1e-10]
-    return ties[0].copy(), ties
+    return lake.centers[score >= score.max() - 1e-10]
 
 
 def mass_fraction_near(lake: Lake, zeta: np.ndarray, point, radius: float) -> float:
@@ -183,30 +190,32 @@ class Diagnostics:
 
 @dataclass
 class SweepReport:
+    """A sweep's rows, predicted target cells (the first is the target) and checks."""
+
     regime: str
     rows: list
-    target: np.ndarray
     target_ties: np.ndarray
-    diam_slope: float | None
     checks: dict
 
 
-def _fit_loglog_slope(eps: np.ndarray, diam: np.ndarray) -> float | None:
+def _fit_loglog_slope(rows: list) -> float | None:
+    """Slope of log diam_supp against log eps over the rows with a support."""
+    eps, diam = np.array([r.eps for r in rows]), np.array([r.diam_supp for r in rows])
     good = diam > 0.0
     if good.sum() < 2:
         return None
     return float(np.polyfit(np.log(eps[good]), np.log(diam[good]), 1)[0])
 
 
-def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
-    """Diagnostics row of one solved state.
+def diagnose(state: SolveState, ties) -> Diagnostics:
+    """Diagnostics row of one solved state, on its operator's lake.
 
     With ties, the mass fraction is taken around the tie point nearest the
     vorticity center and supp_target_dist is the largest distance from a
     support cell to the ties; with ties None, the mass fraction is taken
     around the center itself, in a ball of radius TARGET_RADIUS.
     """
-    params = state.ctx.params
+    lake, params = state.ctx.handle.lake, state.ctx.params
     # vorticity_center raises on a zero field, so the support is not empty
     xc = vorticity_center(lake, state.zeta)
     sp = lake.centers[support_cells(state.zeta)]
@@ -241,50 +250,39 @@ def diagnose(lake: Lake, state: SolveState, ties) -> Diagnostics:
     )
 
 
-def run_sweep(lake: Lake, flux: np.ndarray, regime: str,
+def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
               kappa0: float, lam: float, eps_list,
-              vf: VorticityFunction,
-              handle: OperatorHandle,
-              seed=None) -> SweepReport:
-    """Solve along a decreasing eps list and evaluate the regime trend checks.
+              vf: VorticityFunction, seed=None) -> SweepReport:
+    """Solve along a decreasing eps list on the operator's lake and evaluate
+    the regime trend checks.
 
-    Every point's params are built before the first solve, so a bad eps, regime
-    or kappa0 raises.  A point whose solve fails with an AdmissibilityError or
-    SolverError is logged and kept as its eps and delta with NaNs and
-    converged=False; any other error propagates.  Only the rows are kept, not
-    the solved states, so a sweep's memory does not grow with its eps list.
+    Every point's params come from sweep_params before the first solve, so a
+    bad eps, regime or kappa0 raises.  A point whose solve fails with an
+    AdmissibilityError or SolverError is logged and kept as its eps and delta
+    with NaNs and converged=False; any other error propagates.  Only the rows
+    are kept, not the solved states, so a sweep's memory does not grow with
+    its eps list.
     """
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    if np.any(np.diff(eps_arr) >= 0):
-        raise ScheduleError("eps list must be strictly decreasing")
-    points = [AdmissibleParams(eps=e, delta=delta_of_eps(regime, e), kappa0=kappa0, lam=lam)
-              for e in eps_arr]
+    points = sweep_params(regime, kappa0, lam, eps_list)
+    lake = handle.lake
     q = solve_background(handle, np.asarray(flux, dtype=float))
-    target, ties = predicted_target(lake, q, kappa0, regime)
-    seed_pt = np.asarray(seed, dtype=float) if seed is not None else target
+    ties = predicted_target(lake, q, kappa0, regime)
+    seed_pt = np.asarray(seed, dtype=float) if seed is not None else ties[0]
 
     def solve_point(params: AdmissibleParams) -> Diagnostics:
         try:
-            state = solve_vortex(lake, q, params, vf, init=seed_pt, handle=handle)
+            state = solve_vortex(handle, q, params, vf, init=seed_pt)
         except (AdmissibilityError, SolverError) as exc:
             log.error("sweep point eps=%g failed: %s", params.eps, exc)
             return Diagnostics(eps=params.eps, delta=params.delta, converged=False)
-        return diagnose(lake, state, ties)
+        return diagnose(state, ties)
 
     rows = [solve_point(p) for p in points]
     checks = _regime_checks(lake, q, regime, kappa0, rows, ties)
-    report = SweepReport(
-        regime=regime,
-        rows=rows,
-        target=target,
-        target_ties=ties,
-        diam_slope=_fit_loglog_slope(eps_arr, np.array([r.diam_supp for r in rows])),
-        checks=checks,
-    )
-    report.checks["diam_slope"] = report.diam_slope
-    if report.diam_slope is not None:
-        report.checks["diam_slope_in_window"] = bool(0.8 <= report.diam_slope <= 1.2)
-    return report
+    slope = checks["diam_slope"] = _fit_loglog_slope(rows)
+    if slope is not None:
+        checks["diam_slope_in_window"] = bool(0.8 <= slope <= 1.2)
+    return SweepReport(regime=regime, rows=rows, target_ties=ties, checks=checks)
 
 
 def _nearest_tie(ties: np.ndarray, point) -> np.ndarray:
@@ -294,7 +292,7 @@ def _nearest_tie(ties: np.ndarray, point) -> np.ndarray:
 
 def _depth_max_is_interior(lake: Lake) -> bool:
     """True when the deepest cell does not touch the mask boundary."""
-    r, c = lake.cells[int(np.argmax(lake.b_int))]
+    r, c = np.argwhere(lake.mask)[int(np.argmax(lake.b_int))]  # cells go row by row
     return bool(lake.mask[[r, r, r + 1, r - 1], [c + 1, c - 1, c, c]].all())
 
 

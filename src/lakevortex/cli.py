@@ -5,7 +5,7 @@ All runs are driven by a JSON config; outputs embed the config hash and the
 package version, and reruns of the same config are byte-identical (the only
 randomness is the seeded sampling in kernel-test).
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure, 2 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from . import __version__, elliptic
 from .asymptotics import (
     DIAG_COLUMNS,
     ScheduleError,
-    delta_of_eps,
     diagnose,
     run_sweep,
+    sweep_params,
 )
 from .elliptic import (
     CompatibilityError,
@@ -305,9 +305,10 @@ def _jsonable(obj, arrays: list):
     return obj
 
 
-def state_to_dict(lake, state) -> dict:
-    """Serializable solve state: full-grid row-major vorticity, multiplier,
-    energies, solver counters and parameters."""
+def state_to_dict(state) -> dict:
+    """Serializable solve state: full-grid row-major vorticity on its
+    operator's lake, multiplier, energies, solver counters and parameters."""
+    lake = state.ctx.handle.lake
     grid = lake.field_to_grid(state.zeta)
     return {
         "zeta_row_major": grid.ravel(),
@@ -347,10 +348,10 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     handle = assemble_operator(lake)
     # looked up in elliptic at call time, where instrumentation can wrap it
     q = elliptic.solve_background(handle, nu)
-    state = solve_vortex(lake, q, params, vf, handle, init=seed)
+    state = solve_vortex(handle, q, params, vf, init=seed)
     chash = config_hash(cfg)
-    diag = diagnose(lake, state, None if seed is None else [seed])
-    write_json(out / "state.json", state_to_dict(lake, state), chash)
+    diag = diagnose(state, None if seed is None else [seed])
+    write_json(out / "state.json", state_to_dict(state), chash)
     write_csv(out / "diag.csv", [diag], chash)
     print(f"solve: converged={state.converged} iterations={state.iterations} "
           f"mu={state.mu:.6g} E={state.energy.total:.8g}")
@@ -359,13 +360,9 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
     scfg = section(cfg, "sweep")
-    regime = scfg["schedule"]
-    eps_list = scfg["eps_list"]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ConfigError("sweep: eps_list must be strictly decreasing")
-    try:  # an unknown regime, or the largest eps out of its domain
-        first = AdmissibleParams(eps_list[0], delta_of_eps(regime, eps_list[0]), scfg["kappa0"],
-                                 scfg["lam"])
+    schedule = scfg["schedule"], scfg["kappa0"], scfg["lam"], scfg["eps_list"]
+    try:  # eps out of order, an unknown regime, or the largest eps out of its domain
+        first = sweep_params(*schedule)[0]
     except ScheduleError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     seed = seed_from(cfg)
@@ -379,21 +376,20 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         raise ConfigError(f"sweep: {exc}") from exc
     nu = flux_from(cfg, lake)
     handle = assemble_operator(lake)
-    report = run_sweep(lake, nu, regime, scfg["kappa0"], scfg["lam"], eps_list, vf, handle,
-                       seed=seed)
+    report = run_sweep(handle, nu, *schedule, vf, seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
+    slope = report.checks["diam_slope"]
     summary = {
         "regime": report.regime,
-        "target": report.target,
+        "target": report.target_ties[0],
         "target_ties": report.target_ties,
-        "diam_slope": report.diam_slope,
+        "diam_slope": slope,
         "checks": report.checks,
     }
     write_json(out / "summary.json", summary, chash)
     failed = [r for r in report.rows if not r.converged]
-    print(f"sweep: {len(report.rows)} points, {len(failed)} failed, "
-          f"diam_slope={report.diam_slope}")
+    print(f"sweep: {len(report.rows)} points, {len(failed)} failed, diam_slope={slope}")
     return 0 if not failed else 1
 
 
@@ -413,9 +409,9 @@ def cmd_oracle_test(cfg: dict, out: Path) -> int:
     ok = True
     for name, lake, q, params, m in tiny_oracle_fixtures():
         handle = assemble_operator(lake)
-        z_star, e_star = brute_force_oracle(lake, q, params, vf, m, handle)
-        gap = oracle_gap_bound(lake, q, params, vf, m, handle)
-        state = solve_vortex(lake, q, params, vf, handle, init=lake.centers[0])
+        z_star, e_star = brute_force_oracle(handle, q, params, vf, m)
+        gap = oracle_gap_bound(handle, q, params, vf, m)
+        state = solve_vortex(handle, q, params, vf, init=lake.centers[0])
         passed = state.energy.total >= e_star - gap
         ok = ok and passed and state.converged
         results.append({
@@ -538,7 +534,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way: a usage error, found before any set-up
+            print(f"usage error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         return COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -211,8 +211,7 @@ class Lake:
     h : grid spacing; cell_area = h^2
     mask : (ny, nx) bool, True on interior cells
     b : (ny, nx) depth sampled at cell centers (clamped >= 0 outside)
-    index : (ny, nx) int, interior cell number or -1
-    cells : (n, 2) (row, col) of interior cells
+    index : (ny, nx) int, interior cell number or -1; cells go row by row
     centers : (n, 2) coordinates of interior cell centers
     b_int : (n,) depth on interior cells
     """
@@ -225,7 +224,6 @@ class Lake:
     mask: np.ndarray
     b: np.ndarray
     index: np.ndarray
-    cells: np.ndarray
     centers: np.ndarray
     b_int: np.ndarray
     boundary: BoundaryTrace
@@ -236,7 +234,7 @@ class Lake:
 
     @property
     def n_cells(self) -> int:
-        return self.cells.shape[0]
+        return self.b_int.shape[0]
 
     @cached_property
     def nu_weights(self) -> np.ndarray:
@@ -348,7 +346,6 @@ def _assemble_lake(preset: str, domain, xs: np.ndarray, ys: np.ndarray, h: float
         mask=mask,
         b=b_grid,
         index=index,
-        cells=np.column_stack([rows, cols]),
         centers=centers,
         b_int=b_int,
         boundary=_build_trace(domain, mask, xs, ys),

@@ -114,9 +114,8 @@ class SolveState:
 
 @dataclass
 class SolveContext:
-    """Shared immutable pieces of one maximization problem."""
+    """Shared immutable pieces of one maximization problem; the lake is handle.lake."""
 
-    lake: Lake
     handle: OperatorHandle
     q: np.ndarray
     params: AdmissibleParams
@@ -295,16 +294,17 @@ def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray, cells=
     bathtub begins its work.  The energy never decreases."""
     # no n-sized array outlives its use: psi_free is freed before apply_K and
     # the residual reuses its difference (peak RSS 0.4-1.1 MB lower at 257^2)
-    new = bathtub(ctx.lake, ctx.params, ctx.vf, k_zeta + ctx.q, cells)
+    lake = ctx.handle.lake
+    new = bathtub(lake, ctx.params, ctx.vf, k_zeta + ctx.q, cells)
     k_new = apply_K(ctx.handle, new.zeta)
-    e_new = energy(ctx.lake, ctx.q, ctx.params, ctx.vf, new.zeta, k_new, new.support)
+    e_new = energy(lake, ctx.q, ctx.params, ctx.vf, new.zeta, k_new, new.support)
     change = new.zeta - zeta
-    return new, k_new, e_new, float(np.dot(np.abs(change, out=change), ctx.lake.nu_weights))
+    return new, k_new, e_new, float(np.dot(np.abs(change, out=change), lake.nu_weights))
 
 
-def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                 vf: VorticityFunction, handle: OperatorHandle, init=None) -> SolveState:
-    """Iterate the capped level-set update to a fixed point.
+def solve_vortex(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
+                 vf: VorticityFunction, init=None) -> SolveState:
+    """Iterate the capped level-set update to a fixed point on the operator's lake.
 
     The iteration starts from initial_patch at the seed point init (None: the
     deepest cell) and stops when the weighted L1 difference between a step's
@@ -328,10 +328,11 @@ def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     repeats the accepted energy in energy_trace.  Every reported state is a
     bathtub output.
     """
+    lake = handle.lake
     params.check_nonempty(lake, vf)
     seed = lake.centers[np.argmax(lake.b_int)] if init is None else init
     zeta = initial_patch(lake, params, seed)
-    ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
+    ctx = SolveContext(handle=handle, q=q, params=params, vf=vf)
     k = apply_K(handle, zeta)
     support, capped = np.flatnonzero(zeta), None  # of the last accepted output, or of the input
     e = energy(lake, q, params, vf, zeta, k, support)
@@ -412,8 +413,8 @@ def _dense_quadratic(handle: OperatorHandle) -> np.ndarray:
     return lake.cell_area * d_b @ a_inv @ d_b
 
 
-def brute_force_oracle(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                       vf: VorticityFunction, m: int, handle: OperatorHandle):
+def brute_force_oracle(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
+                       vf: VorticityFunction, m: int):
     """Enumerate quantized admissible fields and return the best (zeta, E).
 
     Cell values range over {0, cap*k/m}; fields qualify when their weighted
@@ -421,13 +422,13 @@ def brute_force_oracle(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     of the target.  Energies use a dense inverse, independent of the sparse
     iterative path.  Limits: at most 6 cells and m <= 12.
     """
-    n = lake.n_cells
+    n = handle.lake.n_cells
     if n > 6:
         raise ValueError("oracle enumeration is limited to lakes with <= 6 cells")
     if m > 12 or m < 1:
         raise ValueError("quantization level m must be in 1..12")
     w = _dense_quadratic(handle)
-    nuw = lake.nu_weights
+    nuw = handle.lake.nu_weights
     cap = params.cap
     levels = cap * np.arange(m + 1) / m
     quantum = (cap / m) * float(nuw.max())
@@ -450,18 +451,18 @@ def brute_force_oracle(lake: Lake, q: np.ndarray, params: AdmissibleParams,
     return z[k].copy(), float(e[k])
 
 
-def oracle_gap_bound(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                     vf: VorticityFunction, m: int, handle: OperatorHandle) -> float:
+def oracle_gap_bound(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
+                     vf: VorticityFunction, m: int) -> float:
     """Analytic bound on |true max - quantized max| for the tiny-lake oracle.
 
     Lipschitz constant of the functional in the weighted L1 metric times the
     quantization distance (per-cell rounding plus one mass-rebalancing level).
     """
     w = _dense_quadratic(handle)
-    nuw = lake.nu_weights
+    nuw = handle.lake.nu_weights
     cap = params.cap
     # |K zeta|_inf over the class, via the cap field
-    k_cap = np.abs(w @ np.full(lake.n_cells, cap)) / nuw
+    k_cap = np.abs(w @ np.full(len(nuw), cap)) / nuw
     lipschitz = float(k_cap.max()) + float(np.abs(q).max()) + float(vf.f_inv(params.lam))
     rounding_l1 = (cap / (2 * m)) * float(nuw.sum())
     quantum = (cap / m) * float(nuw.max())

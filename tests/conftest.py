@@ -79,7 +79,7 @@ def critical_state_129():
     handle = assemble_operator(lake)
     q = solve_background(handle, flux_preset(lake, "cosine", amplitude=0.02))
     params = AdmissibleParams(eps=0.1, delta=1.0 / math.log(10.0), kappa0=1.0, lam=50.0)
-    state = solve_vortex(lake, q, params, VorticityFunction("jump_linear", c=0.5),
-                         init=(0.0, 0.28), handle=handle)
+    state = solve_vortex(handle, q, params, VorticityFunction("jump_linear", c=0.5),
+                         init=(0.0, 0.28))
     assert state.converged
     return lake, handle, q, params, state

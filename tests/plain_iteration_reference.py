@@ -32,13 +32,14 @@ from lakevortex.variational import (
 )
 
 
-def solve_vortex(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-                 vf: VorticityFunction, handle: OperatorHandle, init) -> SolveState:
-    """Plain iteration from the patch at the seed point init: every step's
-    input is the previous output, until the successive weighted L1
-    difference drops below FP_TOL_REL * kappa0 * delta."""
+def solve_vortex(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
+                 vf: VorticityFunction, init) -> SolveState:
+    """Plain iteration on the operator's lake from the patch at the seed
+    point init: every step's input is the previous output, until the
+    successive weighted L1 difference drops below FP_TOL_REL * kappa0 * delta."""
+    lake = handle.lake
     zeta = initial_patch(lake, params, np.asarray(init, dtype=float))
-    ctx = SolveContext(lake=lake, handle=handle, q=q, params=params, vf=vf)
+    ctx = SolveContext(handle=handle, q=q, params=params, vf=vf)
     k = apply_K(handle, zeta)
     e = energy(lake, q, params, vf, zeta, k, np.flatnonzero(zeta))
     mu, residual, trace = 0.0, math.inf, [e.total]

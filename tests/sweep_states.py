@@ -13,8 +13,8 @@ def sweep_with_states(*args, **kwargs):
     live = asymptotics.solve_vortex
     solved = {}
 
-    def capturing(lake, q, params, *rest, **kw):
-        state = live(lake, q, params, *rest, **kw)
+    def capturing(handle, q, params, *rest, **kw):
+        state = live(handle, q, params, *rest, **kw)
         solved[params.eps] = state
         return state
 

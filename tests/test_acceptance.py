@@ -85,8 +85,8 @@ def regime_reports(fixture_lake):
     for regime, amplitude in REGIME_AMPLITUDE.items():
         flux = flux_preset(lake, "cosine", amplitude=amplitude)
         reports[regime], states[regime] = sweep_with_states(
-            lake, flux, regime, kappa0=1.0, lam=50.0,
-            eps_list=EPS_LIST, vf=FIXTURE_VF, handle=handle,
+            handle, flux, regime, kappa0=1.0, lam=50.0,
+            eps_list=EPS_LIST, vf=FIXTURE_VF,
         )
     elapsed = time.monotonic() - t0
     return lake, reports, states, elapsed
@@ -103,8 +103,8 @@ def regression_states(regime_reports, critical_state_129, interior_128,
     lake129, _, _, _, st129 = critical_state_129
     states.append((lake129, st129))
     params = AdmissibleParams(eps=0.1, delta=0.3, kappa0=1.0, lam=50.0)
-    anchor = solve_vortex(interior_128, interior_128_q, params, vf_power2,
-                          init=(0.0, 0.0), handle=interior_128_handle)
+    anchor = solve_vortex(interior_128_handle, interior_128_q, params, vf_power2,
+                          init=(0.0, 0.0))
     states.append((interior_128, anchor))
     return states
 
@@ -117,10 +117,9 @@ def test_criterion_1_oracle_equivalence(acceptance_report):
     details = []
     for name, lake, q, params, m in tiny_oracle_fixtures():
         handle = assemble_operator(lake)
-        _, e_star = brute_force_oracle(lake, q, params, FIXTURE_VF, m, handle=handle)
-        gap = oracle_gap_bound(lake, q, params, FIXTURE_VF, m, handle=handle)
-        state = solve_vortex(lake, q, params, FIXTURE_VF, init=lake.centers[0],
-                             handle=handle)
+        _, e_star = brute_force_oracle(handle, q, params, FIXTURE_VF, m)
+        gap = oracle_gap_bound(handle, q, params, FIXTURE_VF, m)
+        state = solve_vortex(handle, q, params, FIXTURE_VF, init=lake.centers[0])
         this_ok = state.converged and state.energy.total >= e_star - gap
         ok = ok and this_ok
         details.append(f"{name}: {state.energy.total:.6g} >= {e_star:.6g} - {gap:.3g}")
@@ -270,8 +269,8 @@ def power_state_129(critical_state_129):
     """A power-f (p = 3, f(0+) = 0) state on the 129^2 critical lake: mu comes
     from the bisection of a continuous mass, not from a jump fill."""
     lake, handle, q, params, _ = critical_state_129
-    state = solve_vortex(lake, q, params, VorticityFunction("power", p=3.0),
-                         init=(0.0, 0.28), handle=handle)
+    state = solve_vortex(handle, q, params, VorticityFunction("power", p=3.0),
+                         init=(0.0, 0.28))
     assert state.converged
     return lake, state
 
@@ -284,7 +283,7 @@ def _starts(state, psi_free, n: int) -> dict:
     return {"empty": (), "lowest": np.argsort(psi_free, kind="stable")[:50],
             "random": np.sort(rng.choice(n, 50, replace=False)),
             "support": np.flatnonzero(state.zeta),
-            "carried": bathtub(state.ctx.lake, state.ctx.params, state.ctx.vf,
+            "carried": bathtub(state.ctx.handle.lake, state.ctx.params, state.ctx.vf,
                                psi_free).candidates,
             "all": np.arange(n)}
 
@@ -339,7 +338,7 @@ def test_every_step_of_the_solve_matches_cold_bit_for_bit(critical_state_129, mo
         return warm
 
     monkeypatch.setattr(variational, "bathtub", checked_bathtub)
-    again = solve_vortex(lake, q, params, state.ctx.vf, init=(0.0, 0.28), handle=handle)
+    again = solve_vortex(handle, q, params, state.ctx.vf, init=(0.0, 0.28))
     assert len(calls) == again.iterations == state.iterations
     assert np.array_equal(again.zeta, state.zeta) and again.mu == state.mu
     assert min(calls) > 0  # every step starts from carried cells
@@ -417,7 +416,7 @@ def test_solve_partitions_the_grid_only_in_its_first_step(critical_state_129, mo
         return out
 
     monkeypatch.setattr(variational, "bathtub", counting_bathtub)
-    again = solve_vortex(lake, q, params, state.ctx.vf, init=(0.0, 0.28), handle=handle)
+    again = solve_vortex(handle, q, params, state.ctx.vf, init=(0.0, 0.28))
     assert again.iterations == state.iterations == len(partitions)
     assert partitions[0] <= 1 and not any(partitions[1:])
     assert not any(repeats[1:])
@@ -426,7 +425,7 @@ def test_solve_partitions_the_grid_only_in_its_first_step(critical_state_129, mo
 def _regression_seeds(regime_reports) -> list:
     """The seed point of each regression state, in the fixture's order."""
     _, reports, swept, _ = regime_reports
-    seeds = [reports[regime].target for regime, sweep in swept.items()
+    seeds = [reports[regime].target_ties[0] for regime, sweep in swept.items()
              for s in sweep if s is not None]
     return seeds + [(0.0, 0.28), (0.0, 0.0)]
 
@@ -438,7 +437,7 @@ def test_mixed_iteration_matches_frozen_plain_loop(regime_reports, regression_st
     assert len(regression_states) == 23
     for (lake, state), seed in zip(regression_states, _regression_seeds(regime_reports)):
         ctx = state.ctx
-        plain = plain_solve_vortex(lake, ctx.q, ctx.params, ctx.vf, ctx.handle, init=seed)
+        plain = plain_solve_vortex(ctx.handle, ctx.q, ctx.params, ctx.vf, init=seed)
         assert state.converged and plain.converged
         assert state.iterations <= plain.iterations
         assert state.mu == pytest.approx(plain.mu, rel=1e-7, abs=0.0)
@@ -456,7 +455,7 @@ def test_initial_patch_matches_frozen_loop_on_bundled_seeds(regime_reports,
 
     lake257, reports, _, _ = regime_reports
     cases = [(lake257, AdmissibleParams(eps=row.eps, delta=row.delta, kappa0=1.0, lam=50.0),
-              rep.target) for rep in reports.values() for row in rep.rows]
+              rep.target_ties[0]) for rep in reports.values() for row in rep.rows]
     lake129, _, _, params129, _ = critical_state_129
     cases.append((lake129, params129, (0.0, 0.28)))
     cases.extend((lake, params, lake.centers[0]) for _, lake, _, params, _ in tiny_oracle_fixtures())
@@ -489,7 +488,8 @@ def test_criterion_6_regime_classification(regime_reports, acceptance_report):
 
     rep = reports["above_critical"]
     c = rep.checks
-    dists = [float(np.hypot(rep.target[0] - r.xc, rep.target[1] - r.yc))
+    target = rep.target_ties[0]
+    dists = [float(np.hypot(target[0] - r.xc, target[1] - r.yc))
              for r in rep.rows]
     a_ok = (c["all_converged"] and dists[-1] <= 0.1 and dists[-1] < dists[0]
             and c["dist_to_target_nonincreasing"] and c["eta_estimate"] >= 0.2)
@@ -525,7 +525,7 @@ def test_criterion_6_regime_classification(regime_reports, acceptance_report):
 
 def test_criterion_7_support_scaling(regime_reports, acceptance_report):
     _, reports, _, _ = regime_reports
-    slopes = {regime: rep.diam_slope for regime, rep in reports.items()}
+    slopes = {regime: rep.checks["diam_slope"] for regime, rep in reports.items()}
     ok = all(s is not None and 0.8 <= s <= 1.2 for s in slopes.values())
     acceptance_report("7 support scaling", ok,
             ", ".join(f"{k}={v:.3f}" for k, v in slopes.items()) + " (in [0.8, 1.2])")

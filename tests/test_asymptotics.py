@@ -133,13 +133,13 @@ def test_radial_score_ring_profile(disk_const_64):
 def test_predicted_target_depth_max():
     lake = build_lake("disk_interior_max_b", 64)
     q = np.zeros(lake.n_cells)
-    point, ties = predicted_target(lake, q, 1.0, "above_critical")
+    point = predicted_target(lake, q, 1.0, "above_critical")[0]
     assert np.hypot(*point) <= lake.h
 
 
 def test_predicted_target_background_max(disk_const_64, disk_const_64_handle):
     q = solve_background(disk_const_64_handle, flux_preset(disk_const_64, "cosine"))
-    point, _ = predicted_target(disk_const_64, q, 1.0, "below_critical")
+    point = predicted_target(disk_const_64, q, 1.0, "below_critical")[0]
     # top boundary-adjacent cell
     assert point[1] > 1.0 - 3 * disk_const_64.h
     assert abs(point[0]) <= 2 * disk_const_64.h
@@ -149,10 +149,10 @@ def test_predicted_target_combined_moves_with_circulation():
     lake = build_lake("disk_interior_max_b", 64)
     handle = assemble_operator(lake)
     q = solve_background(handle, flux_preset(lake, "cosine", amplitude=0.02))
-    strong, _ = predicted_target(lake, q, 100.0, "critical")
-    weak, _ = predicted_target(lake, q, 1e-3, "critical")
-    b_argmax, _ = predicted_target(lake, q, 1.0, "above_critical")
-    q_argmax, _ = predicted_target(lake, q, 1.0, "below_critical")
+    strong = predicted_target(lake, q, 100.0, "critical")[0]
+    weak = predicted_target(lake, q, 1e-3, "critical")[0]
+    b_argmax = predicted_target(lake, q, 1.0, "above_critical")[0]
+    q_argmax = predicted_target(lake, q, 1.0, "below_critical")[0]
     # strong circulation pins the combined target at the depth maximum,
     # vanishing circulation moves it to the background maximum
     assert np.hypot(*(strong - b_argmax)) <= 2 * lake.h
@@ -179,8 +179,8 @@ def small_sweep():
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
-    report, states = sweep_with_states(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                                       eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
+    report, states = sweep_with_states(handle, flux, "critical", kappa0=1.0, lam=50.0,
+                                       eps_list=[0.2, 0.14, 0.1], vf=vf)
     return lake, report, states
 
 
@@ -188,7 +188,7 @@ def test_sweep_rows_and_slope(small_sweep):
     _, report, _ = small_sweep
     assert len(report.rows) == 3
     assert all(r.converged for r in report.rows)
-    assert report.diam_slope is not None
+    assert report.checks["diam_slope"] is not None
     eps = np.array([r.eps for r in report.rows])
     assert np.all(np.diff(eps) < 0)
 
@@ -209,10 +209,10 @@ def test_sweep_single_point_has_no_fit():
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
-    report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                       eps_list=[0.1], vf=vf, handle=handle)
+    report = run_sweep(handle, flux, "critical", kappa0=1.0, lam=50.0,
+                       eps_list=[0.1], vf=vf)
     assert len(report.rows) == 1
-    assert report.diam_slope is None
+    assert report.checks["diam_slope"] is None
     assert report.checks.get("enough_points") is False
 
 
@@ -221,8 +221,8 @@ def test_sweep_rejects_increasing_eps():
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
     with pytest.raises(ScheduleError):
-        run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                  eps_list=[0.1, 0.2], vf=vf, handle=assemble_operator(lake))
+        run_sweep(assemble_operator(lake), flux, "critical", kappa0=1.0, lam=50.0,
+                  eps_list=[0.1, 0.2], vf=vf)
 
 
 def test_boundary_depth_max_records_decay_not_floor():
@@ -232,8 +232,8 @@ def test_boundary_depth_max_records_decay_not_floor():
     handle = assemble_operator(lake)
     flux = flux_preset(lake, "zero")
     vf = VorticityFunction("jump_linear", c=0.5)
-    report = run_sweep(lake, flux, "above_critical", kappa0=1.0,
-                       lam=50.0, eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
+    report = run_sweep(handle, flux, "above_critical", kappa0=1.0,
+                       lam=50.0, eps_list=[0.2, 0.14, 0.1], vf=vf)
     assert report.checks["depth_max_interior"] is False
     assert "interior_distance_floor" not in report.checks
     assert report.checks["dist_boundary_positive"] is True
@@ -246,10 +246,10 @@ def test_sweep_continues_past_failed_point(monkeypatch, caplog):
 
     live = asymptotics.solve_vortex
 
-    def failing_at_014(lake, q, params, *rest, **kw):
+    def failing_at_014(handle, q, params, *rest, **kw):
         if params.eps == 0.14:
             raise SolverError("injected residual failure")
-        return live(lake, q, params, *rest, **kw)
+        return live(handle, q, params, *rest, **kw)
 
     monkeypatch.setattr(asymptotics, "solve_vortex", failing_at_014)
     lake = build_lake("disk_interior_max_b", 96)
@@ -257,8 +257,8 @@ def test_sweep_continues_past_failed_point(monkeypatch, caplog):
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
     with caplog.at_level(logging.ERROR, logger="lakevortex.asymptotics"):
-        report, states = sweep_with_states(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                                           eps_list=[0.2, 0.14, 0.1], vf=vf, handle=handle)
+        report, states = sweep_with_states(handle, flux, "critical", kappa0=1.0, lam=50.0,
+                                           eps_list=[0.2, 0.14, 0.1], vf=vf)
     assert [r.converged for r in report.rows] == [True, False, True]
     assert [s is None for s in states] == [False, True, False]
     failed = report.rows[1].row()
@@ -281,9 +281,10 @@ def test_sweep_rejects_bad_inputs_before_any_solve(monkeypatch, changes, error):
     monkeypatch.setattr(asymptotics, "solve_vortex", lambda *a, **kw: calls.append(a))
     lake = build_lake("disk_interior_max_b", 32)
     vf = VorticityFunction("jump_linear", c=0.5)
-    args = dict(kappa0=1.0, lam=50.0, eps_list=[0.2, 0.14], vf=vf, handle=assemble_operator(lake))
+    args = dict(kappa0=1.0, lam=50.0, eps_list=[0.2, 0.14], vf=vf)
     with pytest.raises(error):
-        run_sweep(lake, flux_preset(lake, "zero"), "critical", **dict(args, **changes))
+        run_sweep(assemble_operator(lake), flux_preset(lake, "zero"), "critical",
+                  **dict(args, **changes))
     assert calls == []
 
 
@@ -296,14 +297,14 @@ def test_sweep_retains_no_per_point_field():
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
     eps_list = [0.2, 0.17, 0.14, 0.12, 0.1, 0.085]
-    run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0, eps_list=eps_list[:2],
-              vf=vf, handle=handle)  # first-call caches are not the sweep's
+    run_sweep(handle, flux, "critical", kappa0=1.0, lam=50.0, eps_list=eps_list[:2],
+              vf=vf)  # first-call caches are not the sweep's
     held = {}
     for count in (2, 6):
         tracemalloc.start()
         try:
-            report = run_sweep(lake, flux, "critical", kappa0=1.0, lam=50.0,
-                               eps_list=eps_list[:count], vf=vf, handle=handle)
+            report = run_sweep(handle, flux, "critical", kappa0=1.0, lam=50.0,
+                               eps_list=eps_list[:count], vf=vf)
             held[count] = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -323,8 +324,8 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     lake = build_lake("disk_interior_max_b", 32)
     vf = VorticityFunction("jump_linear", c=0.5)
     with pytest.raises(TypeError, match="not a numerical failure"):
-        run_sweep(lake, flux_preset(lake, "zero"), "critical", kappa0=1.0,
-                  lam=50.0, eps_list=[0.2], vf=vf, handle=assemble_operator(lake))
+        run_sweep(assemble_operator(lake), flux_preset(lake, "zero"), "critical", kappa0=1.0,
+                  lam=50.0, eps_list=[0.2], vf=vf)
 
 
 def test_sweep_propagates_value_errors_from_the_profile(monkeypatch):
@@ -338,15 +339,15 @@ def test_sweep_propagates_value_errors_from_the_profile(monkeypatch):
     lake = build_lake("disk_interior_max_b", 32)
     vf = VorticityFunction("jump_linear", c=0.5)
     with pytest.raises(ValueError, match="not an under-resolved support"):
-        run_sweep(lake, flux_preset(lake, "zero"), "critical", kappa0=1.0,
-                  lam=50.0, eps_list=[0.2], vf=vf, handle=assemble_operator(lake))
+        run_sweep(assemble_operator(lake), flux_preset(lake, "zero"), "critical", kappa0=1.0,
+                  lam=50.0, eps_list=[0.2], vf=vf)
 
 
 def test_sweep_scores_under_resolved_support_as_nan():
     lake = build_lake("disk_interior_max_b", 32)
     vf = VorticityFunction("jump_linear", c=0.5)
-    report = run_sweep(lake, flux_preset(lake, "zero"), "critical", kappa0=1.0,
-                       lam=50.0, eps_list=[0.2, 0.1], vf=vf, handle=assemble_operator(lake))
+    report = run_sweep(assemble_operator(lake), flux_preset(lake, "zero"), "critical", kappa0=1.0,
+                       lam=50.0, eps_list=[0.2, 0.1], vf=vf)
     resolved, unresolved = report.rows
     assert resolved.converged and unresolved.converged
     assert resolved.diam_supp >= MIN_PROFILE_CELLS * lake.h

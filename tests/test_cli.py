@@ -393,6 +393,31 @@ def test_oversized_sample_count_is_rejected_before_allocation(tmp_path, monkeypa
     assert "must be <=" in capsys.readouterr().err
 
 
+def test_solve_reads_the_lake_from_its_operator(tmp_path):
+    """The operator is the one source of the lake: a solve given the 48^2
+    disk_constant_b operator writes the end-to-end state.json bit for bit, and
+    no solve-path function takes a lake beside it."""
+    import inspect
+
+    import lakevortex.asymptotics as asymptotics
+    import lakevortex.variational as variational
+    from lakevortex.elliptic import assemble_operator, flux_preset, solve_background
+    from lakevortex.geometry import build_lake
+    from lakevortex.nonlinearity import VorticityFunction
+
+    cfg = dict(SMALL_SOLVE, lake={"preset": "disk_constant_b", "resolution": 48})
+    assert main(["solve", "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    handle = assemble_operator(build_lake("disk_constant_b", 48))
+    q = solve_background(handle, flux_preset(handle.lake, "cosine", amplitude=0.02))
+    state = variational.solve_vortex(handle, q, variational.AdmissibleParams(**cfg["params"]),
+                                     VorticityFunction("jump_linear", c=0.5), init=cfg["seed"])
+    write_json(tmp_path / "api.json", state_to_dict(state), config_hash(cfg))
+    assert (tmp_path / "api.json").read_bytes() == (tmp_path / "state.json").read_bytes()
+    for fn in (variational.solve_vortex, asymptotics.run_sweep, variational.brute_force_oracle,
+               variational.oracle_gap_bound, asymptotics.diagnose, state_to_dict):
+        assert "lake" not in inspect.signature(fn).parameters, fn.__name__
+
+
 def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):
     # solve_critical.json sets delta = 1/ln(10) to one ulp: the critical schedule at eps = 0.1
     import csv
@@ -412,9 +437,9 @@ def test_solve_and_sweep_share_one_diagnostics_path(tmp_path):
     cfg = load_config(path)
     lake = build_lake_from(cfg)
     report, states = sweep_with_states(
-        lake, flux_from(cfg, lake), "critical", kappa0=cfg["params"]["kappa0"],
-        lam=cfg["params"]["lam"], eps_list=[cfg["params"]["eps"]], vf=vf_from(cfg),
-        handle=assemble_operator(lake), seed=seed_from(cfg))
+        assemble_operator(lake), flux_from(cfg, lake), "critical",
+        kappa0=cfg["params"]["kappa0"], lam=cfg["params"]["lam"],
+        eps_list=[cfg["params"]["eps"]], vf=vf_from(cfg), seed=seed_from(cfg))
     (swept,), (state,) = report.rows, states
     # mass_frac differs only by its anchor: the seed in solve, the nearest tie in sweep
     for column in DIAG_COLUMNS:
@@ -435,6 +460,26 @@ def test_malformed_json_reports_line(tmp_path, capsys):
 def test_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_out_blocked_by_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, below):
+    """--out naming a file, or a path below one, exits 2 with one line on
+    stderr, before the lake is built."""
+    import lakevortex.cli as cli
+
+    def expensive(*args):
+        raise AssertionError("build_lake ran before --out was created")
+
+    monkeypatch.setattr(cli, "build_lake", expensive)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    cfg = _write(tmp_path, BASES[command])
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: --out {out}: ")
 
 
 def test_missing_required_key(tmp_path):
@@ -630,7 +675,7 @@ def test_write_json_of_a_129_state_traces_under_half_a_megabyte(tmp_path, critic
     under 0.5 MB traced at the peak: the text and its pieces, without a
     string object per float (1.33 MB with one)."""
     lake, _, _, _, state = critical_state_129
-    payload = state_to_dict(lake, state)
+    payload = state_to_dict(state)
     write_json(tmp_path / "warm.json", payload, "abc")  # first-call caches are not the write's
     tracemalloc.start()
     try:
@@ -643,7 +688,7 @@ def test_write_json_of_a_129_state_traces_under_half_a_megabyte(tmp_path, critic
 
 def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, critical_state_129):
     lake, _, _, _, state = critical_state_129
-    payload = state_to_dict(lake, state)
+    payload = state_to_dict(state)
     write_json(tmp_path / "state.json", payload, "abc")
     expected = dict(payload, version=__version__, config_sha256="abc")
     text = json.dumps(_walked_jsonable(expected), sort_keys=True, indent=2) + "\n"

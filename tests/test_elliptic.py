@@ -209,7 +209,7 @@ def test_empty_interior_rejected():
     # a valid Lake always has interior cells; force the degenerate case to
     # exercise the assembly guard
     lake = rect_lake(1, 1, 0.5)
-    lake.cells = lake.cells[:0]
+    lake.b_int = lake.b_int[:0]
     with pytest.raises(SolverError, match="empty interior"):
         assemble_operator(lake)
 

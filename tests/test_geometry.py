@@ -101,7 +101,7 @@ def test_diameter_matches_brute_force(disk_const_64):
     assert lake.diameter == pytest.approx(math.sqrt(d2.max()), abs=1e-12)
     # degenerate supports: none, one cell, two cells, the first grid row
     lake = disk_const_64
-    row = np.flatnonzero(lake.cells[:, 0] == lake.cells[0, 0])
+    row = np.flatnonzero(lake.centers[:, 1] == lake.centers[0, 1])
     pair = float(np.hypot(*(lake.centers[10] - lake.centers[200])))
     ends = float(np.hypot(*(lake.centers[row[-1]] - lake.centers[row[0]])))
     for cells, expect in (([], 0.0), ([10], 0.0), ([10, 200], pair), (row, ends)):
