@@ -404,7 +404,7 @@ def test_solve_partitions_the_grid_only_in_its_first_step(critical_state_129, mo
     one set and evaluates f at no level twice."""
     import lakevortex.variational as variational
 
-    lake, handle, q, params, state = critical_state_129
+    _, handle, q, params, state = critical_state_129
     counts = _Counts(monkeypatch)
     live_bathtub, partitions, repeats = variational.bathtub, [], []
 

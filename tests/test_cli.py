@@ -674,7 +674,7 @@ def test_write_json_of_a_129_state_traces_under_half_a_megabyte(tmp_path, critic
     """The 129^2 state.json (17,161 floats, most of them 0.0) is written with
     under 0.5 MB traced at the peak: the text and its pieces, without a
     string object per float (1.33 MB with one)."""
-    lake, _, _, _, state = critical_state_129
+    _, _, _, _, state = critical_state_129
     payload = state_to_dict(state)
     write_json(tmp_path / "warm.json", payload, "abc")  # first-call caches are not the write's
     tracemalloc.start()
@@ -687,7 +687,7 @@ def test_write_json_of_a_129_state_traces_under_half_a_megabyte(tmp_path, critic
 
 
 def test_write_json_of_a_solve_state_matches_value_by_value_walk(tmp_path, critical_state_129):
-    lake, _, _, _, state = critical_state_129
+    _, _, _, _, state = critical_state_129
     payload = state_to_dict(state)
     write_json(tmp_path / "state.json", payload, "abc")
     expected = dict(payload, version=__version__, config_sha256="abc")

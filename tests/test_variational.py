@@ -333,7 +333,7 @@ def test_mixed_step_that_lowers_the_energy_is_discarded(power_fixture, monkeypat
     # plain steps still reach the same fixed point
     import lakevortex.variational as variational
 
-    lake, handle, q, params, state = power_fixture
+    _, handle, q, params, state = power_fixture
     calls = []
 
     def reversed_mix(history, nu):
@@ -407,7 +407,7 @@ def test_regression_anchor(power_fixture):
 
 
 def test_seed_independence_logged(power_fixture, caplog):
-    lake, handle, q, params, state = power_fixture
+    _, handle, q, params, state = power_fixture
     other = solve_vortex(handle, q, params, state.ctx.vf, init=(0.2, -0.1))
     rel = abs(other.energy.total - state.energy.total) / abs(state.energy.total)
     logging.getLogger(__name__).info(
@@ -418,7 +418,7 @@ def test_seed_independence_logged(power_fixture, caplog):
 
 
 def test_solve_takes_a_seed_point_not_a_field(power_fixture):
-    lake, handle, q, params, state = power_fixture
+    _, handle, q, params, state = power_fixture
     with pytest.raises(ValueError, match="seed must be a point"):
         solve_vortex(handle, q, params, state.ctx.vf, init=state.zeta)
 
