@@ -192,7 +192,6 @@ class Diagnostics:
 class SweepReport:
     """A sweep's rows, predicted target cells (the first is the target) and checks."""
 
-    regime: str
     rows: list
     target_ties: np.ndarray
     checks: dict
@@ -282,7 +281,7 @@ def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
     slope = checks["diam_slope"] = _fit_loglog_slope(rows)
     if slope is not None:
         checks["diam_slope_in_window"] = bool(0.8 <= slope <= 1.2)
-    return SweepReport(regime=regime, rows=rows, target_ties=ties, checks=checks)
+    return SweepReport(rows=rows, target_ties=ties, checks=checks)
 
 
 def _nearest_tie(ties: np.ndarray, point) -> np.ndarray:

@@ -226,22 +226,8 @@ def solver_vf_from(cfg: dict) -> VorticityFunction:
     return vf
 
 
-def params_from(cfg: dict) -> AdmissibleParams:
-    fields = section(cfg, "params")
-    try:
-        return AdmissibleParams(**fields)
-    except AdmissibilityError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _float_repr(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))  # shortest round-trip, independent of numpy scalar reprs
-    return str(x)
 
 
 def write_csv(path: Path, rows: list, cfg_hash: str) -> None:
@@ -250,7 +236,8 @@ def write_csv(path: Path, rows: list, cfg_hash: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(DIAG_COLUMNS)
         for r in rows:
-            writer.writerow([_float_repr(v) for v in r.row()])
+            # every cell is a float: shortest round-trip, whatever numpy's scalar repr
+            writer.writerow([repr(float(v)) for v in r.row()])
 
 
 # a float array's marker string as json writes it, with its line's indent
@@ -337,7 +324,7 @@ def state_to_dict(state) -> dict:
 
 def cmd_solve(cfg: dict, out: Path) -> int:
     vf = solver_vf_from(cfg)
-    params = params_from(cfg)
+    params = AdmissibleParams(**section(cfg, "params"))  # positive fields: always valid
     seed = seed_from(cfg)
     lake = build_lake_from(cfg)
     try:
@@ -381,7 +368,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     write_csv(out / "sweep.csv", report.rows, chash)
     slope = report.checks["diam_slope"]
     summary = {
-        "regime": report.regime,
+        "regime": scfg["schedule"],
         "target": report.target_ties[0],
         "target_ties": report.target_ties,
         "diam_slope": slope,

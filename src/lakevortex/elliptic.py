@@ -59,10 +59,6 @@ class OperatorHandle:
     cut_coeffs: np.ndarray    # c/(theta*h^2) per cut face
     cut_params: np.ndarray    # boundary arclength coordinate of each crossing
 
-    @property
-    def n(self) -> int:
-        return self.lake.n_cells
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         norm = math.sqrt(rhs.dot(rhs))  # np.linalg.norm's sum; a finite field's may overflow
         if not math.isfinite(norm) and not np.isfinite(rhs).all():
@@ -148,14 +144,16 @@ def _assemble(lake: Lake) -> tuple[csr_matrix, np.ndarray, np.ndarray, np.ndarra
 def apply_K(handle: OperatorHandle, zeta: np.ndarray) -> np.ndarray:
     """Apply the inverse operator: solve -div(b^{-1} grad psi) = b * zeta, psi = 0 on the boundary."""
     zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape != (handle.n,):
-        raise ValueError(f"field must have shape ({handle.n},)")
+    if zeta.shape != (handle.lake.n_cells,):
+        raise ValueError(f"field must have shape ({handle.lake.n_cells},)")
     return handle.solve(handle.lake.b_int * zeta)
 
 
 def flux_compatibility(lake: Lake, nu: np.ndarray) -> float:
-    """Boundary integral of the flux over the ordered trace."""
-    return float(np.dot(np.asarray(nu, dtype=float), lake.boundary.weights))
+    """Boundary integral of the flux over the ordered trace.  A non-finite flux
+    gives a non-finite integral without numpy's warning: the caller reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(np.asarray(nu, dtype=float), lake.boundary.weights))
 
 
 def circulation_potential(lake: Lake, nu: np.ndarray) -> np.ndarray:
@@ -194,11 +192,11 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
     if not abs(integral) <= COMPATIBILITY_TOL:  # a NaN integral fails too
         raise CompatibilityError(integral)
     if not nu.any():
-        return np.zeros(handle.n)
+        return np.zeros(lake.n_cells)
     q_bnd = circulation_potential(lake, nu)
     dirichlet = periodic_interp(handle.cut_params, lake.boundary.params, q_bnd,
                                 lake.boundary.perimeter)
-    rhs = np.zeros(handle.n)
+    rhs = np.zeros(lake.n_cells)
     np.add.at(rhs, handle.cut_rows, handle.cut_coeffs * dirichlet)
     return handle.solve(rhs)
 

@@ -122,19 +122,18 @@ class SolveContext:
     vf: VorticityFunction
 
 
-def energy(lake: Lake, q: np.ndarray, params: AdmissibleParams,
-           vf: VorticityFunction, zeta: np.ndarray, k_zeta: np.ndarray,
+def energy(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray,
            support: np.ndarray) -> Energy:
-    """Evaluate the functional at zeta, given k_zeta = K zeta.
+    """Evaluate the functional of ctx at zeta, given k_zeta = K zeta.
 
     E_q = 0.5*sum(zeta*K zeta*b h^2) + sum(q*zeta*b h^2) and the penalty is
     (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2), each summed over
     support, the cells with zeta > 0 in index order.
     """
-    nuw, z = lake.nu_weights[support], zeta[support]
-    e_q = 0.5 * float(np.dot(z * nuw, k_zeta[support])) + float(np.dot(q[support] * nuw, z))
-    scale = params.delta / params.eps**2
-    f_eps = scale * float(np.dot(vf.F_star(z / scale), nuw))
+    nuw, z = ctx.handle.lake.nu_weights[support], zeta[support]
+    e_q = 0.5 * float(np.dot(z * nuw, k_zeta[support])) + float(np.dot(ctx.q[support] * nuw, z))
+    scale = ctx.params.delta / ctx.params.eps**2
+    f_eps = scale * float(np.dot(ctx.vf.F_star(z / scale), nuw))
     return Energy(e_q=e_q, f_eps=f_eps)
 
 
@@ -149,8 +148,7 @@ class Rearrangement(NamedTuple):
     candidates: np.ndarray
 
 
-def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
-            psi_free: np.ndarray, cells=()) -> Rearrangement:
+def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     """zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass, with its mu.
 
     Only a candidate set of the highest levels is sorted, by level and, at
@@ -173,12 +171,13 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     out from level len(cells) before it bisects.  The cells above any level,
     their order and so every mass evaluated do not depend on the set, and
     the search ends at the same segment from any start, so mu and zeta are
-    the same bits for every cells.  params must pass check_nonempty, which
-    solve_vortex makes once; on an empty class the mass check raises.
+    the same bits for every cells.  ctx.params must pass check_nonempty,
+    which solve_vortex makes once; on an empty class the mass check raises.
     """
+    params, vf = ctx.params, ctx.vf
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
     reach = float(vf.f_inv(params.lam))  # psi - mu beyond which a cell is capped
-    nu_all, n = lake.nu_weights, len(psi_free)
+    nu_all, n = ctx.handle.lake.nu_weights, len(psi_free)
 
     # the closures read the sorted candidate set in hand; array methods skip numpy's wrappers
     def count_above(t: float, side: str = "left") -> int:
@@ -251,15 +250,18 @@ def bathtub(lake: Lake, params: AdmissibleParams, vf: VorticityFunction,
     return Rearrangement(mu, zeta, support[zeta[support] != 0.0], order[:hi + 1])
 
 
-def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
-    """Uniform seed patch of target mass centered at a point.
+def initial_patch(ctx: SolveContext, seed) -> np.ndarray:
+    """Uniform seed patch of target mass centered at a point, on the operator's lake.
 
     Mimics the standard concentration test profile: value delta*b0/(eps^2*b)
     on a ball of radius eps*sqrt(kappa0/(pi*b0)); discretely the nearest cells
     are filled in distance order (capped), with the last cell partial so the
     mass is met exactly.  The cell that takes the rest is found from the
-    remaining mass before each cell, subtracted in fill order.
+    remaining mass before each cell, subtracted in fill order.  When the
+    whole lake at that value falls short of the mass, the nearest cells are
+    filled at the cap instead, which carries the mass of any non-empty class.
     """
+    lake, params = ctx.handle.lake, ctx.params
     seed = np.asarray(seed, dtype=float)
     if seed.shape != (2,):
         raise ValueError(f"seed must be a point (x, y), got shape {seed.shape}")
@@ -274,16 +276,21 @@ def initial_patch(lake: Lake, params: AdmissibleParams, seed) -> np.ndarray:
     near = d2 <= max(radius, lake.h) ** 2
     b0 = float(lake.b_int[near].min()) if near.any() else float(lake.b_int[order[0]])
 
-    zeta = np.zeros(lake.n_cells)
-    nuw = lake.nu_weights
+    n, nuw = lake.n_cells, lake.nu_weights
+    # before the temporaries below: allocated after them, a 257^2 sweep peaks 0.4 MB higher
+    zeta = np.zeros(n)
     value_of = np.minimum(params.delta * b0 / (params.eps**2 * lake.b_int), params.cap)
-    remaining = np.cumsum(np.concatenate(([params.target_mass], -(value_of * nuw)[order])))
-    k = int(np.searchsorted(-remaining[1:], 0.0))  # first cell whose mass covers the rest
+    while True:
+        remaining = np.cumsum(np.concatenate(([params.target_mass], -(value_of * nuw)[order])))
+        k = int(np.searchsorted(-remaining[1:], 0.0))  # first cell whose mass covers the rest
+        if k < n or remaining[k] <= MASS_TOL_REL * params.target_mass:
+            break
+        if (value_of == params.cap).all():
+            raise AdmissibilityError("initial patch cannot carry the target mass")
+        value_of = np.full(n, params.cap)  # the whole lake at that value falls short
     zeta[order[:k]] = value_of[order[:k]]
-    if k < lake.n_cells:  # it takes the rest, within its cap
+    if k < n:  # it takes the rest, within its cap
         zeta[order[k]] = min(remaining[k] / nuw[order[k]], params.cap)
-    elif remaining[k] > MASS_TOL_REL * params.target_mass:
-        raise AdmissibilityError("initial patch cannot carry the target mass")
     return zeta
 
 
@@ -294,12 +301,11 @@ def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray, cells=
     bathtub begins its work.  The energy never decreases."""
     # no n-sized array outlives its use: psi_free is freed before apply_K and
     # the residual reuses its difference (peak RSS 0.4-1.1 MB lower at 257^2)
-    lake = ctx.handle.lake
-    new = bathtub(lake, ctx.params, ctx.vf, k_zeta + ctx.q, cells)
+    new = bathtub(ctx, k_zeta + ctx.q, cells)
     k_new = apply_K(ctx.handle, new.zeta)
-    e_new = energy(lake, ctx.q, ctx.params, ctx.vf, new.zeta, k_new, new.support)
+    e_new = energy(ctx, new.zeta, k_new, new.support)
     change = new.zeta - zeta
-    return new, k_new, e_new, float(np.dot(np.abs(change, out=change), lake.nu_weights))
+    return new, k_new, e_new, float(np.dot(np.abs(change, out=change), ctx.handle.lake.nu_weights))
 
 
 def solve_vortex(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
@@ -330,12 +336,11 @@ def solve_vortex(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams
     """
     lake = handle.lake
     params.check_nonempty(lake, vf)
-    seed = lake.centers[np.argmax(lake.b_int)] if init is None else init
-    zeta = initial_patch(lake, params, seed)
     ctx = SolveContext(handle=handle, q=q, params=params, vf=vf)
+    zeta = initial_patch(ctx, lake.centers[np.argmax(lake.b_int)] if init is None else init)
     k = apply_K(handle, zeta)
     support, capped = np.flatnonzero(zeta), None  # of the last accepted output, or of the input
-    e = energy(lake, q, params, vf, zeta, k, support)
+    e = energy(ctx, zeta, k, support)
     last, residual, trace = None, math.inf, [e.total]  # last: the accepted bathtub output
     tol = FP_TOL_REL * params.target_mass
     history = []  # the last two (output, output - input, K output), on the support

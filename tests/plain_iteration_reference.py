@@ -37,11 +37,10 @@ def solve_vortex(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams
     """Plain iteration on the operator's lake from the patch at the seed
     point init: every step's input is the previous output, until the
     successive weighted L1 difference drops below FP_TOL_REL * kappa0 * delta."""
-    lake = handle.lake
-    zeta = initial_patch(lake, params, np.asarray(init, dtype=float))
     ctx = SolveContext(handle=handle, q=q, params=params, vf=vf)
+    zeta = initial_patch(ctx, np.asarray(init, dtype=float))
     k = apply_K(handle, zeta)
-    e = energy(lake, q, params, vf, zeta, k, np.flatnonzero(zeta))
+    e = energy(ctx, zeta, k, np.flatnonzero(zeta))
     mu, residual, trace = 0.0, math.inf, [e.total]
     tol = FP_TOL_REL * params.target_mass
     for _ in range(MAX_ITERS):

@@ -56,6 +56,7 @@ from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import (
     MASS_TOL_REL,
     AdmissibleParams,
+    SolveContext,
     bathtub,
     brute_force_oracle,
     initial_patch,
@@ -227,7 +228,7 @@ def test_bathtub_matches_frozen_full_sort(regression_states):
         ctx = state.ctx
         psi_free = state.k_zeta + ctx.q
         mu_full, zeta_full = full_sort_bathtub(lake, ctx.params, ctx.vf, psi_free)
-        mu_new, zeta_new = bathtub(lake, ctx.params, ctx.vf, psi_free)[:2]
+        mu_new, zeta_new = bathtub(ctx, psi_free)[:2]
         tol = MASS_TOL_REL * ctx.params.target_mass
         assert mu_new == pytest.approx(mu_full, rel=1e-12, abs=0.0)
         assert float(np.dot(np.abs(zeta_new - zeta_full), lake.nu_weights)) <= tol
@@ -283,8 +284,7 @@ def _starts(state, psi_free, n: int) -> dict:
     return {"empty": (), "lowest": np.argsort(psi_free, kind="stable")[:50],
             "random": np.sort(rng.choice(n, 50, replace=False)),
             "support": np.flatnonzero(state.zeta),
-            "carried": bathtub(state.ctx.handle.lake, state.ctx.params, state.ctx.vf,
-                               psi_free).candidates,
+            "carried": bathtub(state.ctx, psi_free).candidates,
             "all": np.arange(n)}
 
 
@@ -313,7 +313,7 @@ def test_warm_bathtub_matches_cold_bit_for_bit(regression_states, power_state_12
         assert np.array_equal(cold.support, np.flatnonzero(cold.zeta))
         carried = None
         for cells in _starts(state, psi_free, lake.n_cells).values():
-            warm = bathtub(lake, ctx.params, ctx.vf, psi_free, cells)
+            warm = bathtub(ctx, psi_free, cells)
             _same_as_cold(warm, cold, psi_free)
             carried = warm.candidates if carried is None else carried
             assert np.array_equal(warm.candidates, carried)
@@ -328,12 +328,12 @@ def test_every_step_of_the_solve_matches_cold_bit_for_bit(critical_state_129, mo
     lake, handle, q, params, state = critical_state_129
     live_bathtub, calls = variational.bathtub, []
 
-    def checked_bathtub(lake, params, vf, psi_free, cells=()):
-        warm = live_bathtub(lake, params, vf, psi_free, cells)
-        cold = cold_bathtub(lake, params, vf, psi_free)
+    def checked_bathtub(ctx, psi_free, cells=()):
+        warm = live_bathtub(ctx, psi_free, cells)
+        cold = cold_bathtub(ctx.handle.lake, ctx.params, ctx.vf, psi_free)
         _same_as_cold(warm, cold, psi_free)
         for start in ((), np.argsort(psi_free, kind="stable")[:50]):
-            _same_as_cold(live_bathtub(lake, params, vf, psi_free, start), cold, psi_free)
+            _same_as_cold(live_bathtub(ctx, psi_free, start), cold, psi_free)
         calls.append(len(cells))
         return warm
 
@@ -387,7 +387,7 @@ def test_warm_bathtub_sorts_once_and_calls_f_less(critical_state_129, monkeypatc
     cold_f = counts.f
     for name, cells in starts.items():
         counts.reset()
-        warm = bathtub(lake, params, vf, psi_free, cells)
+        warm = bathtub(state.ctx, psi_free, cells)
         if name in ("carried", "all"):
             assert counts.argpartition == 0 and counts.repeats == 0
         if name == "empty":
@@ -447,21 +447,24 @@ def test_mixed_iteration_matches_frozen_plain_loop(regime_reports, regression_st
         assert math.hypot(*moved) <= 1e-6 * lake.h
 
 
-def test_initial_patch_matches_frozen_loop_on_bundled_seeds(regime_reports,
+def test_initial_patch_matches_frozen_loop_on_bundled_seeds(fixture_lake, regime_reports,
                                                             critical_state_129):
     """Every seed patch the bundled configs start from, bit for bit: the
     three regime sweeps, the 129^2 solve and the tiny oracle fixtures."""
     from lakevortex.cli import tiny_oracle_fixtures
 
-    lake257, reports, _, _ = regime_reports
-    cases = [(lake257, AdmissibleParams(eps=row.eps, delta=row.delta, kappa0=1.0, lam=50.0),
+    _, handle257 = fixture_lake
+    _, reports, _, _ = regime_reports
+    cases = [(handle257, AdmissibleParams(eps=row.eps, delta=row.delta, kappa0=1.0, lam=50.0),
               rep.target_ties[0]) for rep in reports.values() for row in rep.rows]
-    lake129, _, _, params129, _ = critical_state_129
-    cases.append((lake129, params129, (0.0, 0.28)))
-    cases.extend((lake, params, lake.centers[0]) for _, lake, _, params, _ in tiny_oracle_fixtures())
-    for lake, params, seed in cases:
-        assert np.array_equal(initial_patch(lake, params, seed),
-                              initial_patch_loop(lake, params, seed))
+    _, handle129, _, params129, _ = critical_state_129
+    cases.append((handle129, params129, (0.0, 0.28)))
+    cases.extend((assemble_operator(lake), params, lake.centers[0])
+                 for _, lake, _, params, _ in tiny_oracle_fixtures())
+    for handle, params, seed in cases:
+        ctx = SolveContext(handle, np.zeros(handle.lake.n_cells), params, FIXTURE_VF)
+        assert np.array_equal(initial_patch(ctx, seed),
+                              initial_patch_loop(handle.lake, params, seed))
 
 
 def test_bathtub_passes_few_cells_to_f(regression_states, monkeypatch):
@@ -478,7 +481,7 @@ def test_bathtub_passes_few_cells_to_f(regression_states, monkeypatch):
         return f(self, s)
 
     monkeypatch.setattr(VorticityFunction, "f", counting_f)
-    bathtub(lake, ctx.params, ctx.vf, state.k_zeta + ctx.q)
+    bathtub(ctx, state.k_zeta + ctx.q)
     assert 0 < sum(cells) < lake.n_cells / 4
 
 

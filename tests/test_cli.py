@@ -150,6 +150,44 @@ def test_unconverged_runs_exit_1(tmp_path, monkeypatch, caplog):
     assert summary["checks"]["all_converged"] is False
 
 
+# b0, the least depth within eps sqrt(kappa0/pi) = 0.93 of the seed, is 0.57: the
+# whole lake at the uniform value delta b0/(eps^2 b) carries 10.0, under the
+# target mass kappa0 delta = 15, while the cap carries cap |D|_nu = 656
+LARGE_CIRCULATION = {"eps": 0.3, "delta": 0.5, "kappa0": 30.0, "lam": 50.0}
+
+
+def test_circulation_beyond_the_uniform_patch_is_solved(tmp_path, capsys):
+    """A non-empty class whose mass the uniform seed patch cannot carry is
+    seeded at the cap instead, and the solve converges."""
+    cfg = _write(tmp_path, dict(SMALL_SOLVE, params=LARGE_CIRCULATION))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
+def test_sweep_keeps_a_point_beyond_the_uniform_patch(tmp_path):
+    """The critical 64^2 sweep at kappa0 = 30 solves its eps = 0.3 point."""
+    sweep = dict(SMALL_SWEEP["sweep"], eps_list=[0.3, 0.2], kappa0=30.0)
+    cfg = _write(tmp_path, dict(SMALL_SWEEP, sweep=sweep))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["checks"]["all_converged"] is True
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_numerical_failure_exits_1_with_one_line(tmp_path, monkeypatch, capsys, command):
+    import lakevortex.cli as cli
+    from lakevortex.elliptic import SolverError
+
+    def failing(lake):
+        raise SolverError("operator factorization failed: singular")
+
+    monkeypatch.setattr(cli, "assemble_operator", failing)
+    cfg = _write(tmp_path, BASES[command])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: operator factorization failed: singular"]
+
+
 class _Checked(Exception):
     """Raised by the first set-up step: every config check before it passed."""
 
@@ -217,6 +255,8 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
     ("solve", {"nonlinearity": {"preset": "jump_linear", "c": 0.5, "p": "junk"}}),
     ("solve", {"nonlinearity": {"preset": "jump_linear", "c": 0.5, "points": 5}}),
     ("solve", {"nonlinearity": {"preset": "power", "p": 2.0, "c": [1]}}),
+    # a JSON integer beyond float range
+    ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 10**400}}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "flux-points-one-direction",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
@@ -225,7 +265,8 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
-        "seed-booleans", "jump-unread-p", "jump-unread-points", "power-unread-c"])
+        "seed-booleans", "jump-unread-p", "jump-unread-points", "power-unread-c",
+        "lake-resolution-beyond-float"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -414,7 +455,9 @@ def test_solve_reads_the_lake_from_its_operator(tmp_path):
     write_json(tmp_path / "api.json", state_to_dict(state), config_hash(cfg))
     assert (tmp_path / "api.json").read_bytes() == (tmp_path / "state.json").read_bytes()
     for fn in (variational.solve_vortex, asymptotics.run_sweep, variational.brute_force_oracle,
-               variational.oracle_gap_bound, asymptotics.diagnose, state_to_dict):
+               variational.oracle_gap_bound, asymptotics.diagnose, state_to_dict,
+               variational.iterate_step, variational.bathtub, variational.energy,
+               variational.initial_patch):
         assert "lake" not in inspect.signature(fn).parameters, fn.__name__
 
 

@@ -66,7 +66,7 @@ def _bilinear_form(handle, u, v) -> float:
 
 def test_bilinear_form_positive_definite(disk_const_64_handle):
     rng = np.random.default_rng(0)
-    n = disk_const_64_handle.n
+    n = disk_const_64_handle.lake.n_cells
     for _ in range(20):
         u = rng.normal(size=n)
         assert _bilinear_form(disk_const_64_handle, u, u) > 0.0
@@ -74,7 +74,7 @@ def test_bilinear_form_positive_definite(disk_const_64_handle):
 
 def test_bilinear_form_symmetric(interior_128_handle):
     rng = np.random.default_rng(1)
-    n = interior_128_handle.n
+    n = interior_128_handle.lake.n_cells
     for _ in range(10):
         u, v = rng.normal(size=(2, n))
         lhs = _bilinear_form(interior_128_handle, u, v)
@@ -155,7 +155,7 @@ def test_operator_is_exactly_symmetric_and_transposed_solve_matches():
     for lake in _differential_lakes():
         handle = assemble_operator(lake)
         assert (handle.matrix != handle.matrix.T).nnz == 0
-        rhs = rng.normal(size=handle.n)
+        rhs = rng.normal(size=handle.lake.n_cells)
         plain = handle.lu.solve(rhs)
         assert np.abs(handle.solve(rhs) - plain).max() <= 1e-13 * np.abs(plain).max()
 
@@ -219,7 +219,7 @@ def test_empty_interior_rejected():
 
 
 def test_apply_K_zero_source(disk_const_64_handle):
-    psi = apply_K(disk_const_64_handle, np.zeros(disk_const_64_handle.n))
+    psi = apply_K(disk_const_64_handle, np.zeros(disk_const_64_handle.lake.n_cells))
     assert np.all(psi == 0.0)
 
 
@@ -322,7 +322,7 @@ def test_apply_K_validates_input(disk_const_64_handle):
     with pytest.raises(ValueError):
         apply_K(disk_const_64_handle, np.ones(3))
     for value in (np.nan, np.inf, -np.inf):
-        bad = np.ones(disk_const_64_handle.n)
+        bad = np.ones(disk_const_64_handle.lake.n_cells)
         bad[0] = value
         with pytest.raises(ValueError, match="non-finite"):
             apply_K(disk_const_64_handle, bad)
@@ -341,12 +341,12 @@ def test_solve_background_rejects_non_finite_flux(disk_const_64_handle):
 def test_apply_K_overflowing_norm_is_a_solver_error(disk_const_64_handle):
     # a finite field whose norm overflows is not a non-finite field
     with pytest.raises(SolverError), np.errstate(over="ignore", invalid="ignore"):
-        apply_K(disk_const_64_handle, np.full(disk_const_64_handle.n, 1e300))
+        apply_K(disk_const_64_handle, np.full(disk_const_64_handle.lake.n_cells, 1e300))
 
 
 def test_corrupted_solution_fails_residual_check(disk_const_64_handle):
     handle = disk_const_64_handle
-    zeta = np.ones(handle.n)
+    zeta = np.ones(handle.lake.n_cells)
     assert np.all(np.isfinite(apply_K(handle, zeta)))
 
     class CorruptedLU:
@@ -377,7 +377,7 @@ def test_operator_that_lost_symmetry_fails_residual_check(disk_const_64_handle):
     handle = disk_const_64_handle
     skewed = dataclasses.replace(handle, matrix=_skewed(handle.matrix))
     with pytest.raises(SolverError, match="residual"):
-        apply_K(skewed, np.ones(handle.n))
+        apply_K(skewed, np.ones(handle.lake.n_cells))
 
 
 def test_assembled_operator_without_symmetry_solves_A_not_its_transpose(disk_const_64,
@@ -387,7 +387,7 @@ def test_assembled_operator_without_symmetry_solves_A_not_its_transpose(disk_con
     monkeypatch.setattr(elliptic, "csr_matrix", lambda *a, **k: _skewed(csr_matrix(*a, **k)))
     handle = assemble_operator(disk_const_64)
     rhs = disk_const_64.b_int.copy()
-    x = apply_K(handle, np.ones(handle.n))
+    x = apply_K(handle, np.ones(handle.lake.n_cells))
     a = handle.matrix
     assert (a != a.T).nnz == 2
     assert np.linalg.norm(a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)

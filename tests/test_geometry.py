@@ -213,6 +213,21 @@ def test_rect_projection_pushes_inner_points_to_nearest_side():
     assert np.array_equal(rect.project_to_boundary(points), expect)
 
 
+def test_rect_distance_to_boundary_is_the_nearest_side():
+    # the dist_boundary of every rect_constant_b solve: the distance to the
+    # nearest side, the projection's distance inside, negative outside
+    rect = RectDomain(-0.8, 0.8, -0.5, 0.5)
+    points = np.array([[0.7, 0.0], [0.0, 0.45], [-0.75, 0.1], [0.1, -0.4], [0.0, 0.0],
+                       [1.0, 0.0], [0.8, 0.2]])
+    expect = [0.1, 0.05, 0.05, 0.1, 0.5, -0.2, 0.0]
+    assert rect.dist_to_boundary(points) == pytest.approx(expect, rel=0.0, abs=1e-15)
+    inside = points[rect.contains(points)]
+    nearest = rect.project_to_boundary(inside)
+    assert rect.dist_to_boundary(inside) == pytest.approx(
+        np.hypot(*(inside - nearest).T), rel=0.0, abs=1e-15)
+    assert rect.dist_to_boundary((0.0, 0.45)) == pytest.approx(0.05, rel=0.0, abs=1e-15)
+
+
 def test_rect_lake_places_requested_cells():
     lake = rect_lake(4, 1, 0.25)
     assert lake.n_cells == 4

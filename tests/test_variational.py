@@ -63,8 +63,8 @@ def test_energy_of_zero_field(interior_128, interior_128_q, vf_power2,
                               interior_128_handle):
     params = AdmissibleParams(eps=0.1, delta=0.3, kappa0=1.0, lam=50.0)
     zeta = np.zeros(interior_128.n_cells)
-    e = energy(interior_128, interior_128_q, params, vf_power2, zeta,
-               apply_K(interior_128_handle, zeta), np.flatnonzero(zeta))
+    ctx = SolveContext(interior_128_handle, interior_128_q, params, vf_power2)
+    e = energy(ctx, zeta, apply_K(interior_128_handle, zeta), np.flatnonzero(zeta))
     assert e.e_q == 0.0 and e.f_eps == 0.0 and e.total == 0.0
 
 
@@ -77,7 +77,8 @@ def test_energy_one_cell_matches_dense_quadratic():
     params = AdmissibleParams(eps=0.3, delta=0.5, kappa0=1.0, lam=50.0)
     zeta = np.zeros(lake.n_cells)
     zeta[17] = 0.7
-    e = energy(lake, q, params, vf, zeta, apply_K(handle, zeta), np.flatnonzero(zeta))
+    e = energy(SolveContext(handle, q, params, vf), zeta, apply_K(handle, zeta),
+               np.flatnonzero(zeta))
     # dense-inverse oracle
     a_inv = np.linalg.inv(handle.matrix.toarray())
     nuw = lake.nu_weights
@@ -99,8 +100,9 @@ def test_seed_patch_energy_growth_coefficient_stable(
     for eps in (0.2, 0.1, 0.05, 0.025):
         delta = 1.0 / math.log(1.0 / eps)
         params = AdmissibleParams(eps=eps, delta=delta, kappa0=1.0, lam=50.0)
-        zeta = initial_patch(lake, params, (0.0, 0.0))
-        e = energy(lake, q, params, vf_jump, zeta, apply_K(handle, zeta), np.flatnonzero(zeta))
+        ctx = SolveContext(handle, q, params, vf_jump)
+        zeta = initial_patch(ctx, (0.0, 0.0))
+        e = energy(ctx, zeta, apply_K(handle, zeta), np.flatnonzero(zeta))
         lead = lake.b_int.max() / (4.0 * math.pi) * delta**2 * math.log(1.0 / eps)
         cs.append((e.total - lead) / delta)
     assert max(cs) - min(cs) <= 0.06  # measured spread 0.024
@@ -116,9 +118,10 @@ def test_mass_examples(interior_128):
     assert mass(lake, np.ones(lake.n_cells)) == pytest.approx(math.pi, abs=0.05)
 
 
-def test_seed_patch_mass(interior_128):
+def test_seed_patch_mass(interior_128, interior_128_handle, interior_128_q, vf_power2):
     params = AdmissibleParams(eps=0.1, delta=0.3, kappa0=1.0, lam=50.0)
-    zeta = initial_patch(interior_128, params, (0.2, -0.1))
+    ctx = SolveContext(interior_128_handle, interior_128_q, params, vf_power2)
+    zeta = initial_patch(ctx, (0.2, -0.1))
     radius = params.eps * math.sqrt(params.kappa0 / math.pi)
     tol = 4.0 * interior_128.h / radius
     assert mass(interior_128, zeta) == pytest.approx(params.target_mass, rel=tol)
@@ -134,6 +137,11 @@ def test_seed_patch_mass(interior_128):
     log_fill=st.floats(-3.0, 0.0),  # log10 of target / (cap * |D|_nu); 0 and up: no fit
 )
 def test_initial_patch_matches_frozen_loop_on_random_lakes(seed, nx, ny, on_grid, lam, log_fill):
+    """The seed patch against its frozen per-cell loop, bit for bit.  Where
+    the loop raises, the uniform value over the whole lake falls short, and
+    the patch fills the nearest cells at the cap instead: the target mass,
+    at most one cell strictly between 0 and the cap, and no empty cell
+    nearer the seed than a filled one."""
     rng = np.random.default_rng(seed)
     lake = rect_lake(nx, ny, 0.1, depth=lambda x, y: rng.uniform(0.2, 2.0, x.shape))
     eps, delta = rng.uniform(0.05, 1.0), rng.uniform(0.1, 1.0)
@@ -143,25 +151,31 @@ def test_initial_patch_matches_frozen_loop_on_random_lakes(seed, nx, ny, on_grid
     point = rng.uniform(-0.2, [0.1 * nx + 0.2, 0.1 * ny + 0.2])
     if on_grid:
         point = 0.05 * np.round(point / 0.05)
+    ctx = SolveContext(assemble_operator(lake), np.zeros(lake.n_cells), params,
+                       VorticityFunction("power"))
+    zeta = initial_patch(ctx, point)  # the class is not empty: cap * |D|_nu >= target
     try:
         expected = initial_patch_loop(lake, params, point)
     except AdmissibilityError:
-        with pytest.raises(AdmissibilityError):
-            initial_patch(lake, params, point)
+        assert mass(lake, zeta) == pytest.approx(params.target_mass, rel=MASS_TOL_REL)
+        assert zeta.max() <= params.cap
+        assert np.count_nonzero((zeta > 0.0) & (zeta < params.cap)) <= 1
+        d2 = ((lake.centers - point) ** 2).sum(axis=1)
+        assert d2[zeta > 0.0].max() <= d2[zeta == 0.0].min(initial=math.inf)
         return
-    assert np.array_equal(initial_patch(lake, params, point), expected)
+    assert np.array_equal(zeta, expected)
 
 
-def test_mu_closed_form_constant_stream(disk_const_64):
+def test_mu_closed_form_constant_stream(disk_const_64, disk_const_64_handle):
     vf = VorticityFunction("jump_linear", c=0.0)  # f(s) = max(s, 0)
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=50.0)
     psi = np.full(disk_const_64.n_cells, 2.0)
-    mu = bathtub(disk_const_64, params, vf, psi).mu
+    mu = bathtub(SolveContext(disk_const_64_handle, np.zeros_like(psi), params, vf), psi).mu
     expect = 2.0 - params.kappa0 * params.eps**2 / disk_const_64.measure_nu
     assert mu == pytest.approx(expect, abs=1e-10)
 
 
-def test_mass_monotone_in_mu(interior_128, interior_128_q, vf_power2):
+def test_mass_monotone_in_mu(interior_128, interior_128_handle, interior_128_q, vf_power2):
     params = AdmissibleParams(eps=0.1, delta=0.3, kappa0=1.0, lam=50.0)
     psi = interior_128_q + 0.3
     scale = params.delta / params.eps**2
@@ -170,17 +184,20 @@ def test_mass_monotone_in_mu(interior_128, interior_128_q, vf_power2):
         z = np.minimum(scale * vf_power2.f(psi - mu), params.cap)
         return mass(interior_128, z)
 
-    mu0 = bathtub(interior_128, params, vf_power2, psi).mu
+    mu0 = bathtub(SolveContext(interior_128_handle, interior_128_q, params, vf_power2), psi).mu
     assert mass_at(mu0 - 0.1) >= mass_at(mu0 + 0.1)
 
 
-def test_mu_unattainable_target_rejected(disk_const_64, vf_power2):
+def test_mu_unattainable_target_rejected(disk_const_64, disk_const_64_handle, vf_power2):
     # lam too small for the requested circulation: on the empty class the
-    # bathtub's own mass check raises
+    # bathtub's own mass check raises, and so does the seed patch at the cap
     params = AdmissibleParams(eps=1.0, delta=1.0, kappa0=10.0, lam=2.5)
     psi = np.zeros(disk_const_64.n_cells)
+    ctx = SolveContext(disk_const_64_handle, np.zeros_like(psi), params, vf_power2)
     with pytest.raises(AdmissibilityError, match="missed the mass target"):
-        bathtub(disk_const_64, params, vf_power2, psi)
+        bathtub(ctx, psi)
+    with pytest.raises(AdmissibilityError, match="initial patch cannot carry"):
+        initial_patch(ctx, (0.0, 0.0))
 
 
 def test_solve_rejects_an_empty_class(disk_const_64, disk_const_64_handle, vf_power2):
@@ -195,12 +212,13 @@ def test_solve_rejects_an_empty_class(disk_const_64, disk_const_64_handle, vf_po
         solve_vortex(handle, q, params, jump)
 
 
-def test_bathtub_fills_constant_level_at_the_jump(disk_const_64, vf_jump):
+def test_bathtub_fills_constant_level_at_the_jump(disk_const_64, disk_const_64_handle, vf_jump):
     # every cell is tied at the jump: mu is that level, and the fractional
     # fill of all cells meets the mass exactly
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=50.0)
     psi = np.full(disk_const_64.n_cells, 0.3)
-    mu, zeta = bathtub(disk_const_64, params, vf_jump, psi)[:2]
+    ctx = SolveContext(disk_const_64_handle, np.zeros_like(psi), params, vf_jump)
+    mu, zeta = bathtub(ctx, psi)[:2]
     assert mu == 0.3
     jump_value = params.delta / params.eps**2 * vf_jump.f_at_zero_plus
     frac = params.target_mass / (jump_value * disk_const_64.nu_weights.sum())
@@ -209,12 +227,13 @@ def test_bathtub_fills_constant_level_at_the_jump(disk_const_64, vf_jump):
     assert mass(disk_const_64, zeta) == pytest.approx(params.target_mass, rel=1e-14)
 
 
-def test_bathtub_with_capped_cells(interior_128, interior_128_q, vf_jump):
+def test_bathtub_with_capped_cells(interior_128, interior_128_handle, interior_128_q, vf_jump):
     # small lam: the top cells sit at the cap, the band below is the free
     # profile, and the mass is met
     params = AdmissibleParams(eps=0.2, delta=0.5, kappa0=40.0, lam=1.6)
     psi = interior_128_q + 2.0 * np.exp(-8.0 * np.sum(interior_128.centers**2, axis=1))
-    mu, zeta = bathtub(interior_128, params, vf_jump, psi)[:2]
+    mu, zeta = bathtub(SolveContext(interior_128_handle, interior_128_q, params, vf_jump),
+                       psi)[:2]
     at_cap = zeta == params.cap
     assert at_cap.any() and (zeta[~at_cap] < params.cap).all()
     assert (psi[at_cap] - mu >= vf_jump.f_inv(params.lam) - 1e-12).all()
@@ -268,6 +287,7 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
     else:
         psi = spread * rng.standard_normal(lake.n_cells)
     psi = psi + rng.uniform(-5.0, 5.0)
+    ctx = SolveContext(assemble_operator(lake), np.zeros(lake.n_cells), params, vf)
 
     mu_full, zeta_full = full_sort_bathtub(lake, params, vf, psi)
     cold = cold_bathtub(lake, params, vf, psi)
@@ -275,8 +295,8 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
     assert np.array_equal(cold.support, np.flatnonzero(zeta))
     cells = rng.choice(lake.n_cells, min(start, lake.n_cells), replace=False)
     nearby = psi + 1e-3 * spread * rng.standard_normal(lake.n_cells)
-    for cells in (cells, bathtub(lake, params, vf, nearby, cells).candidates):
-        warm = bathtub(lake, params, vf, psi, cells)
+    for cells in (cells, bathtub(ctx, nearby, cells).candidates):
+        warm = bathtub(ctx, psi, cells)
         assert warm.mu == mu and np.array_equal(warm.zeta, zeta)
         assert np.array_equal(warm.support, cold.support)
         assert np.isin(warm.support, warm.candidates).all()
@@ -302,12 +322,13 @@ def test_warm_bathtub_matches_cold_on_tied_levels(family):
                                   kappa0=10 ** rng.uniform(-3.0, -0.5) * lam * lake.measure_nu)
         psi = rng.choice(np.linspace(0.0, 1.0, 7)[1:], lake.n_cells) \
             + 0.1 * rng.integers(0, 3, lake.n_cells)
+        ctx = SolveContext(assemble_operator(lake), np.zeros(lake.n_cells), params, vf)
         cold = cold_bathtub(lake, params, vf, psi)
         starts = [rng.choice(lake.n_cells, size, replace=False) for size in (0, 10, 100, 1000)]
         starts += [cold.support, np.arange(lake.n_cells)]
-        starts.append(bathtub(lake, params, vf, psi, starts[0]).candidates)
+        starts.append(bathtub(ctx, psi, starts[0]).candidates)
         for cells in starts:
-            warm = bathtub(lake, params, vf, psi, cells)
+            warm = bathtub(ctx, psi, cells)
             assert warm.mu == cold.mu and np.array_equal(warm.zeta, cold.zeta)
 
 
@@ -461,7 +482,8 @@ def test_oracle_single_cell_closed_form(vf_jump):
     z_expect = params.target_mass / lake.nu_weights[0]
     assert z_star[0] == pytest.approx(z_expect, rel=1e-12)
     z = np.array([z_expect])
-    e_direct = energy(lake, q, params, vf_jump, z, apply_K(handle, z), np.flatnonzero(z))
+    e_direct = energy(SolveContext(handle, q, params, vf_jump), z, apply_K(handle, z),
+                      np.flatnonzero(z))
     assert e_star == pytest.approx(e_direct.total, rel=1e-10)
 
 
