@@ -71,7 +71,7 @@ def sweep_params(regime: str, kappa0: float, lam: float, eps_list) -> list:
     if np.any(np.diff(eps_arr) >= 0):
         raise ScheduleError("eps list must be strictly decreasing")
     return [AdmissibleParams(eps=e, delta=delta_of_eps(regime, e), kappa0=kappa0, lam=lam)
-            for e in eps_arr]
+            for e in eps_arr.tolist()]
 
 
 def support_cells(zeta: np.ndarray) -> np.ndarray:

@@ -322,17 +322,25 @@ def state_to_dict(state) -> dict:
 # subcommands
 
 
-def cmd_solve(cfg: dict, out: Path) -> int:
-    vf = solver_vf_from(cfg)
-    params = AdmissibleParams(**section(cfg, "params"))  # positive fields: always valid
+def _set_up(cfg: dict, params: AdmissibleParams, where: str):
+    """Seed, f, flux and operator of a solving command, once params (a sweep's
+    first point) hold a non-empty class on the lake; where begins the error."""
     seed = seed_from(cfg)
+    vf = solver_vf_from(cfg)
     lake = build_lake_from(cfg)
     try:
         params.check_nonempty(lake, vf)
     except AdmissibilityError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+    return seed, vf, flux_from(cfg, lake), assemble_operator(lake)
+
+
+def cmd_solve(cfg: dict, out: Path) -> int:
+    try:  # a cap or target mass out of float range
+        params = AdmissibleParams(**section(cfg, "params"))
+    except AdmissibilityError as exc:
         raise ConfigError(str(exc)) from exc
-    nu = flux_from(cfg, lake)
-    handle = assemble_operator(lake)
+    seed, vf, nu, handle = _set_up(cfg, params, "")
     # looked up in elliptic at call time, where instrumentation can wrap it
     q = elliptic.solve_background(handle, nu)
     state = solve_vortex(handle, q, params, vf, init=seed)
@@ -348,21 +356,15 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 def cmd_sweep(cfg: dict, out: Path) -> int:
     scfg = section(cfg, "sweep")
     schedule = scfg["schedule"], scfg["kappa0"], scfg["lam"], scfg["eps_list"]
-    try:  # eps out of order, an unknown regime, or the largest eps out of its domain
+    # eps out of order, an unknown regime, the largest eps out of its domain,
+    # or a point's cap out of float range
+    try:
         first = sweep_params(*schedule)[0]
-    except ScheduleError as exc:
+    except (ScheduleError, AdmissibilityError) as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    seed = seed_from(cfg)
-    vf = solver_vf_from(cfg)
-    lake = build_lake_from(cfg)
     # lam > f(0+) + 1 does not depend on eps and lam |D|_nu >= kappa0 eps^2 is
     # hardest at the largest eps: an empty class at any point is empty at the first
-    try:
-        first.check_nonempty(lake, vf)
-    except AdmissibilityError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-    nu = flux_from(cfg, lake)
-    handle = assemble_operator(lake)
+    seed, vf, nu, handle = _set_up(cfg, first, "sweep: ")
     report = run_sweep(handle, nu, *schedule, vf, seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)

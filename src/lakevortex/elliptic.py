@@ -165,7 +165,7 @@ def circulation_potential(lake: Lake, nu: np.ndarray) -> np.ndarray:
     """
     nu = np.asarray(nu, dtype=float)
     params = lake.boundary.params
-    perim = lake.boundary.perimeter
+    perim = lake.domain.perimeter()
     gaps = np.diff(params, append=params[0] + perim) % perim
     incr = 0.5 * (nu + np.roll(nu, -1)) * gaps
     q = np.empty(len(nu))
@@ -195,7 +195,7 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
         return np.zeros(lake.n_cells)
     q_bnd = circulation_potential(lake, nu)
     dirichlet = periodic_interp(handle.cut_params, lake.boundary.params, q_bnd,
-                                lake.boundary.perimeter)
+                                lake.domain.perimeter())
     rhs = np.zeros(lake.n_cells)
     np.add.at(rhs, handle.cut_rows, handle.cut_coeffs * dirichlet)
     return handle.solve(rhs)

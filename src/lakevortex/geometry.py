@@ -182,7 +182,6 @@ class BoundaryTrace:
     ij: np.ndarray          # (m, 2) row, col indices into the grid
     params: np.ndarray      # (m,) arclength coordinates, increasing
     weights: np.ndarray     # (m,) arclength weights
-    perimeter: float
 
     def __len__(self) -> int:
         return self.ij.shape[0]
@@ -245,8 +244,8 @@ class Lake:
 
     @cached_property
     def measure_nu(self) -> float:
-        """Sum of nu_weights without caching them: build_lake reads it before the LU."""
-        return float((self.b_int * self.cell_area).sum())
+        """Sum of nu_weights."""
+        return float(self.nu_weights.sum())
 
     @cached_property
     def diameter(self) -> float:
@@ -317,7 +316,6 @@ def _build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bo
         ij=np.column_stack([rows, cols]),
         params=params,
         weights=weights,
-        perimeter=perim,
     )
 
 

@@ -71,34 +71,28 @@ class VorticityFunction:
     def f(self, s):
         s = np.asarray(s, dtype=float)
         if self.preset == "power":
-            out = np.where(s > 0.0, np.maximum(s, 0.0) ** self.p, 0.0)
-        elif self.preset == "jump_linear":
-            out = np.where(s > 0.0, self.c + s, 0.0)
-        else:
-            t = self._table
-            out = np.interp(s, t["s"], t["v"])
-            over = s > t["s"][-1]
-            if np.any(over):
-                out = np.where(over, t["v"][-1] + t["slope"] * (s - t["s"][-1]), out)
-            out = np.where(s > 0.0, out, 0.0)
-        return out if out.ndim else float(out)
+            return _piecewise(s, s > 0.0, lambda x: x ** self.p)
+        if self.preset == "jump_linear":
+            return _piecewise(s, s > 0.0, lambda x: self.c + x)
+        tab = self._table
+        return _piecewise(s, s > 0.0, lambda x: _piecewise(
+            x, x > tab["s"][-1],
+            lambda y: tab["v"][-1] + tab["slope"] * (y - tab["s"][-1]),
+            lambda y: np.interp(y, tab["s"], tab["v"])))
 
     def f_inv(self, t):
         """Inverse of f on (f(0+), inf), identically 0 at and below f(0+)."""
         t = np.asarray(t, dtype=float)
         f0 = self.f_at_zero_plus
         if self.preset == "power":
-            out = np.where(t > 0.0, np.maximum(t, 0.0) ** (1.0 / self.p), 0.0)
-        elif self.preset == "jump_linear":
-            out = np.where(t > f0, t - f0, 0.0)
-        else:
-            tab = self._table
-            out = np.interp(t, tab["v"], tab["s"])
-            over = t > tab["v"][-1]
-            if np.any(over):
-                out = np.where(over, tab["s"][-1] + (t - tab["v"][-1]) / tab["slope"], out)
-            out = np.where(t > f0, out, 0.0)
-        return out if out.ndim else float(out)
+            return _piecewise(t, t > 0.0, lambda x: x ** (1.0 / self.p))
+        if self.preset == "jump_linear":
+            return _piecewise(t, t > f0, lambda x: x - f0)
+        tab = self._table
+        return _piecewise(t, t > f0, lambda x: _piecewise(
+            x, x > tab["v"][-1],
+            lambda y: tab["s"][-1] + (y - tab["v"][-1]) / tab["slope"],
+            lambda y: np.interp(y, tab["v"], tab["s"])))
 
     def F_star(self, t):
         """Conjugate primitive: integral of f_inv from 0 to t (0 for t <= f(0+))."""
@@ -106,17 +100,33 @@ class VorticityFunction:
         f0 = self.f_at_zero_plus
         if self.preset == "power":
             q = (self.p + 1.0) / self.p
-            out = np.where(t > 0.0, (np.maximum(t, 0.0) ** q) / q, 0.0)
-        elif self.preset == "jump_linear":
-            out = np.where(t > f0, 0.5 * (t - f0) ** 2, 0.0)
-        else:
-            v, s = self._table["v"], self._table["s"]
-            # exact piecewise-quadratic cumulative integral of the pw-linear
-            # inverse, continued past the last knot along its extrapolation
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * np.diff(v))])
-            j = np.maximum(np.searchsorted(v, t) - 1, 0)  # the last knot below t
-            out = np.where(t > f0, cum[j] + 0.5 * (s[j] + self.f_inv(t)) * (t - v[j]), 0.0)
-        return out if out.ndim else float(out)
+            return _piecewise(t, t > 0.0, lambda x: x ** q / q)
+        if self.preset == "jump_linear":
+            return _piecewise(t, t > f0, lambda x: 0.5 * (x - f0) ** 2)
+        v, s = self._table["v"], self._table["s"]
+        # exact piecewise-quadratic cumulative integral of the pw-linear
+        # inverse, continued past the last knot along its extrapolation
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * np.diff(v))])
+
+        def above_f0(x):
+            j = np.maximum(np.searchsorted(v, x) - 1, 0)  # the last knot below x
+            return cum[j] + 0.5 * (s[j] + self.f_inv(x)) * (x - v[j])
+
+        return _piecewise(t, t > f0, above_f0)
+
+
+def _piecewise(x: np.ndarray, live, value, other=None):
+    """value(x) where live holds and other(x) (default 0.0) elsewhere.  Each
+    function sees only its own entries: np.where evaluates both on all of x,
+    and a discarded entry can overflow.  A 0-d x gives a float in numpy's
+    scalar arithmetic, whose power can round apart from its array loop."""
+    if not x.ndim:
+        return float(value(x[()]) if live else other(x[()]) if other else 0.0)
+    out = np.zeros(x.shape)
+    out[live] = value(x[live])
+    if other is not None:
+        out[~live] = other(x[~live])
+    return out
 
 
 @dataclass(frozen=True)

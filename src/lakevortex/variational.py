@@ -59,6 +59,17 @@ class AdmissibleParams:
     def __post_init__(self):
         if self.eps <= 0 or self.delta <= 0 or self.kappa0 <= 0:
             raise AdmissibilityError("eps, delta, kappa0 must be positive")
+        try:
+            cap = self.cap
+        except ZeroDivisionError:  # eps^2 underflows to 0
+            cap = math.inf
+        except OverflowError:  # eps^2 overflows
+            cap = 0.0
+        for name, value in (("cap lam*delta/eps^2", cap),
+                            ("target mass kappa0*delta", self.target_mass)):
+            if not 0.0 < value < math.inf:  # the solve's arithmetic needs both as floats
+                raise AdmissibilityError(
+                    f"{name} must be positive and finite, got {value} for {self}")
 
     @property
     def cap(self) -> float:

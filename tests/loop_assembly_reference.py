@@ -132,7 +132,6 @@ def build_trace(domain, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Bou
         ij=np.column_stack([rows, cols]),
         params=params,
         weights=weights,
-        perimeter=perim,
     )
 
 

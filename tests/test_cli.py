@@ -257,6 +257,13 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
     ("solve", {"nonlinearity": {"preset": "power", "p": 2.0, "c": [1]}}),
     # a JSON integer beyond float range
     ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 10**400}}),
+    # a cap lam delta/eps^2 beyond float range: eps^2 underflows to 0, overflows,
+    # or is subnormal; at a sweep's second point; lam overflows it
+    ("solve", {"params": dict(SMALL_SOLVE["params"], eps=1e-200)}),
+    ("solve", {"params": dict(SMALL_SOLVE["params"], eps=1e200)}),
+    ("solve", {"params": dict(SMALL_SOLVE["params"], eps=1e-160)}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, 1e-200])}),
+    ("solve", {"params": dict(SMALL_SOLVE["params"], lam=1e308)}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "flux-points-one-direction",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
@@ -266,7 +273,8 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
         "seed-booleans", "jump-unread-p", "jump-unread-points", "power-unread-c",
-        "lake-resolution-beyond-float"])
+        "lake-resolution-beyond-float", "solve-eps-1e-200", "solve-eps-1e200",
+        "solve-eps-1e-160", "sweep-eps-1e-200", "solve-lam-1e308"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -305,6 +313,46 @@ def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes)
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_jump_far_above_zero_solves_without_a_warning(tmp_path, capfd):
+    """f(0+) = 1e300: the penalty's conjugate at a cell filled inside the jump
+    is 0 and must not square t - f(0+) on the way.  The command runs in a
+    child process, so that a numpy warning would reach the captured stderr."""
+    cfg = _write(tmp_path, dict(SMALL_SOLVE, nonlinearity={"preset": "jump_linear", "c": 1e300},
+                                params=dict(SMALL_SOLVE["params"], lam=1e301)))
+    src = str(Path(lakevortex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = subprocess.run([sys.executable, "-m", "lakevortex.cli", "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], env=env).returncode
+    assert (code, capfd.readouterr().err) == (0, "")
+
+
+# one fault each, in configs that solve and sweep read alike: the sweep's only
+# eps point is the solve's params, at the critical delta(eps)
+SHARED_FAULTS = {
+    "bad-seed": ({"seed": [1.0]}, 0.2, 1.0),
+    "empty-class": ({}, 0.2, 1e4),
+    "non-increasing-table": ({"nonlinearity": FALLING_TABLE}, 0.2, 1.0),
+    "eps-beyond-float": ({}, 1e-200, 1.0),
+}
+
+
+@pytest.mark.parametrize("fault", list(SHARED_FAULTS))
+def test_solve_and_sweep_report_a_fault_alike(tmp_path, capsys, fault):
+    from lakevortex.asymptotics import delta_of_eps
+
+    changes, eps, kappa0 = SHARED_FAULTS[fault]
+    params = {"eps": eps, "delta": delta_of_eps("critical", eps), "kappa0": kappa0, "lam": 50.0}
+    sweep = {"schedule": "critical", "eps_list": [eps], "kappa0": kappa0, "lam": 50.0}
+    lines = {}
+    for command, cfg in (("solve", dict(SMALL_SOLVE, params=params, **changes)),
+                         ("sweep", dict(SMALL_SWEEP, sweep=sweep, **changes))):
+        path = _write(tmp_path, cfg, f"{command}.json")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        [lines[command]] = capsys.readouterr().err.splitlines()
+    assert lines["solve"].startswith("config error: ")
+    assert lines["sweep"].replace("config error: sweep: ", "config error: ", 1) == lines["solve"]
 
 
 def _schema_fields():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,3 +129,27 @@ def test_bad_parameters_rejected():
         VorticityFunction("table", points=((0.0, 1.0),))
     with pytest.raises(ValueError):
         verify_hypotheses(VorticityFunction("power", p=2.0), 10.0, 50)
+
+
+STEEP_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1.0, 1e300)))  # slope 1e300
+FLAT_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1.0, 1e-20)))  # slope clamped at 1e-12
+
+
+@pytest.mark.parametrize("vf, method, t", [
+    # squaring t - f(0+) = -1e160 at t = 0 overflows
+    (VorticityFunction("jump_linear", c=1e160), "F_star", [0.0, 1e160 + 1e150]),
+    (VorticityFunction("jump_linear", c=1e308), "f_inv", [-1e308, 1.5e308]),
+    # extrapolating past the last knot to s = -1e10, or t = -1e300, overflows
+    (STEEP_TABLE, "f", [-1e10, 1.5]),
+    (FLAT_TABLE, "f_inv", [-1e300, 2e-20]),
+    (FLAT_TABLE, "F_star", [-1e300, 2e-20]),
+], ids=["jump-F_star", "jump-f_inv", "table-f", "table-f_inv", "table-F_star"])
+def test_discarded_branches_are_not_evaluated(vf, method, t):
+    """An entry at or below f(0+) (0 for f) is 0 and its branch is not
+    evaluated, so it cannot warn; every other entry is its value alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = getattr(vf, method)(np.array(t))
+        alone = [getattr(vf, method)(x) for x in t]
+    assert out.tolist() == alone
+    assert alone[0] == 0.0 and 0.0 < alone[1] < math.inf
