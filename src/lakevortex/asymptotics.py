@@ -74,11 +74,6 @@ def sweep_params(regime: str, kappa0: float, lam: float, eps_list) -> list:
             for e in eps_arr.tolist()]
 
 
-def support_cells(zeta: np.ndarray) -> np.ndarray:
-    """Cells above 1e-12 of the field's maximum (none for a field without a positive value)."""
-    return zeta > 1e-12 * zeta.max()
-
-
 def rescale_profile(lake: Lake, zeta: np.ndarray, params: AdmissibleParams,
                     center, diam: float) -> np.ndarray:
     """Radial bin means of the rescaled vorticity xi(x) = (eps^2/delta)
@@ -217,7 +212,7 @@ def diagnose(state: SolveState, ties) -> Diagnostics:
     lake, params = state.ctx.handle.lake, state.ctx.params
     # vorticity_center raises on a zero field, so the support is not empty
     xc = vorticity_center(lake, state.zeta)
-    sp = lake.centers[support_cells(state.zeta)]
+    sp = lake.centers[state.zeta > 0.0]
     diam = max_pairwise_distance(sp)
     score = float("nan")  # an under-resolved support has no profile
     if diam >= MIN_PROFILE_CELLS * lake.h:

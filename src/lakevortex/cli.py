@@ -322,14 +322,16 @@ def state_to_dict(state) -> dict:
 # subcommands
 
 
-def _set_up(cfg: dict, params: AdmissibleParams, where: str):
-    """Seed, f, flux and operator of a solving command, once params (a sweep's
-    first point) hold a non-empty class on the lake; where begins the error."""
+def _set_up(cfg: dict, points: list, where: str):
+    """Seed, f, flux and operator of a solving command, once every params in
+    points (a sweep's, in eps order) passes check_nonempty on the lake; where
+    begins the error."""
     seed = seed_from(cfg)
     vf = solver_vf_from(cfg)
     lake = build_lake_from(cfg)
     try:
-        params.check_nonempty(lake, vf)
+        for params in points:
+            params.check_nonempty(lake, vf)
     except AdmissibilityError as exc:
         raise ConfigError(f"{where}{exc}") from exc
     return seed, vf, flux_from(cfg, lake), assemble_operator(lake)
@@ -340,7 +342,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         params = AdmissibleParams(**section(cfg, "params"))
     except AdmissibilityError as exc:
         raise ConfigError(str(exc)) from exc
-    seed, vf, nu, handle = _set_up(cfg, params, "")
+    seed, vf, nu, handle = _set_up(cfg, [params], "")
     # looked up in elliptic at call time, where instrumentation can wrap it
     q = elliptic.solve_background(handle, nu)
     state = solve_vortex(handle, q, params, vf, init=seed)
@@ -359,12 +361,10 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     # eps out of order, an unknown regime, the largest eps out of its domain,
     # or a point's cap out of float range
     try:
-        first = sweep_params(*schedule)[0]
+        points = sweep_params(*schedule)
     except (ScheduleError, AdmissibilityError) as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    # lam > f(0+) + 1 does not depend on eps and lam |D|_nu >= kappa0 eps^2 is
-    # hardest at the largest eps: an empty class at any point is empty at the first
-    seed, vf, nu, handle = _set_up(cfg, first, "sweep: ")
+    seed, vf, nu, handle = _set_up(cfg, points, "sweep: ")
     report = run_sweep(handle, nu, *schedule, vf, seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
@@ -445,7 +445,7 @@ def cmd_kernel_test(cfg: dict, out: Path) -> int:
     rng = np.random.default_rng(20240801)
     lake = build_lake("disk_constant_b", 128)
 
-    # sample interior pairs away from coincidence
+    # sample interior pairs; the seeded pairs lie at least 0.02 apart
     pts = np.empty((2 * n_pairs, 2))
     filled = 0
     while filled < len(pts):
@@ -459,8 +459,6 @@ def cmd_kernel_test(cfg: dict, out: Path) -> int:
     min_lower_slack = float("inf")
     max_sym = 0.0
     for a, b in zip(xs, ys):
-        if np.hypot(*(a - b)) < 1e-9:
-            continue
         hval = h_kernel(lake, a, b)
         upper, lower = h_kernel_bounds(lake, a, b)
         min_upper_slack = min(min_upper_slack, upper - hval)

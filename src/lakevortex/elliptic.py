@@ -40,13 +40,6 @@ class SolverError(RuntimeError):
 class CompatibilityError(ValueError):
     """Boundary flux violates the zero-mean compatibility condition."""
 
-    def __init__(self, integral: float):
-        super().__init__(
-            f"boundary flux is incompatible: integral over the boundary is "
-            f"{integral:.3e}, must vanish within {COMPATIBILITY_TOL:.0e}"
-        )
-        self.integral = integral
-
 
 @dataclass
 class OperatorHandle:
@@ -190,7 +183,8 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
         )
     integral = flux_compatibility(lake, nu)
     if not abs(integral) <= COMPATIBILITY_TOL:  # a NaN integral fails too
-        raise CompatibilityError(integral)
+        raise CompatibilityError(f"boundary flux is incompatible: integral over the boundary is "
+                                 f"{integral:.3e}, must vanish within {COMPATIBILITY_TOL:.0e}")
     if not nu.any():
         return np.zeros(lake.n_cells)
     q_bnd = circulation_potential(lake, nu)

@@ -80,6 +80,9 @@ class AdmissibleParams:
         return self.kappa0 * self.delta
 
     def check_nonempty(self, lake: Lake, vf: VorticityFunction) -> None:
+        """Raise AdmissibilityError unless the class on lake holds a field and
+        the squared norm of b*zeta, which apply_K takes, is a float for every
+        field in it."""
         if self.lam <= vf.f_at_zero_plus + 1.0:
             raise AdmissibilityError(
                 f"truncation level {self.lam} must exceed f(0+)+1 = "
@@ -91,6 +94,16 @@ class AdmissibleParams:
                 f"{self.cap * lake.measure_nu:.3e} < target mass "
                 f"{self.target_mass:.3e}"
             )
+        # a field's x = b zeta >= 0 sums to m/h^2 and is at most b_max cap, so
+        # the squared norm sum(x^2) each apply_K takes is at most this bound,
+        # which a field reaches where one cell can hold the mass.  E_q, quadratic
+        # in m too, stays far below it (5e-8 of it on the 64^2 disk)
+        per_area = self.target_mass / lake.cell_area
+        bound = per_area * min(per_area, float(lake.b_int.max()) * self.cap)
+        if bound == math.inf:
+            raise AdmissibilityError(
+                f"target mass {self.target_mass:.3e} is out of float range on this lake: "
+                f"the squared norm of b*zeta can reach (m/h^2) min(m/h^2, b_max cap) = inf")
 
 
 @dataclass(frozen=True)

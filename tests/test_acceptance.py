@@ -14,7 +14,8 @@ a count of the argpartitions and f calls of a bathtub call per start,
 a count of the argpartitions and repeated f levels over a 129^2 solve, a
 check of every step of that solve against the cold-started bathtub, and a
 check of the support diameter against the frozen Qhull diameter on every
-regression state.  The optimality and steadiness certificates are test
+regression state, and of the exact support zeta > 0 against the relative rule
+it replaced.  The optimality and steadiness certificates are test
 helpers, in certificates.py.
 """
 
@@ -35,7 +36,7 @@ from sorted_bathtub_reference import bathtub as full_sort_bathtub
 from sweep_states import sweep_with_states
 
 from lakevortex import geometry
-from lakevortex.asymptotics import rescale_profile, support_cells
+from lakevortex.asymptotics import rescale_profile
 from lakevortex.elliptic import (
     CompatibilityError,
     apply_K,
@@ -244,7 +245,7 @@ def test_rescale_profile_matches_frozen_bin_passes(regression_states):
     assert len(regression_states) == 23
     for lake, state in regression_states:
         center = vorticity_center(lake, state.zeta)
-        diam = max_pairwise_distance(lake.centers[support_cells(state.zeta)])
+        diam = max_pairwise_distance(lake.centers[state.zeta > 0.0])
         for d in (diam, 0.0):
             new = rescale_profile(lake, state.zeta, state.ctx.params, center, d)
             old = profile_ref.rescale_profile(lake, state.zeta, state.ctx.params, center, d)
@@ -259,10 +260,34 @@ def test_support_diameter_matches_frozen_qhull(regression_states):
     for lake in lakes.values():
         assert lake.diameter == scipy_ref.max_pairwise_distance(lake.centers)
     for lake, state in regression_states:
-        support = lake.centers[support_cells(state.zeta)]
+        support = lake.centers[state.zeta > 0.0]
         assert len(support) > 16  # past the reference's brute-force cut-off
         assert (geometry.max_pairwise_distance(support)
                 == scipy_ref.max_pairwise_distance(support))
+
+
+def test_exact_support_matches_the_relative_rule(regression_states, critical_state_129):
+    """The support diagnose measures, zeta > 0, against the rule it replaced,
+    zeta > 1e-12 max zeta, on every regression state and on power-f states
+    (f(0+) = 0, so the field falls continuously to 0 at the rim) at three p
+    and three eps on the 129^2 critical lake: the same cells every time."""
+    lake129, handle, q, _, _ = critical_state_129
+    states = list(regression_states)
+    for p in (1.5, 2.0, 3.0):
+        for eps in (0.2, 0.1, 0.05):
+            params = AdmissibleParams(eps=eps, delta=1.0 / math.log(1.0 / eps), kappa0=1.0,
+                                      lam=50.0)
+            state = solve_vortex(handle, q, params, VorticityFunction("power", p=p),
+                                 init=(0.0, 0.28))
+            assert state.converged
+            states.append((lake129, state))
+    assert len(states) == 32
+    smallest = 1.0
+    for _, state in states:
+        zeta = state.zeta
+        assert np.array_equal(zeta > 0.0, zeta > 1e-12 * zeta.max())
+        smallest = min(smallest, zeta[zeta > 0.0].min() / zeta.max())
+    print(f"smallest positive zeta over 32 states: {smallest:.2e} of the maximum")
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from lakevortex.asymptotics import (
     radial_monotonicity_score,
     rescale_profile,
     run_sweep,
-    support_cells,
     vorticity_center,
 )
 from lakevortex.elliptic import SolverError, assemble_operator, flux_preset, solve_background
@@ -81,7 +80,7 @@ def test_vorticity_center(disk_const_64):
 
 def _profile(lake, zeta, params):
     """The radial bin means around the origin, with the support's diameter."""
-    diam = max_pairwise_distance(lake.centers[support_cells(zeta)])
+    diam = max_pairwise_distance(lake.centers[zeta > 0.0])
     return rescale_profile(lake, zeta, params, (0.0, 0.0), diam)
 
 
@@ -143,6 +142,11 @@ def test_predicted_target_background_max(disk_const_64, disk_const_64_handle):
     # top boundary-adjacent cell
     assert point[1] > 1.0 - 3 * disk_const_64.h
     assert abs(point[0]) <= 2 * disk_const_64.h
+
+
+def test_predicted_target_rejects_an_unknown_regime(disk_const_64):
+    with pytest.raises(ScheduleError, match="unknown regime 'sideways'"):
+        predicted_target(disk_const_64, np.zeros(disk_const_64.n_cells), 1.0, "sideways")
 
 
 def test_predicted_target_combined_moves_with_circulation():

@@ -264,6 +264,12 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
     ("solve", {"params": dict(SMALL_SOLVE["params"], eps=1e-160)}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, 1e-200])}),
     ("solve", {"params": dict(SMALL_SOLVE["params"], lam=1e308)}),
+    # a target mass whose fields' squared norm sum((b zeta)^2) overflows: in a
+    # solve, at every sweep point, and at a sweep's second point only
+    ("solve", {"params": dict(SMALL_SOLVE["params"], kappa0=1e300, lam=1e305)}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], kappa0=1e300, lam=1e305)}),
+    ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], eps_list=[0.2, 1e-3], kappa0=5e152,
+                             lam=1e151)}),
 ], ids=["lake-resolution", "power-p-nan", "solve-seed-1d", "flux-points-1d",
         "flux-points-one-direction",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
@@ -274,7 +280,8 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
         "seed-booleans", "jump-unread-p", "jump-unread-points", "power-unread-c",
         "lake-resolution-beyond-float", "solve-eps-1e-200", "solve-eps-1e200",
-        "solve-eps-1e-160", "sweep-eps-1e-200", "solve-lam-1e308"])
+        "solve-eps-1e-160", "sweep-eps-1e-200", "solve-lam-1e308", "solve-mass-1e300",
+        "sweep-mass-1e300", "sweep-second-point-mass"])
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -304,28 +311,47 @@ NEGATIVE_JUMP_TABLE = {"preset": "table", "points": [[0, -1], [1, 0.5], [2, 2]]}
     ("oracle-test", {"nonlinearity": FALLING_TABLE}),
     ("solve", {"lake": {"preset": ["disk_interior_max_b"], "resolution": 64}}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], schedule=5)}),
+    ("solve", {"flux": {"preset": "source"}}),
+    ("sweep", {"flux": {"preset": "source"}}),
 ], ids=["lake-int", "flux-int", "nonlinearity-int", "params-int", "solver-list", "sweep-int",
         "hypotheses-int", "flux-points-int", "flux-amplitude-list", "table-points-int",
         "power-p-list", "solve-falling-table", "solve-negative-jump-table",
         "sweep-falling-table", "sweep-negative-jump-table", "oracle-falling-table",
-        "lake-preset-list", "sweep-schedule-int"])
+        "lake-preset-list", "sweep-schedule-int", "solve-unknown-flux", "sweep-unknown-flux"])
 def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_jump_far_above_zero_solves_without_a_warning(tmp_path, capfd):
-    """f(0+) = 1e300: the penalty's conjugate at a cell filled inside the jump
-    is 0 and must not square t - f(0+) on the way.  The command runs in a
-    child process, so that a numpy warning would reach the captured stderr."""
-    cfg = _write(tmp_path, dict(SMALL_SOLVE, nonlinearity={"preset": "jump_linear", "c": 1e300},
-                                params=dict(SMALL_SOLVE["params"], lam=1e301)))
+def _solve_in_a_child(tmp_path, capfd, cfg: dict):
+    """The exit code and stderr of solve on cfg, run in a child process, so
+    that a numpy warning reaches the captured stderr."""
+    path = _write(tmp_path, cfg)
     src = str(Path(lakevortex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = subprocess.run([sys.executable, "-m", "lakevortex.cli", "solve", "--config", str(cfg),
+    code = subprocess.run([sys.executable, "-m", "lakevortex.cli", "solve", "--config", str(path),
                            "--out", str(tmp_path / "out")], env=env).returncode
-    assert (code, capfd.readouterr().err) == (0, "")
+    return code, capfd.readouterr().err
+
+
+def test_jump_far_above_zero_solves_without_a_warning(tmp_path, capfd):
+    """f(0+) = 1e300: the penalty's conjugate at a cell filled inside the jump
+    is 0 and must not square t - f(0+) on the way."""
+    cfg = dict(SMALL_SOLVE, nonlinearity={"preset": "jump_linear", "c": 1e300},
+               params=dict(SMALL_SOLVE["params"], lam=1e301))
+    assert _solve_in_a_child(tmp_path, capfd, cfg) == (0, "")
+
+
+def test_mass_near_float_range_solves_without_a_warning(tmp_path, capfd):
+    """kappa0 = 1e150: the seed patch puts the whole mass in one cell, whose
+    squared norm (m/h^2)^2 = 2.6e305 is still a float, so the solve runs, and
+    E = 3.2e297."""
+    cfg = dict(SMALL_SOLVE, flux={"preset": "zero"},
+               params={"eps": 0.2, "delta": 0.5, "kappa0": 1e150, "lam": 1e155})
+    assert _solve_in_a_child(tmp_path, capfd, cfg) == (0, "")
+    state = json.loads((tmp_path / "out" / "state.json").read_text())
+    assert state["converged"] and state["energy"]["E_total"] == pytest.approx(3.23e297, rel=1e-3)
 
 
 # one fault each, in configs that solve and sweep read alike: the sweep's only
@@ -573,9 +599,14 @@ def test_out_blocked_by_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, c
     assert len(err) == 1 and err[0].startswith(f"usage error: --out {out}: ")
 
 
-def test_missing_required_key(tmp_path):
+def test_missing_required_key(tmp_path, capsys):
     cfg = _write(tmp_path, {"lake": {"preset": "disk_constant_b", "resolution": 64}})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    # a section without one of its required fields
+    cfg = _write(tmp_path, dict(SMALL_SOLVE, lake={"preset": "disk_interior_max_b"}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("config error: lake: missing required key 'resolution'\n")
 
 
 def test_oracle_test_bundled(tmp_path):

@@ -415,9 +415,10 @@ def test_background_cosine_gives_vertical_coordinate(disk_const_64, disk_const_6
 
 def test_background_constant_flux_rejected(disk_const_64, disk_const_64_handle):
     nu = np.ones(len(disk_const_64.boundary))
-    with pytest.raises(CompatibilityError) as err:
+    # the integral is the perimeter, 2 pi
+    with pytest.raises(CompatibilityError,
+                       match=r"boundary is 6\.283e\+00, must vanish within 1e-08"):
         solve_background(disk_const_64_handle, nu)
-    assert err.value.integral == pytest.approx(TWO_PI, rel=1e-12)
 
 
 def test_circulation_potential_anchored_and_closed(disk_const_64):
@@ -448,6 +449,29 @@ def test_custom_flux_angles_are_directions():
     for duplicate in ([(0.0, 1.0), (TWO_PI, 0.0)], [(-1.0, 1.0), (TWO_PI - 1.0, 0.5)]):
         with pytest.raises(ValueError, match="one direction"):
             flux_preset(lake, "custom", points=duplicate)
+
+
+@pytest.mark.parametrize("name, points, message", [
+    ("custom", None, "needs \\(angle, value\\) pairs"),
+    ("custom", [], "needs \\(angle, value\\) pairs"),
+    ("custom", [(0.0, 1.0), (1.0, math.inf)], "finite"),
+    ("custom", [(math.nan, 1.0), (1.0, 0.0)], "finite"),
+    ("custom", [(0.0, 1.0, 2.0)], "finite"),
+    ("source", None, "unknown flux preset 'source'"),
+], ids=["custom-none", "custom-empty", "custom-inf", "custom-nan", "custom-triple",
+        "unknown-preset"])
+def test_flux_preset_rejects_bad_points_and_names(disk_const_64, name, points, message):
+    with pytest.raises(ValueError, match=message):
+        flux_preset(disk_const_64, name, points=points)
+
+
+def test_factorization_failure_is_a_solver_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(elliptic, "splu", singular)
+    with pytest.raises(SolverError, match="factorization failed: Factor is exactly singular"):
+        assemble_operator(rect_lake(2, 2, 0.5))
 
 
 def test_flux_needs_matching_length(disk_const_64_handle):

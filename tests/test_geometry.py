@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from lakevortex import geometry
-from lakevortex.asymptotics import support_cells
 from lakevortex.geometry import (
     PRESETS,
     DiskDomain,
@@ -107,7 +106,7 @@ def test_diameter_matches_brute_force(disk_const_64):
     for cells, expect in (([], 0.0), ([10], 0.0), ([10, 200], pair), (row, ends)):
         zeta = np.zeros(lake.n_cells)
         zeta[cells] = 1.0
-        support = lake.centers[support_cells(zeta)]
+        support = lake.centers[zeta > 0.0]
         assert geometry.max_pairwise_distance(support) == pytest.approx(expect, rel=1e-12)
 
 
@@ -234,8 +233,31 @@ def test_rect_lake_places_requested_cells():
     assert np.allclose(lake.centers[:, 1], 0.125)
 
 
+@pytest.mark.parametrize("nx, ny", [(0, 2), (2, 0), (-1, 1)])
+def test_rect_lake_needs_a_cell_each_way(nx, ny):
+    with pytest.raises(GeometryError, match="at least one cell"):
+        rect_lake(nx, ny, 0.5)
+
+
+@pytest.mark.parametrize("depth, message", [
+    (0.0, "depth must be positive"),
+    (-1.0, "depth must be positive"),
+    (lambda X, Y: X - 0.5, "depth must be positive"),  # 0 on the first column of cells
+    # positive, but b h^2 rounds to 0 in every cell
+    (5e-324, "weighted measure of the lake is not positive"),
+], ids=["zero", "negative", "zero-somewhere", "measure-underflows"])
+def test_lake_needs_positive_depth_and_measure(depth, message):
+    with pytest.raises(GeometryError, match=message):
+        rect_lake(2, 2, 0.5, depth=depth)
+
+
 # ---------------------------------------------------------------------------
 # disk Green function
+
+
+def test_h_kernel_needs_distinct_points(disk_const_64):
+    with pytest.raises(GeometryError, match="distinct points"):
+        h_kernel(disk_const_64, (0.25, -0.1), (0.25, -0.1))
 
 
 def test_green_center_value():

@@ -129,6 +129,17 @@ def test_bad_parameters_rejected():
         VorticityFunction("table", points=((0.0, 1.0),))
     with pytest.raises(ValueError):
         verify_hypotheses(VorticityFunction("power", p=2.0), 10.0, 50)
+    for points in (((0.0, 0.0), (1.0, math.inf)), ((0.0, math.nan), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            VorticityFunction("table", points=points)
+    for points in (((0.0, 0.0), (0.0, 1.0), (1.0, 2.0)), ((1.0, 0.0), (0.5, 1.0))):
+        with pytest.raises(ValueError, match="increasing"):
+            VorticityFunction("table", points=points)
+    with pytest.raises(ValueError, match="unknown nonlinearity preset 'sigmoid'"):
+        VorticityFunction("sigmoid")
+    for s_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="s_max must be positive"):
+            verify_hypotheses(VorticityFunction("power", p=2.0), s_max, 100)
 
 
 STEEP_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1.0, 1e300)))  # slope 1e300

@@ -372,6 +372,45 @@ def test_mixed_step_that_lowers_the_energy_is_discarded(power_fixture, monkeypat
     assert again.mu == pytest.approx(state.mu, rel=1e-7)
 
 
+@pytest.mark.parametrize("mix", ["anderson", "every-mix-discarded"])
+def test_each_solve_applies_K_once_per_step_and_once_to_its_seed(monkeypatch, mix):
+    # so a sweep point's apply_K count is its iterations + 1, and a counter of
+    # its own would repeat the iterations; a discarded mixed step counts as a step
+    import lakevortex.asymptotics as asymptotics
+    import lakevortex.variational as variational
+    from lakevortex.elliptic import flux_preset
+
+    calls, per_point, discarded = [0], [], []
+    live_apply_K, live_solve = variational.apply_K, asymptotics.solve_vortex
+
+    def counting_apply_K(handle, zeta):
+        calls[0] += 1
+        return live_apply_K(handle, zeta)
+
+    def counting_solve(*args, **kwargs):
+        calls[0] = 0
+        state = live_solve(*args, **kwargs)
+        per_point.append((calls[0], state.iterations))
+        discarded.append(int(np.count_nonzero(np.diff(state.energy_trace) == 0.0)))
+        return state
+
+    def reversed_mix(history, nu):  # a mix whose every output loses energy
+        (_, _, _), (g1, _, k1) = history
+        return g1, -k1
+
+    monkeypatch.setattr(variational, "apply_K", counting_apply_K)
+    monkeypatch.setattr(asymptotics, "solve_vortex", counting_solve)
+    if mix == "every-mix-discarded":
+        monkeypatch.setattr(variational, "_anderson_mix", reversed_mix)
+    lake = build_lake("disk_interior_max_b", 64)
+    flux = flux_preset(lake, "cosine", amplitude=0.02)
+    report = asymptotics.run_sweep(assemble_operator(lake), flux, "critical", 1.0, 50.0,
+                                   [0.2, 0.14, 0.1], VorticityFunction("jump_linear", c=0.5))
+    assert all(row.converged for row in report.rows) and len(per_point) == 3
+    assert all(n_calls == iterations + 1 for n_calls, iterations in per_point)
+    assert (sum(discarded) > 0) == (mix == "every-mix-discarded")
+
+
 def test_each_step_logs_one_debug_line(caplog):
     from lakevortex.elliptic import flux_preset, solve_background
 
@@ -485,6 +524,15 @@ def test_oracle_single_cell_closed_form(vf_jump):
     e_direct = energy(SolveContext(handle, q, params, vf_jump), z, apply_K(handle, z),
                       np.flatnonzero(z))
     assert e_star == pytest.approx(e_direct.total, rel=1e-10)
+
+
+def test_oracle_without_a_quantized_field_raises(vf_jump):
+    # target mass 5 against cap * nu = 16 * 0.25 = 4 in the one cell: no level
+    # lies within half a quantum (0.25) of it
+    handle = assemble_operator(rect_lake(1, 1, 0.5))
+    params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=10.0, lam=8.0)
+    with pytest.raises(AdmissibilityError, match="no quantized field"):
+        brute_force_oracle(handle, np.zeros(1), params, vf_jump, m=8)
 
 
 def test_oracle_symmetric_two_cell(vf_jump):
