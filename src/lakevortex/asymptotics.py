@@ -192,13 +192,12 @@ class SweepReport:
     checks: dict
 
 
-def _fit_loglog_slope(rows: list) -> float | None:
-    """Slope of log diam_supp against log eps over the rows with a support."""
-    eps, diam = np.array([r.eps for r in rows]), np.array([r.diam_supp for r in rows])
-    good = diam > 0.0
+def _loglog_slope(log_x: np.ndarray, y: np.ndarray) -> float | None:
+    """Slope of log y against log_x over the entries with y > 0 (None below two)."""
+    good = y > 0.0
     if good.sum() < 2:
         return None
-    return float(np.polyfit(np.log(eps[good]), np.log(diam[good]), 1)[0])
+    return float(np.polyfit(log_x[good], np.log(y[good]), 1)[0])
 
 
 def diagnose(state: SolveState, ties) -> Diagnostics:
@@ -273,7 +272,8 @@ def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
 
     rows = [solve_point(p) for p in points]
     checks = _regime_checks(lake, q, regime, kappa0, rows, ties)
-    slope = checks["diam_slope"] = _fit_loglog_slope(rows)
+    slope = checks["diam_slope"] = _loglog_slope(np.log([r.eps for r in rows]),
+                                                 np.array([r.diam_supp for r in rows]))
     if slope is not None:
         checks["diam_slope_in_window"] = bool(0.8 <= slope <= 1.2)
     return SweepReport(rows=rows, target_ties=ties, checks=checks)
@@ -333,13 +333,10 @@ def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
         else:
             # boundary depth maximum: the support approaches the shore; record
             # the fitted decay exponent of dist vs ln(1/eps) without asserting
-            dist_b = np.array([r.dist_boundary for r in ok_rows])
-            logs = np.array([math.log(math.log(1 / r.eps)) for r in ok_rows])
-            good = dist_b > 0
-            if good.sum() >= 2:
-                checks["boundary_decay_exponent"] = float(
-                    -np.polyfit(logs[good], np.log(dist_b[good]), 1)[0]
-                )
+            slope = _loglog_slope(np.array([math.log(math.log(1 / r.eps)) for r in ok_rows]),
+                                  np.array([r.dist_boundary for r in ok_rows]))
+            if slope is not None:
+                checks["boundary_decay_exponent"] = -slope
     elif regime == "critical":
         fracs = np.array([r.mass_frac for r in ok_rows])
         checks["mass_frac_nondecreasing"] = bool(np.all(np.diff(fracs) >= -1e-9))

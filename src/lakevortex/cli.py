@@ -52,7 +52,6 @@ from .variational import (
     AdmissibilityError,
     AdmissibleParams,
     brute_force_oracle,
-    oracle_gap_bound,
     solve_vortex,
 )
 
@@ -322,27 +321,25 @@ def state_to_dict(state) -> dict:
 # subcommands
 
 
-def _set_up(cfg: dict, points: list, where: str):
-    """Seed, f, flux and operator of a solving command, once every params in
-    points (a sweep's, in eps order) passes check_nonempty on the lake; where
-    begins the error."""
-    seed = seed_from(cfg)
-    vf = solver_vf_from(cfg)
-    lake = build_lake_from(cfg)
+def _set_up(cfg: dict, make_points, where: str):
+    """Params (make_points(), a sweep's in eps order), seed, f, flux and operator
+    of a solving command: the one place where an inadmissible class or schedule,
+    each params' check_nonempty on the lake too, is a ConfigError after where."""
     try:
+        points = make_points()
+        seed = seed_from(cfg)
+        vf = solver_vf_from(cfg)
+        lake = build_lake_from(cfg)
         for params in points:
             params.check_nonempty(lake, vf)
-    except AdmissibilityError as exc:
+    except (AdmissibilityError, ScheduleError) as exc:
         raise ConfigError(f"{where}{exc}") from exc
-    return seed, vf, flux_from(cfg, lake), assemble_operator(lake)
+    return points, seed, vf, flux_from(cfg, lake), assemble_operator(lake)
 
 
 def cmd_solve(cfg: dict, out: Path) -> int:
-    try:  # a cap or target mass out of float range
-        params = AdmissibleParams(**section(cfg, "params"))
-    except AdmissibilityError as exc:
-        raise ConfigError(str(exc)) from exc
-    seed, vf, nu, handle = _set_up(cfg, [params], "")
+    (params,), seed, vf, nu, handle = _set_up(
+        cfg, lambda: [AdmissibleParams(**section(cfg, "params"))], "")
     # looked up in elliptic at call time, where instrumentation can wrap it
     q = elliptic.solve_background(handle, nu)
     state = solve_vortex(handle, q, params, vf, init=seed)
@@ -358,13 +355,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 def cmd_sweep(cfg: dict, out: Path) -> int:
     scfg = section(cfg, "sweep")
     schedule = scfg["schedule"], scfg["kappa0"], scfg["lam"], scfg["eps_list"]
-    # eps out of order, an unknown regime, the largest eps out of its domain,
-    # or a point's cap out of float range
-    try:
-        points = sweep_params(*schedule)
-    except (ScheduleError, AdmissibilityError) as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-    seed, vf, nu, handle = _set_up(cfg, points, "sweep: ")
+    _, seed, vf, nu, handle = _set_up(cfg, lambda: sweep_params(*schedule), "sweep: ")
     report = run_sweep(handle, nu, *schedule, vf, seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
@@ -398,8 +389,7 @@ def cmd_oracle_test(cfg: dict, out: Path) -> int:
     ok = True
     for name, lake, q, params, m in tiny_oracle_fixtures():
         handle = assemble_operator(lake)
-        z_star, e_star = brute_force_oracle(handle, q, params, vf, m)
-        gap = oracle_gap_bound(handle, q, params, vf, m)
+        _, e_star, gap = brute_force_oracle(handle, q, params, vf, m)
         state = solve_vortex(handle, q, params, vf, init=lake.centers[0])
         passed = state.energy.total >= e_star - gap
         ok = ok and passed and state.converged

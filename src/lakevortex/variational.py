@@ -80,19 +80,19 @@ class AdmissibleParams:
         return self.kappa0 * self.delta
 
     def check_nonempty(self, lake: Lake, vf: VorticityFunction) -> None:
-        """Raise AdmissibilityError unless the class on lake holds a field and
-        the squared norm of b*zeta, which apply_K takes, is a float for every
-        field in it."""
+        """Raise AdmissibilityError, naming these params, unless the class on
+        lake holds a field and the squared norm of b*zeta, which apply_K
+        takes, is a float for every field in it."""
         if self.lam <= vf.f_at_zero_plus + 1.0:
             raise AdmissibilityError(
                 f"truncation level {self.lam} must exceed f(0+)+1 = "
-                f"{vf.f_at_zero_plus + 1.0}"
+                f"{vf.f_at_zero_plus + 1.0} for {self}"
             )
         if self.cap * lake.measure_nu < self.target_mass:
             raise AdmissibilityError(
                 f"admissible class is empty: cap*|D|_nu = "
                 f"{self.cap * lake.measure_nu:.3e} < target mass "
-                f"{self.target_mass:.3e}"
+                f"{self.target_mass:.3e} for {self}"
             )
         # a field's x = b zeta >= 0 sums to m/h^2 and is at most b_max cap, so
         # the squared norm sum(x^2) each apply_K takes is at most this bound,
@@ -102,8 +102,8 @@ class AdmissibleParams:
         bound = per_area * min(per_area, float(lake.b_int.max()) * self.cap)
         if bound == math.inf:
             raise AdmissibilityError(
-                f"target mass {self.target_mass:.3e} is out of float range on this lake: "
-                f"the squared norm of b*zeta can reach (m/h^2) min(m/h^2, b_max cap) = inf")
+                f"target mass {self.target_mass:.3e} is out of float range on this lake: the "
+                f"squared norm of b*zeta can reach (m/h^2) min(m/h^2, b_max cap) = inf for {self}")
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,17 @@ def energy(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray,
 
     E_q = 0.5*sum(zeta*K zeta*b h^2) + sum(q*zeta*b h^2) and the penalty is
     (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2), each summed over
-    support, the cells with zeta > 0 in index order.
+    support, the cells with zeta > 0 in index order.  A penalty beyond float
+    range raises AdmissibilityError: the class passed check_nonempty, but
+    F_* can overflow at (eps^2/delta) zeta where delta/eps^2 is tiny.
     """
     nuw, z = ctx.handle.lake.nu_weights[support], zeta[support]
     e_q = 0.5 * float(np.dot(z * nuw, k_zeta[support])) + float(np.dot(ctx.q[support] * nuw, z))
     scale = ctx.params.delta / ctx.params.eps**2
-    f_eps = scale * float(np.dot(ctx.vf.F_star(z / scale), nuw))
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned of
+        f_eps = scale * float(np.dot(ctx.vf.F_star(z / scale), nuw))
+    if not math.isfinite(f_eps):
+        raise AdmissibilityError(f"penalty F_eps is out of float range for {ctx.params}")
     return Energy(e_q=e_q, f_eps=f_eps)
 
 
@@ -444,12 +449,16 @@ def _dense_quadratic(handle: OperatorHandle) -> np.ndarray:
 
 def brute_force_oracle(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
                        vf: VorticityFunction, m: int):
-    """Enumerate quantized admissible fields and return the best (zeta, E).
+    """Enumerate quantized admissible fields: the best (zeta, E), and a bound
+    on |true max - quantized max|.
 
     Cell values range over {0, cap*k/m}; fields qualify when their weighted
     mass is within half a mass quantum (the largest single-level increment)
     of the target.  Energies use a dense inverse, independent of the sparse
-    iterative path.  Limits: at most 6 cells and m <= 12.
+    iterative path.  The bound is the Lipschitz constant of the functional
+    in the weighted L1 metric times the quantization distance (per-cell
+    rounding plus one mass-rebalancing level).  Limits: at most 6 cells and
+    m <= 12.
     """
     n = handle.lake.n_cells
     if n > 6:
@@ -477,22 +486,9 @@ def brute_force_oracle(handle: OperatorHandle, q: np.ndarray, params: Admissible
     e_q = 0.5 * np.einsum("ij,jk,ik->i", z, w, z) + z @ (q * nuw)
     e = e_q - scale * (vf.F_star(z / scale) @ nuw)
     k = int(np.argmax(e))  # the first best field in lexicographic order
-    return z[k].copy(), float(e[k])
 
-
-def oracle_gap_bound(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
-                     vf: VorticityFunction, m: int) -> float:
-    """Analytic bound on |true max - quantized max| for the tiny-lake oracle.
-
-    Lipschitz constant of the functional in the weighted L1 metric times the
-    quantization distance (per-cell rounding plus one mass-rebalancing level).
-    """
-    w = _dense_quadratic(handle)
-    nuw = handle.lake.nu_weights
-    cap = params.cap
     # |K zeta|_inf over the class, via the cap field
-    k_cap = np.abs(w @ np.full(len(nuw), cap)) / nuw
+    k_cap = np.abs(w @ np.full(n, cap)) / nuw
     lipschitz = float(k_cap.max()) + float(np.abs(q).max()) + float(vf.f_inv(params.lam))
     rounding_l1 = (cap / (2 * m)) * float(nuw.sum())
-    quantum = (cap / m) * float(nuw.max())
-    return lipschitz * (2.0 * rounding_l1 + 2.0 * quantum)
+    return z[k].copy(), float(e[k]), lipschitz * (2.0 * rounding_l1 + 2.0 * quantum)

@@ -61,7 +61,6 @@ from lakevortex.variational import (
     bathtub,
     brute_force_oracle,
     initial_patch,
-    oracle_gap_bound,
     solve_vortex,
     vorticity_center,
 )
@@ -119,8 +118,7 @@ def test_criterion_1_oracle_equivalence(acceptance_report):
     details = []
     for name, lake, q, params, m in tiny_oracle_fixtures():
         handle = assemble_operator(lake)
-        _, e_star = brute_force_oracle(handle, q, params, FIXTURE_VF, m)
-        gap = oracle_gap_bound(handle, q, params, FIXTURE_VF, m)
+        _, e_star, gap = brute_force_oracle(handle, q, params, FIXTURE_VF, m)
         state = solve_vortex(handle, q, params, FIXTURE_VF, init=lake.centers[0])
         this_ok = state.converged and state.energy.total >= e_star - gap
         ok = ok and this_ok

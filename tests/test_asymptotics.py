@@ -241,7 +241,14 @@ def test_boundary_depth_max_records_decay_not_floor():
     assert report.checks["depth_max_interior"] is False
     assert "interior_distance_floor" not in report.checks
     assert report.checks["dist_boundary_positive"] is True
-    assert "boundary_decay_exponent" in report.checks
+    # the former inline fit of log dist_boundary against log ln(1/eps)
+    rows = [r for r in report.rows if r.converged]
+    dist_b = np.array([r.dist_boundary for r in rows])
+    logs = np.array([math.log(math.log(1 / r.eps)) for r in rows])
+    good = dist_b > 0
+    assert good.sum() == 3
+    fitted = float(-np.polyfit(logs[good], np.log(dist_b[good]), 1)[0])
+    assert report.checks["boundary_decay_exponent"] == fitted
 
 
 def test_sweep_continues_past_failed_point(monkeypatch, caplog):

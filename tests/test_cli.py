@@ -354,6 +354,37 @@ def test_mass_near_float_range_solves_without_a_warning(tmp_path, capfd):
     assert state["converged"] and state["energy"]["E_total"] == pytest.approx(3.23e297, rel=1e-3)
 
 
+def test_penalty_beyond_float_range_is_a_numerical_failure(tmp_path, capfd):
+    """eps = 1e10: delta/eps^2 = 1e-20, so the penalty's conjugate is taken at
+    t = zeta eps^2/delta up to lam = 1e161 and overflows, although the class
+    passes check_nonempty.  One line, no numpy warning, and not E = -inf."""
+    cfg = dict(SMALL_SOLVE, flux={"preset": "zero"},
+               params={"eps": 1e10, "delta": 1.0, "kappa0": 1e140, "lam": 1e161})
+    code, err = _solve_in_a_child(tmp_path, capfd, cfg)
+    assert code == 1
+    assert err.startswith("numerical failure: penalty F_eps is out of float range for "
+                          "AdmissibleParams(eps=10000000000.0,")
+    assert len(err.splitlines()) == 1
+
+
+def test_large_compatible_flux_solves_without_a_warning(tmp_path, capfd):
+    """A mean-corrected cosine flux of amplitude 1e10: its integral rounds to
+    about 1e-6, within the tolerance relative to the integral of |nu|."""
+    cfg = dict(SMALL_SOLVE, flux={"preset": "cosine", "amplitude": 1e10})
+    assert _solve_in_a_child(tmp_path, capfd, cfg) == (0, "")
+
+
+def test_sweep_names_the_point_that_fails_its_class_check(tmp_path, capsys):
+    # the second point's target mass is out of float range on this lake
+    sweep = dict(SMALL_SWEEP["sweep"], eps_list=[0.2, 1e-3], kappa0=5e152, lam=1e151)
+    cfg = _write(tmp_path, dict(SMALL_SWEEP, flux={"preset": "zero"}, sweep=sweep))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: sweep: target mass 7.238e+151 is out of float range")
+    assert line.endswith("for AdmissibleParams(eps=0.001, delta=0.14476482730108395, "
+                         "kappa0=5e+152, lam=1e+151)")
+
+
 # one fault each, in configs that solve and sweep read alike: the sweep's only
 # eps point is the solve's params, at the critical delta(eps)
 SHARED_FAULTS = {
@@ -529,9 +560,8 @@ def test_solve_reads_the_lake_from_its_operator(tmp_path):
     write_json(tmp_path / "api.json", state_to_dict(state), config_hash(cfg))
     assert (tmp_path / "api.json").read_bytes() == (tmp_path / "state.json").read_bytes()
     for fn in (variational.solve_vortex, asymptotics.run_sweep, variational.brute_force_oracle,
-               variational.oracle_gap_bound, asymptotics.diagnose, state_to_dict,
-               variational.iterate_step, variational.bathtub, variational.energy,
-               variational.initial_patch):
+               asymptotics.diagnose, state_to_dict, variational.iterate_step,
+               variational.bathtub, variational.energy, variational.initial_patch):
         assert "lake" not in inspect.signature(fn).parameters, fn.__name__
 
 

@@ -419,6 +419,10 @@ def test_background_constant_flux_rejected(disk_const_64, disk_const_64_handle):
     with pytest.raises(CompatibilityError,
                        match=r"boundary is 6\.283e\+00, must vanish within 1e-08"):
         solve_background(disk_const_64_handle, nu)
+    # at any size: the tolerance is relative to the integral of |nu|, and an
+    # absolute 1e-8 let 1e-9 (integral 6.3e-9) through
+    with pytest.raises(CompatibilityError, match=r"boundary is 6\.283e-09, must vanish"):
+        solve_background(disk_const_64_handle, 1e-9 * nu)
 
 
 def test_circulation_potential_anchored_and_closed(disk_const_64):

@@ -23,12 +23,12 @@ from lakevortex.variational import (
     AdmissibleParams,
     SolveContext,
     SolveState,
+    _dense_quadratic,
     bathtub,
     brute_force_oracle,
     energy,
     initial_patch,
     iterate_step,
-    oracle_gap_bound,
     solve_vortex,
 )
 
@@ -516,7 +516,7 @@ def test_oracle_single_cell_closed_form(vf_jump):
     handle = assemble_operator(lake)
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0)
     q = np.zeros(1)
-    z_star, e_star = brute_force_oracle(handle, q, params, vf_jump, m=8)
+    z_star, e_star, _ = brute_force_oracle(handle, q, params, vf_jump, m=8)
     # unique feasible value: all mass in the one cell
     z_expect = params.target_mass / lake.nu_weights[0]
     assert z_star[0] == pytest.approx(z_expect, rel=1e-12)
@@ -539,9 +539,9 @@ def test_oracle_symmetric_two_cell(vf_jump):
     lake = rect_lake(2, 1, 0.5)
     handle = assemble_operator(lake)
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0)
-    z_star, _ = brute_force_oracle(handle, np.zeros(2), params, vf_jump, m=8)
+    z_star, _, _ = brute_force_oracle(handle, np.zeros(2), params, vf_jump, m=8)
     # symmetric functional: maximizer symmetric or a mirror pair
-    mirrored, _ = brute_force_oracle(handle, np.zeros(2), params, vf_jump, m=8)
+    mirrored, _, _ = brute_force_oracle(handle, np.zeros(2), params, vf_jump, m=8)
     assert (np.allclose(z_star, z_star[::-1])
             or np.allclose(np.sort(z_star), np.sort(mirrored)))
 
@@ -551,8 +551,7 @@ def test_solver_dominates_oracle_four_cells(vf_jump):
     handle = assemble_operator(lake)
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=1.0, lam=8.0)
     q = 0.1 * lake.centers[:, 0]
-    z_star, e_star = brute_force_oracle(handle, q, params, vf_jump, m=8)
-    gap = oracle_gap_bound(handle, q, params, vf_jump, m=8)
+    _, e_star, gap = brute_force_oracle(handle, q, params, vf_jump, m=8)
     state = solve_vortex(handle, q, params, vf_jump, init=lake.centers[0])
     assert state.energy.total >= e_star - gap
     assert state.energy.total >= e_star - 1e-9  # run record: solver wins outright
@@ -567,6 +566,29 @@ def test_oracle_guards():
     lake2 = rect_lake(2, 1, 0.5)
     with pytest.raises(ValueError, match="1..12"):
         brute_force_oracle(assemble_operator(lake2), np.zeros(2), params, vf, m=20)
+
+
+def _frozen_gap_bound(handle, q, params, vf, m) -> float:
+    """The former variational.oracle_gap_bound, verbatim: the gap bound from
+    its own dense quadratic and mass quantum."""
+    w = _dense_quadratic(handle)
+    nuw = handle.lake.nu_weights
+    cap = params.cap
+    # |K zeta|_inf over the class, via the cap field
+    k_cap = np.abs(w @ np.full(len(nuw), cap)) / nuw
+    lipschitz = float(k_cap.max()) + float(np.abs(q).max()) + float(vf.f_inv(params.lam))
+    rounding_l1 = (cap / (2 * m)) * float(nuw.sum())
+    quantum = (cap / m) * float(nuw.max())
+    return lipschitz * (2.0 * rounding_l1 + 2.0 * quantum)
+
+
+def test_oracle_gap_matches_frozen_bound_on_the_fixtures(vf_jump):
+    from lakevortex.cli import tiny_oracle_fixtures
+
+    for _, lake, q, params, m in tiny_oracle_fixtures():
+        handle = assemble_operator(lake)
+        _, _, gap = brute_force_oracle(handle, q, params, vf_jump, m)
+        assert gap == _frozen_gap_bound(handle, q, params, vf_jump, m)
 
 
 # Both enumerations evaluate the maximizer's energy inside a batch of rows,
@@ -587,7 +609,7 @@ ORACLE_BATCH_ATOL = 1e-14
 def test_oracle_matches_frozen_product_walk(shape, m, c, kappa0, q_seed):
     """The block enumeration against the frozen chunked itertools.product walk:
     the same maximizer bit for bit, its energy to ORACLE_BATCH_ATOL (or the
-    same refusal)."""
+    same refusal), and the former oracle_gap_bound's gap bit for bit."""
     lake = rect_lake(*shape, 0.5)
     handle = assemble_operator(lake)
     params = AdmissibleParams(eps=0.5, delta=0.5, kappa0=kappa0, lam=8.0)
@@ -599,9 +621,10 @@ def test_oracle_matches_frozen_product_walk(shape, m, c, kappa0, q_seed):
         with pytest.raises(AdmissibilityError):
             brute_force_oracle(handle, q, params, vf, m)
         return
-    z_new, e_new = brute_force_oracle(handle, q, params, vf, m)
+    z_new, e_new, gap = brute_force_oracle(handle, q, params, vf, m)
     assert np.array_equal(z_new, z_old)
     assert abs(e_new - e_old) <= ORACLE_BATCH_ATOL
+    assert gap == _frozen_gap_bound(handle, q, params, vf, m)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ directory, as ``tools/bench_pairs.py`` does.  Each file in the checkout's
 ``src/lakevortex/configs/`` is run in both trees, one process at a time, with
 the command taken from the file name's first word (``solve``, ``sweep``,
 ``oracle``, ``hypotheses``, ``kernel``) and BLAS on one thread.  The script
-compares each run's exit code, stdout and every output file, prints one line
-per config with each run's peak RSS, lists the files that differ and exits 1
-if any does.  The peak RSS is the child's own ``ru_maxrss``, read with
-``os.wait4``, so it also covers the configs the benchmark does not run.  It
-also prints the line counts of ``src/lakevortex/*.py`` and of ``tests/*.py``
-in both trees: code moved from the package into the tests is not a
-reduction.  Standard library only.
+compares each run's exit code, stdout, stderr and every output file (so a new
+warning or log line differs too), prints one line per config with each run's
+peak RSS, lists the files that differ and exits 1 if any does.  The peak RSS
+is the child's own ``ru_maxrss``, read with ``os.wait4``, so it also covers
+the configs the benchmark does not run.  It also prints the line counts of
+``src/lakevortex/*.py`` and of ``tests/*.py`` in both trees: code moved from
+the package into the tests is not a reduction.  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,20 +38,25 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def run(tree: Path, config: Path, out: Path) -> tuple[dict, float]:
     """Run config's command with the package in tree: each output's bytes by
-    name, and the exit code and stdout under their own names; and the run's
-    peak RSS in MB."""
+    name, and the exit code, stdout and stderr under their own names; and the
+    run's peak RSS in MB.  stderr goes to a file, so a child that fills one
+    pipe while the parent reads the other cannot deadlock."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(THREAD_VARS, "1"))
     command = COMMANDS[config.stem.split("_")[0]]
-    proc = subprocess.Popen([sys.executable, "-m", "lakevortex.cli", command, "--config",
-                             str(config), "--out", str(out)], cwd=tree, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    with proc.stdout:
-        stdout = proc.stdout.read()
-    # wait4 reaps the child with its own resource usage; ru_maxrss is in KiB on Linux
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "lakevortex.cli", command, "--config",
+                                 str(config), "--out", str(out)], cwd=tree, env=env,
+                                stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        # wait4 reaps the child with its own resource usage; ru_maxrss is in KiB on Linux
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read()
     outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return ({"exit code": str(proc.returncode).encode(), "stdout": stdout, **outputs},
+    return ({"exit code": str(proc.returncode).encode(), "stdout": stdout, "stderr": stderr,
+             **outputs},
             usage.ru_maxrss / 1024.0)
 
 
