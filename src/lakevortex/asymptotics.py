@@ -44,16 +44,12 @@ DIAG_COLUMNS = (
 )
 
 
-class ScheduleError(ValueError):
-    """Invalid vanishing-rate schedule or eps value."""
-
-
 def delta_of_eps(regime: str, eps: float) -> float:
     """Vanishing rate delta(eps) for one of the three concentration regimes:
     above_critical = 1/sqrt(ln(1/eps)), critical = 1/ln(1/eps),
     below_critical = 1/ln(1/eps)^2."""
     if not 0.0 < eps < 1.0 / math.e:
-        raise ScheduleError(f"eps must lie in (0, 1/e), got {eps}")
+        raise AdmissibilityError(f"eps must lie in (0, 1/e), got {eps}")
     t = math.log(1.0 / eps)
     if regime == "above_critical":
         return 1.0 / math.sqrt(t)
@@ -61,15 +57,16 @@ def delta_of_eps(regime: str, eps: float) -> float:
         return 1.0 / t
     if regime == "below_critical":
         return 1.0 / (t * t)
-    raise ScheduleError(f"unknown regime {regime!r}")
+    raise AdmissibilityError(f"unknown regime {regime!r}")
 
 
 def sweep_params(regime: str, kappa0: float, lam: float, eps_list) -> list:
     """Each point's AdmissibleParams along eps_list, which must strictly decrease;
-    an unknown regime, an eps outside (0, 1/e) and a kappa0 <= 0 raise."""
+    an unknown regime, an eps outside (0, 1/e) and a kappa0 <= 0 raise
+    AdmissibilityError."""
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if np.any(np.diff(eps_arr) >= 0):
-        raise ScheduleError("eps list must be strictly decreasing")
+        raise AdmissibilityError("eps list must be strictly decreasing")
     return [AdmissibleParams(eps=e, delta=delta_of_eps(regime, e), kappa0=kappa0, lam=lam)
             for e in eps_arr.tolist()]
 
@@ -145,7 +142,7 @@ def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str):
     elif regime == "below_critical":
         score = q
     else:
-        raise ScheduleError(f"unknown regime {regime!r}")
+        raise AdmissibilityError(f"unknown regime {regime!r}")
     return lake.centers[score >= score.max() - 1e-10]
 
 
@@ -250,11 +247,11 @@ def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
     the regime trend checks.
 
     Every point's params come from sweep_params before the first solve, so a
-    bad eps, regime or kappa0 raises.  A point whose solve fails with an
-    AdmissibilityError or SolverError is logged and kept as its eps and delta
-    with NaNs and converged=False; any other error propagates.  Only the rows
-    are kept, not the solved states, so a sweep's memory does not grow with
-    its eps list.
+    bad eps, regime or kappa0 raises.  A point whose solve fails numerically
+    (SolverError) is logged and kept as its eps and delta with NaNs and
+    converged=False; any other error propagates, the AdmissibilityError of a
+    point whose class is empty too.  Only the rows are kept, not the solved
+    states, so a sweep's memory does not grow with its eps list.
     """
     points = sweep_params(regime, kappa0, lam, eps_list)
     lake = handle.lake
@@ -265,7 +262,7 @@ def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
     def solve_point(params: AdmissibleParams) -> Diagnostics:
         try:
             state = solve_vortex(handle, q, params, vf, init=seed_pt)
-        except (AdmissibilityError, SolverError) as exc:
+        except SolverError as exc:
             log.error("sweep point eps=%g failed: %s", params.eps, exc)
             return Diagnostics(eps=params.eps, delta=params.delta, converged=False)
         return diagnose(state, ties)

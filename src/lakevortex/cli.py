@@ -24,17 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, elliptic
-from .asymptotics import (
-    DIAG_COLUMNS,
-    ScheduleError,
-    diagnose,
-    run_sweep,
-    sweep_params,
-)
+from .asymptotics import DIAG_COLUMNS, diagnose, run_sweep, sweep_params
 from .elliptic import (
-    CompatibilityError,
     SolverError,
     assemble_operator,
+    circulation_potential,
     flux_preset,
     kernel_representation_residual,
 )
@@ -49,6 +43,7 @@ from .geometry import (
 )
 from .nonlinearity import VorticityFunction, verify_hypotheses
 from .variational import (
+    MASS_TOL_REL,
     AdmissibilityError,
     AdmissibleParams,
     brute_force_oracle,
@@ -321,25 +316,34 @@ def state_to_dict(state) -> dict:
 # subcommands
 
 
-def _set_up(cfg: dict, make_points, where: str):
-    """Params (make_points(), a sweep's in eps order), seed, f, flux and operator
-    of a solving command: the one place where an inadmissible class or schedule,
-    each params' check_nonempty on the lake too, is a ConfigError after where."""
-    try:
-        points = make_points()
-        seed = seed_from(cfg)
-        vf = solver_vf_from(cfg)
-        lake = build_lake_from(cfg)
-        for params in points:
-            params.check_nonempty(lake, vf)
-    except (AdmissibilityError, ScheduleError) as exc:
-        raise ConfigError(f"{where}{exc}") from exc
-    return points, seed, vf, flux_from(cfg, lake), assemble_operator(lake)
+def _set_up(cfg: dict, points: list):
+    """Seed, f, flux and operator for points, a solving command's params (a
+    sweep's in eps order), checked in order: seed, f, lake, each point's class,
+    and each point's mass tolerance against the flux.  The bathtub resolves mu
+    to the float spacing at max |q| <= max |Q| (the lift averages its boundary
+    values Q), and so large a q leaves at most one cell in the band f_inv(lam)
+    across which a cell fills to the cap: one spacing moves at most
+    cap nu_max spacing / f_inv(lam) of mass, at the band's mean slope."""
+    seed = seed_from(cfg)
+    vf = solver_vf_from(cfg)
+    lake = build_lake_from(cfg)
+    for params in points:
+        params.check_nonempty(lake, vf)
+    nu = flux_from(cfg, lake)
+    with np.errstate(over="ignore", invalid="ignore"):  # a Q beyond float range fails below
+        spacing = math.ulp(float(np.abs(circulation_potential(lake, nu)).max()))
+    for params in points:
+        moved = params.cap * float(lake.nu_weights.max()) * spacing / float(vf.f_inv(params.lam))
+        if not moved <= MASS_TOL_REL * params.target_mass:  # NaN fails too
+            raise ConfigError(f"flux: the background resolves mu to {spacing:.3e}, so a cell's mass "
+                              f"moves by up to {moved:.3e}, over {MASS_TOL_REL:.0e} of the target "
+                              f"mass, for {params}")
+    return seed, vf, nu, assemble_operator(lake)
 
 
 def cmd_solve(cfg: dict, out: Path) -> int:
-    (params,), seed, vf, nu, handle = _set_up(
-        cfg, lambda: [AdmissibleParams(**section(cfg, "params"))], "")
+    params = AdmissibleParams(**section(cfg, "params"))
+    seed, vf, nu, handle = _set_up(cfg, [params])
     # looked up in elliptic at call time, where instrumentation can wrap it
     q = elliptic.solve_background(handle, nu)
     state = solve_vortex(handle, q, params, vf, init=seed)
@@ -355,7 +359,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 def cmd_sweep(cfg: dict, out: Path) -> int:
     scfg = section(cfg, "sweep")
     schedule = scfg["schedule"], scfg["kappa0"], scfg["lam"], scfg["eps_list"]
-    _, seed, vf, nu, handle = _set_up(cfg, lambda: sweep_params(*schedule), "sweep: ")
+    seed, vf, nu, handle = _set_up(cfg, sweep_params(*schedule))
     report = run_sweep(handle, nu, *schedule, vf, seed=seed)
     chash = config_hash(cfg)
     write_csv(out / "sweep.csv", report.rows, chash)
@@ -517,10 +521,10 @@ def main(argv=None) -> int:
             print(f"usage error: --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
         return COMMANDS[args.command][0](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, AdmissibilityError) as exc:  # the input's fault
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CompatibilityError, SolverError, AdmissibilityError, GeometryError) as exc:
+    except SolverError as exc:  # the numerics' fault, inside an admissible problem
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,8 @@ _B_FACE_MIN = 1e-8  # clamp for (near-)zero depth at boundary-adjacent faces
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed to meet the residual contract."""
+    """A numerical failure inside an admissible problem: a missed residual or
+    mass contract, a failed factorization, a value beyond float range."""
 
 
 class CompatibilityError(ValueError):
@@ -149,6 +150,14 @@ def flux_compatibility(lake: Lake, nu: np.ndarray) -> float:
         return float(np.dot(np.asarray(nu, dtype=float), lake.boundary.weights))
 
 
+def _compatibility(lake: Lake, nu: np.ndarray) -> tuple[bool, float, float]:
+    """Whether nu meets the compatibility condition, and the integrals of nu
+    and |nu|: the first must vanish within COMPATIBILITY_TOL of the second, a
+    bound that scales with the flux like the rounding in the integral does."""
+    integral, size = flux_compatibility(lake, nu), flux_compatibility(lake, np.abs(nu))
+    return abs(integral) <= COMPATIBILITY_TOL * size < math.inf, integral, size  # NaN fails
+
+
 def circulation_potential(lake: Lake, nu: np.ndarray) -> np.ndarray:
     """Cumulative integral Q(s) of the flux along the boundary trace, Q(0) = 0.
 
@@ -173,9 +182,8 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
     The tangential condition is converted to Dirichlet data by cumulative
     integration of nu along the boundary trace (anchored to 0 at the first
     trace cell); then -div(b^{-1} grad q) = 0 is solved with that data.
-    The flux must satisfy the zero-mean compatibility condition: its integral
-    must vanish within COMPATIBILITY_TOL of the integral of |nu|, a bound
-    that scales with the flux like the rounding in the integral does.
+    The flux must satisfy the zero-mean compatibility condition (see
+    _compatibility).
     """
     lake = handle.lake
     nu = np.asarray(nu, dtype=float)
@@ -183,9 +191,8 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"flux must have one value per boundary cell ({len(lake.boundary)})"
         )
-    integral = flux_compatibility(lake, nu)
-    size = flux_compatibility(lake, np.abs(nu))
-    if not abs(integral) <= COMPATIBILITY_TOL * size < math.inf:  # NaN or inf fails too
+    compatible, integral, size = _compatibility(lake, nu)
+    if not compatible:
         raise CompatibilityError(f"boundary flux is incompatible: integral over the boundary is "
                                  f"{integral:.3e}, must vanish within {COMPATIBILITY_TOL:.0e} "
                                  f"of the integral of |nu|, {size:.3e}")
@@ -207,7 +214,9 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
     pairs periodically, one per direction (angle mod 2 pi).  The cosine and
     custom fluxes are mean-corrected in the trace quadrature so the
     compatibility condition holds to rounding, and the correction magnitude
-    is logged.  A flux that overflows to non-finite values raises ValueError.
+    is logged; a corrected flux that still fails the condition is rounding
+    alone (a constant custom flux), and is zero flux.  A flux whose values,
+    or the integral of |nu|, overflow raises ValueError.
     """
     trace = lake.boundary
     if name == "zero":
@@ -235,9 +244,10 @@ def flux_preset(lake: Lake, name: str, amplitude: float = 1.0,
         nu = nu - correction
     if correction != 0.0:
         log.info("flux preset %s: mean correction %.3e applied", name, correction)
-    if not np.isfinite(nu).all():
+    compatible, _, size = _compatibility(lake, nu)
+    if not size < math.inf:  # a value, or the integral of |nu|, is not finite
         raise ValueError("values are not finite: the flux overflows")
-    return nu
+    return nu if compatible else np.zeros(len(trace))
 
 
 def kernel_representation_residual(handle: OperatorHandle, zeta: np.ndarray,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import OperatorHandle, apply_K
+from .elliptic import OperatorHandle, SolverError, apply_K
 from .geometry import Lake
 from .nonlinearity import VorticityFunction
 
@@ -42,7 +42,7 @@ ENERGY_RTOL = 1e-12
 
 
 class AdmissibilityError(ValueError):
-    """Parameters define an empty or unreachable admissible class."""
+    """Parameters (or a sweep's schedule) define no admissible problem."""
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def energy(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray,
     E_q = 0.5*sum(zeta*K zeta*b h^2) + sum(q*zeta*b h^2) and the penalty is
     (delta/eps^2) * sum(F_*((eps^2/delta) zeta) * b h^2), each summed over
     support, the cells with zeta > 0 in index order.  A penalty beyond float
-    range raises AdmissibilityError: the class passed check_nonempty, but
-    F_* can overflow at (eps^2/delta) zeta where delta/eps^2 is tiny.
+    range raises SolverError: the class passed check_nonempty, but F_* can
+    overflow at (eps^2/delta) zeta where delta/eps^2 is tiny.
     """
     nuw, z = ctx.handle.lake.nu_weights[support], zeta[support]
     e_q = 0.5 * float(np.dot(z * nuw, k_zeta[support])) + float(np.dot(ctx.q[support] * nuw, z))
@@ -162,7 +162,7 @@ def energy(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray,
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned of
         f_eps = scale * float(np.dot(ctx.vf.F_star(z / scale), nuw))
     if not math.isfinite(f_eps):
-        raise AdmissibilityError(f"penalty F_eps is out of float range for {ctx.params}")
+        raise SolverError(f"penalty F_eps is out of float range for {ctx.params}")
     return Energy(e_q=e_q, f_eps=f_eps)
 
 
@@ -201,7 +201,7 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     their order and so every mass evaluated do not depend on the set, and
     the search ends at the same segment from any start, so mu and zeta are
     the same bits for every cells.  ctx.params must pass check_nonempty,
-    which solve_vortex makes once; on an empty class the mass check raises.
+    which solve_vortex makes once; a missed mass raises SolverError.
     """
     params, vf = ctx.params, ctx.vf
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
@@ -274,7 +274,7 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     filled = order[:tie_hi if fill > 0.0 else k_sup]  # zeta is 0 elsewhere
     error = float(np.dot(zeta[filled], nuw[:len(filled)])) - target
     if abs(error) > MASS_TOL_REL * target:
-        raise AdmissibilityError(f"bathtub missed the mass target by {error:.3e}")
+        raise SolverError(f"bathtub missed the mass target by {error:.3e}")
     support = np.sort(filled)
     return Rearrangement(mu, zeta, support[zeta[support] != 0.0], order[:hi + 1])
 
@@ -482,7 +482,7 @@ def brute_force_oracle(handle: OperatorHandle, q: np.ndarray, params: Admissible
         feasible.append(z[np.abs(z @ nuw - target) <= 0.5 * quantum + 1e-12 * target])
     z = np.concatenate(feasible)
     if not len(z):
-        raise AdmissibilityError("no quantized field meets the mass constraint within half a quantum")
+        raise SolverError("no quantized field meets the mass constraint within half a quantum")
     e_q = 0.5 * np.einsum("ij,jk,ik->i", z, w, z) + z @ (q * nuw)
     e = e_q - scale * (vf.F_star(z / scale) @ nuw)
     k = int(np.argmax(e))  # the first best field in lexicographic order

@@ -11,7 +11,6 @@ from sweep_states import sweep_with_states
 
 from lakevortex.asymptotics import (
     MIN_PROFILE_CELLS,
-    ScheduleError,
     delta_of_eps,
     mass_fraction_near,
     predicted_target,
@@ -53,9 +52,9 @@ def test_above_critical_ratio_decreasing():
 
 
 def test_delta_rejects_large_eps():
-    with pytest.raises(ScheduleError):
+    with pytest.raises(AdmissibilityError):
         delta_of_eps("critical", 0.5)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(AdmissibilityError):
         delta_of_eps("sideways", 0.1)
 
 
@@ -145,7 +144,7 @@ def test_predicted_target_background_max(disk_const_64, disk_const_64_handle):
 
 
 def test_predicted_target_rejects_an_unknown_regime(disk_const_64):
-    with pytest.raises(ScheduleError, match="unknown regime 'sideways'"):
+    with pytest.raises(AdmissibilityError, match="unknown regime 'sideways'"):
         predicted_target(disk_const_64, np.zeros(disk_const_64.n_cells), 1.0, "sideways")
 
 
@@ -224,7 +223,7 @@ def test_sweep_rejects_increasing_eps():
     lake = build_lake("disk_interior_max_b", 96)
     flux = flux_preset(lake, "cosine", amplitude=0.02)
     vf = VorticityFunction("jump_linear", c=0.5)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(AdmissibilityError):
         run_sweep(assemble_operator(lake), flux, "critical", kappa0=1.0, lam=50.0,
                   eps_list=[0.1, 0.2], vf=vf)
 
@@ -280,7 +279,7 @@ def test_sweep_continues_past_failed_point(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize("changes, error", [
-    ({"eps_list": [0.5, 0.2]}, ScheduleError),  # 0.5 is outside (0, 1/e)
+    ({"eps_list": [0.5, 0.2]}, AdmissibilityError),  # 0.5 is outside (0, 1/e)
     ({"kappa0": 0.0}, AdmissibilityError),
 ], ids=["eps-above-1/e", "kappa0-zero"])
 def test_sweep_rejects_bad_inputs_before_any_solve(monkeypatch, changes, error):
@@ -322,6 +321,15 @@ def test_sweep_retains_no_per_point_field():
         assert all(r.converged for r in report.rows)
         del report
     assert held[6] - held[2] < 4 * 8 * lake.n_cells
+
+
+def test_sweep_propagates_an_empty_class():
+    # lam <= f(0+) + 1: an inadmissible point is the input's fault, not a failed row
+    lake = build_lake("disk_interior_max_b", 32)
+    vf = VorticityFunction("jump_linear", c=0.5)
+    with pytest.raises(AdmissibilityError, match=r"truncation level 1\.0 must exceed f\(0\+\)\+1"):
+        run_sweep(assemble_operator(lake), flux_preset(lake, "zero"), "critical", kappa0=1.0,
+                  lam=1.0, eps_list=[0.2], vf=vf)
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):

@@ -235,9 +235,12 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
     ("solve", {"params": dict(SMALL_SOLVE["params"], kappa0=1e4)}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], lam=1.0)}),
     ("sweep", {"sweep": dict(SMALL_SWEEP["sweep"], kappa0=1e4)}),
+    ("oracle-test", {"nonlinearity": {"preset": "jump_linear", "c": 10.0}}),  # lam 8 <= 11
     # finite points and amplitude whose flux overflows
     ("solve", {"flux": OVERFLOWING_FLUX}),
     ("sweep", {"flux": OVERFLOWING_FLUX}),
+    # a finite flux whose circulation potential Q overflows (nu_i + nu_i+1)
+    ("solve", {"flux": {"preset": "custom", "points": [[0, 1.05e308], [0.7, 0], [5.58, 0]]}}),
     ("check-hypotheses", {"hypotheses": {"n": "many"}}),
     ("check-hypotheses", {"nonlinearity": {"preset": "power", "p": 2.0},
                           "hypotheses": {"s_max": 1e300, "n": 100}}),
@@ -274,7 +277,7 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
         "flux-points-one-direction",
         "sweep-seed-1d", "eps-string", "eps-nan", "eps-above-1/e",
         "solve-lam-below-jump", "solve-empty-class", "sweep-lam-below-jump", "sweep-empty-class",
-        "solve-flux-overflow", "sweep-flux-overflow",
+        "oracle-lam-below-jump", "solve-flux-overflow", "sweep-flux-overflow", "solve-Q-overflow",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
@@ -285,7 +288,8 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
 def test_bad_numeric_inputs_are_config_errors(tmp_path, capsys, command, changes):
     cfg = _write(tmp_path, dict(BASES[command], **changes))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:")
 
 
 FALLING_TABLE = {"preset": "table", "points": [[0, 1], [1, 0.5], [2, 0.2]]}
@@ -324,14 +328,16 @@ def test_malformed_configs_are_config_errors(tmp_path, capsys, command, changes)
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def _solve_in_a_child(tmp_path, capfd, cfg: dict):
-    """The exit code and stderr of solve on cfg, run in a child process, so
-    that a numpy warning reaches the captured stderr."""
+def _run_in_a_child(tmp_path, capfd, cfg: dict, command: str = "solve"):
+    """The exit code and stderr of command on cfg, run in a child process with
+    numpy's RuntimeWarning an error, so that a warning reaches the captured
+    stderr and fails the run."""
     path = _write(tmp_path, cfg)
     src = str(Path(lakevortex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = subprocess.run([sys.executable, "-m", "lakevortex.cli", "solve", "--config", str(path),
-                           "--out", str(tmp_path / "out")], env=env).returncode
+    code = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lakevortex.cli",
+                           command, "--config", str(path), "--out", str(tmp_path / "out")],
+                          env=env).returncode
     return code, capfd.readouterr().err
 
 
@@ -340,7 +346,7 @@ def test_jump_far_above_zero_solves_without_a_warning(tmp_path, capfd):
     is 0 and must not square t - f(0+) on the way."""
     cfg = dict(SMALL_SOLVE, nonlinearity={"preset": "jump_linear", "c": 1e300},
                params=dict(SMALL_SOLVE["params"], lam=1e301))
-    assert _solve_in_a_child(tmp_path, capfd, cfg) == (0, "")
+    assert _run_in_a_child(tmp_path, capfd, cfg) == (0, "")
 
 
 def test_mass_near_float_range_solves_without_a_warning(tmp_path, capfd):
@@ -349,7 +355,7 @@ def test_mass_near_float_range_solves_without_a_warning(tmp_path, capfd):
     E = 3.2e297."""
     cfg = dict(SMALL_SOLVE, flux={"preset": "zero"},
                params={"eps": 0.2, "delta": 0.5, "kappa0": 1e150, "lam": 1e155})
-    assert _solve_in_a_child(tmp_path, capfd, cfg) == (0, "")
+    assert _run_in_a_child(tmp_path, capfd, cfg) == (0, "")
     state = json.loads((tmp_path / "out" / "state.json").read_text())
     assert state["converged"] and state["energy"]["E_total"] == pytest.approx(3.23e297, rel=1e-3)
 
@@ -360,7 +366,7 @@ def test_penalty_beyond_float_range_is_a_numerical_failure(tmp_path, capfd):
     passes check_nonempty.  One line, no numpy warning, and not E = -inf."""
     cfg = dict(SMALL_SOLVE, flux={"preset": "zero"},
                params={"eps": 1e10, "delta": 1.0, "kappa0": 1e140, "lam": 1e161})
-    code, err = _solve_in_a_child(tmp_path, capfd, cfg)
+    code, err = _run_in_a_child(tmp_path, capfd, cfg)
     assert code == 1
     assert err.startswith("numerical failure: penalty F_eps is out of float range for "
                           "AdmissibleParams(eps=10000000000.0,")
@@ -368,10 +374,58 @@ def test_penalty_beyond_float_range_is_a_numerical_failure(tmp_path, capfd):
 
 
 def test_large_compatible_flux_solves_without_a_warning(tmp_path, capfd):
-    """A mean-corrected cosine flux of amplitude 1e10: its integral rounds to
-    about 1e-6, within the tolerance relative to the integral of |nu|."""
-    cfg = dict(SMALL_SOLVE, flux={"preset": "cosine", "amplitude": 1e10})
-    assert _solve_in_a_child(tmp_path, capfd, cfg) == (0, "")
+    """A mean-corrected cosine flux of amplitude 1e9: its integral rounds to
+    -3.2e-8, within the tolerance relative to the integral of |nu| (4e9)."""
+    cfg = dict(SMALL_SOLVE, flux={"preset": "cosine", "amplitude": 1e9})
+    assert _run_in_a_child(tmp_path, capfd, cfg) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("amplitude", [1e12, 1e200])
+def test_background_beyond_the_mass_tolerance_is_a_config_error(tmp_path, capfd, command,
+                                                                amplitude):
+    """Without the set-up rule, a cosine flux of amplitude 1e12 made the
+    bathtub miss the mass target by 3.4e-7, and one of 1e200 overflowed the
+    sparse solve's norm (numpy's warning, then a NaN residual).  Each is one
+    config error line, naming the point, before the operator is built."""
+    from lakevortex.asymptotics import sweep_params
+    from lakevortex.variational import AdmissibleParams
+
+    cfg = dict(BASES[command], flux={"preset": "cosine", "amplitude": amplitude})
+    code, err = _run_in_a_child(tmp_path, capfd, cfg, command)
+    [line] = err.splitlines()
+    assert code == 2
+    assert line.startswith("config error: flux: the background resolves mu to ")
+    first = (AdmissibleParams(**SMALL_SOLVE["params"]) if command == "solve"
+             else sweep_params("critical", 1.0, 50.0, SMALL_SWEEP["sweep"]["eps_list"])[0])
+    assert line.endswith(f" for {first}")
+
+
+def test_no_background_size_is_a_numerical_failure(tmp_path, capsys):
+    """Cosine amplitudes from 1e8 to 1e13 in steps of 10^0.1 solve or are config
+    errors.  Without the set-up rule, once the float spacing at max |q| passed
+    2.4e-7 (2.5e9 here) the bathtub's mass error was a matter of luck: 2.5e9
+    to 5e9, 1.26e10, 1.58e10, 2.5e10 and 1e11 missed the mass target, and 1e10
+    met it."""
+    codes = []
+    for amplitude in np.geomspace(1e8, 1e13, 51).tolist():
+        cfg = _write(tmp_path, dict(SMALL_SOLVE, flux={"preset": "cosine", "amplitude": amplitude}))
+        codes.append(main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]))
+    assert codes == [0] * 11 + [2] * 40  # up to 1e9; at 10^9.1, max |Q| passes 2^30
+    assert capsys.readouterr().err.count("config error: flux: the background resolves mu to ") == 40
+
+
+def test_constant_custom_flux_is_zero_flux(tmp_path):
+    """At 64^2 the mean correction of a constant custom flux leaves rounding
+    (integral 5.6e-15), not exact zeros: the solve is the zero-flux solve."""
+    states = {}
+    for name, flux in (("custom", {"preset": "custom", "points": [[0, 5], [2, 5], [4, 5]]}),
+                       ("zero", {"preset": "zero"})):
+        cfg = _write(tmp_path, dict(SMALL_SOLVE, flux=flux))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        states[name] = json.loads((tmp_path / name / "state.json").read_text())
+        del states[name]["config_sha256"]
+    assert states["custom"] == states["zero"]
 
 
 def test_sweep_names_the_point_that_fails_its_class_check(tmp_path, capsys):
@@ -380,7 +434,7 @@ def test_sweep_names_the_point_that_fails_its_class_check(tmp_path, capsys):
     cfg = _write(tmp_path, dict(SMALL_SWEEP, flux={"preset": "zero"}, sweep=sweep))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("config error: sweep: target mass 7.238e+151 is out of float range")
+    assert line.startswith("config error: target mass 7.238e+151 is out of float range")
     assert line.endswith("for AdmissibleParams(eps=0.001, delta=0.14476482730108395, "
                          "kappa0=5e+152, lam=1e+151)")
 
@@ -409,7 +463,7 @@ def test_solve_and_sweep_report_a_fault_alike(tmp_path, capsys, fault):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
         [lines[command]] = capsys.readouterr().err.splitlines()
     assert lines["solve"].startswith("config error: ")
-    assert lines["sweep"].replace("config error: sweep: ", "config error: ", 1) == lines["solve"]
+    assert lines["sweep"] == lines["solve"]
 
 
 def _schema_fields():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,8 @@ import coo_assembly_reference as coo_ref
 import loop_assembly_reference as loop_ref
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from lakevortex import elliptic
@@ -440,6 +443,34 @@ def test_custom_flux_mean_corrected(disk_const_64):
     pts = [(0.0, 1.0), (math.pi / 2, 0.3), (math.pi, -0.2), (3 * math.pi / 2, 0.1)]
     nu = flux_preset(disk_const_64, "custom", points=pts)
     assert abs(flux_compatibility(disk_const_64, nu)) <= 1e-12
+
+
+@functools.cache
+def _interior_handle(resolution: int):
+    return assemble_operator(build_lake("disk_interior_max_b", resolution))
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolution=st.sampled_from([32, 64, 129]),
+       points=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-1e3, 1e3)),
+                       min_size=1, max_size=4),
+       amplitude=st.floats(-1e100, 1e100))
+@example(resolution=64, points=[(0.0, 5.0), (2.0, 5.0), (4.0, 5.0)], amplitude=1.0)
+@example(resolution=32, points=[(0.0, 1.0)], amplitude=5e-324)
+def test_flux_preset_output_is_compatible(resolution, points, amplitude):
+    """solve_background accepts every flux flux_preset returns.  A constant
+    custom flux, whose mean correction leaves rounding alone (at 64^2 an
+    integral of 5.6e-15, as large as that of |nu|), is zero flux, unless it is
+    so small (amplitude 5e-324) that the integral of |nu| underflows to 0 and
+    the flux is compatible as it is."""
+    handle = _interior_handle(resolution)
+    try:
+        nu = flux_preset(handle.lake, "custom", amplitude, points)
+    except ValueError:  # two points at one direction
+        return
+    solve_background(handle, nu)
+    if len({v for _, v in points}) == 1 and flux_compatibility(handle.lake, np.abs(nu)) > 0.0:
+        assert not nu.any()
 
 
 def test_custom_flux_angles_are_directions():
