@@ -249,9 +249,11 @@ def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
     Every point's params come from sweep_params before the first solve, so a
     bad eps, regime or kappa0 raises.  A point whose solve fails numerically
     (SolverError) is logged and kept as its eps and delta with NaNs and
-    converged=False; any other error propagates, the AdmissibilityError of a
-    point whose class is empty too.  Only the rows are kept, not the solved
-    states, so a sweep's memory does not grow with its eps list.
+    converged=False; any other error propagates: a flux beyond float range
+    (CompatibilityError) before any solve, a point whose class is empty or
+    whose mass the bathtub cannot resolve (AdmissibilityError) after the
+    points before it.  Only the rows are kept, not the solved states, so a
+    sweep's memory does not grow with its eps list.
     """
     points = sweep_params(regime, kappa0, lam, eps_list)
     lake = handle.lake

@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__, elliptic
 from .asymptotics import DIAG_COLUMNS, diagnose, run_sweep, sweep_params
 from .elliptic import (
+    CompatibilityError,
     SolverError,
     assemble_operator,
-    circulation_potential,
     flux_preset,
     kernel_representation_residual,
 )
@@ -43,7 +43,6 @@ from .geometry import (
 )
 from .nonlinearity import VorticityFunction, verify_hypotheses
 from .variational import (
-    MASS_TOL_REL,
     AdmissibilityError,
     AdmissibleParams,
     brute_force_oracle,
@@ -319,26 +318,14 @@ def state_to_dict(state) -> dict:
 def _set_up(cfg: dict, points: list):
     """Seed, f, flux and operator for points, a solving command's params (a
     sweep's in eps order), checked in order: seed, f, lake, each point's class,
-    and each point's mass tolerance against the flux.  The bathtub resolves mu
-    to the float spacing at max |q| <= max |Q| (the lift averages its boundary
-    values Q), and so large a q leaves at most one cell in the band f_inv(lam)
-    across which a cell fills to the cap: one spacing moves at most
-    cap nu_max spacing / f_inv(lam) of mass, at the band's mean slope."""
+    and the flux; the background solve and the bathtub find a flux too large
+    for float range or for the mass tolerance."""
     seed = seed_from(cfg)
     vf = solver_vf_from(cfg)
     lake = build_lake_from(cfg)
     for params in points:
         params.check_nonempty(lake, vf)
-    nu = flux_from(cfg, lake)
-    with np.errstate(over="ignore", invalid="ignore"):  # a Q beyond float range fails below
-        spacing = math.ulp(float(np.abs(circulation_potential(lake, nu)).max()))
-    for params in points:
-        moved = params.cap * float(lake.nu_weights.max()) * spacing / float(vf.f_inv(params.lam))
-        if not moved <= MASS_TOL_REL * params.target_mass:  # NaN fails too
-            raise ConfigError(f"flux: the background resolves mu to {spacing:.3e}, so a cell's mass "
-                              f"moves by up to {moved:.3e}, over {MASS_TOL_REL:.0e} of the target "
-                              f"mass, for {params}")
-    return seed, vf, nu, assemble_operator(lake)
+    return seed, vf, flux_from(cfg, lake), assemble_operator(lake)
 
 
 def cmd_solve(cfg: dict, out: Path) -> int:
@@ -521,7 +508,7 @@ def main(argv=None) -> int:
             print(f"usage error: --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
         return COMMANDS[args.command][0](cfg, out)
-    except (ConfigError, AdmissibilityError) as exc:  # the input's fault
+    except (ConfigError, AdmissibilityError, CompatibilityError) as exc:  # the input's fault
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:  # the numerics' fault, inside an admissible problem

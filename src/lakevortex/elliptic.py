@@ -39,7 +39,7 @@ class SolverError(RuntimeError):
 
 
 class CompatibilityError(ValueError):
-    """Boundary flux violates the zero-mean compatibility condition."""
+    """Boundary flux that is incompatible or puts the background beyond float range."""
 
 
 @dataclass
@@ -183,14 +183,12 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
     integration of nu along the boundary trace (anchored to 0 at the first
     trace cell); then -div(b^{-1} grad q) = 0 is solved with that data.
     The flux must satisfy the zero-mean compatibility condition (see
-    _compatibility).
+    _compatibility), and keep the squared norm of the right-hand side a float.
     """
     lake = handle.lake
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (len(lake.boundary),):
-        raise ValueError(
-            f"flux must have one value per boundary cell ({len(lake.boundary)})"
-        )
+        raise ValueError(f"flux must have one value per boundary cell ({len(lake.boundary)})")
     compatible, integral, size = _compatibility(lake, nu)
     if not compatible:
         raise CompatibilityError(f"boundary flux is incompatible: integral over the boundary is "
@@ -198,11 +196,15 @@ def solve_background(handle: OperatorHandle, nu: np.ndarray) -> np.ndarray:
                                  f"of the integral of |nu|, {size:.3e}")
     if not nu.any():
         return np.zeros(lake.n_cells)
-    q_bnd = circulation_potential(lake, nu)
-    dirichlet = periodic_interp(handle.cut_params, lake.boundary.params, q_bnd,
-                                lake.domain.perimeter())
-    rhs = np.zeros(lake.n_cells)
-    np.add.at(rhs, handle.cut_rows, handle.cut_coeffs * dirichlet)
+    with np.errstate(over="ignore", invalid="ignore"):  # a Q beyond float range fails below
+        q_bnd = circulation_potential(lake, nu)
+        dirichlet = periodic_interp(handle.cut_params, lake.boundary.params, q_bnd,
+                                    lake.domain.perimeter())
+        rhs = np.zeros(lake.n_cells)
+        np.add.at(rhs, handle.cut_rows, handle.cut_coeffs * dirichlet)
+        norm2 = rhs.dot(rhs)
+    if not norm2 < math.inf:  # NaN fails too: the solve takes this squared norm
+        raise CompatibilityError("boundary flux is out of float range for the background solve")
     return handle.solve(rhs)
 
 

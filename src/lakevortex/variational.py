@@ -42,7 +42,7 @@ ENERGY_RTOL = 1e-12
 
 
 class AdmissibilityError(ValueError):
-    """Parameters (or a sweep's schedule) define no admissible problem."""
+    """Parameters or a schedule define no admissible problem, or one float cannot resolve."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,9 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     their order and so every mass evaluated do not depend on the set, and
     the search ends at the same segment from any start, so mu and zeta are
     the same bits for every cells.  ctx.params must pass check_nonempty,
-    which solve_vortex makes once; a missed mass raises SolverError.
+    which solve_vortex makes once.  A missed mass raises AdmissibilityError
+    where one float step of mu moves more than MASS_TOL_REL of the target (a
+    large background q), and SolverError otherwise.
     """
     params, vf = ctx.params, ctx.vf
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
@@ -260,12 +262,12 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     deficit = target - at_level(lo)[0]
     tie_capacity = jump_value * (prefix[tie_hi] - prefix[tie_lo])
     if deficit <= tie_capacity:  # the target sits inside the jump at upper
-        mu, fill = upper, deficit / tie_capacity
+        mu, fill, above = upper, deficit / tie_capacity, upper
     else:  # largest mu with mass(mu) >= target, to float resolution; count_above = tie_hi
         mu, fill, above = lower, 0.0, upper
         while mu < (mid := 0.5 * (mu + above)) < above:
             mu, above = (mid, above) if band(mid, tie_hi)[0] >= target else (mu, mid)
-    k_cap, k_sup, values = (at_level(lo) if mu == upper else band(mu, tie_hi))[1]
+    mass, (k_cap, k_sup, values) = at_level(lo) if mu == upper else band(mu, tie_hi)
 
     zeta = np.zeros(n)
     zeta[order[:k_cap]] = cap
@@ -274,6 +276,12 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     filled = order[:tie_hi if fill > 0.0 else k_sup]  # zeta is 0 elsewhere
     error = float(np.dot(zeta[filled], nuw[:len(filled)])) - target
     if abs(error) > MASS_TOL_REL * target:
+        # bisected, above is mu's next float and mass(above) < target; a jump fill has no step
+        moved = mass - (at_level(lo) if above == upper else band(above, tie_hi))[0]
+        if moved > MASS_TOL_REL * target:  # the input's fault, not the numerics'
+            raise AdmissibilityError(f"the mass is not resolved in float to {MASS_TOL_REL:.0e} "
+                                     f"of the target, {MASS_TOL_REL * target:.3e}: one step of "
+                                     f"mu, {above - mu:.3e}, moves it by {moved:.3e}, for {params}")
         raise SolverError(f"bathtub missed the mass target by {error:.3e}")
     support = np.sort(filled)
     return Rearrangement(mu, zeta, support[zeta[support] != 0.0], order[:hi + 1])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from lakevortex.asymptotics import (
     run_sweep,
     vorticity_center,
 )
-from lakevortex.elliptic import SolverError, assemble_operator, flux_preset, solve_background
+from lakevortex.elliptic import (
+    CompatibilityError,
+    SolverError,
+    assemble_operator,
+    flux_preset,
+    solve_background,
+)
 from lakevortex.geometry import build_lake, disk_indicator_averaged, max_pairwise_distance
 from lakevortex.nonlinearity import VorticityFunction
 from lakevortex.variational import AdmissibilityError, AdmissibleParams
@@ -330,6 +337,22 @@ def test_sweep_propagates_an_empty_class():
     with pytest.raises(AdmissibilityError, match=r"truncation level 1\.0 must exceed f\(0\+\)\+1"):
         run_sweep(assemble_operator(lake), flux_preset(lake, "zero"), "critical", kappa0=1.0,
                   lam=1.0, eps_list=[0.2], vf=vf)
+
+
+def test_background_beyond_float_range_is_incompatible():
+    """A finite custom flux whose circulation potential Q overflows (nu_i +
+    nu_i+1 at 1.05e308): the background solve, alone and in a sweep, raises
+    CompatibilityError, without numpy's overflow warnings on the way."""
+    lake = build_lake("disk_interior_max_b", 64)
+    handle = assemble_operator(lake)
+    nu = flux_preset(lake, "custom", points=[[0, 1.05e308], [0.7, 0], [5.58, 0]])
+    vf = VorticityFunction("jump_linear", c=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CompatibilityError, match="out of float range"):
+            solve_background(handle, nu)
+        with pytest.raises(CompatibilityError, match="out of float range"):
+            run_sweep(handle, nu, "critical", kappa0=1.0, lam=50.0, eps_list=[0.2], vf=vf)
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):

@@ -28,6 +28,7 @@ from lakevortex.cli import (
 )
 
 CONFIG_DIR = Path(lakevortex.__file__).parent / "configs"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 SMALL_SOLVE = {
     "lake": {"preset": "disk_interior_max_b", "resolution": 64},
@@ -201,8 +202,11 @@ def test_bundled_configs_pass_config_checks(tmp_path, monkeypatch, path):
 
     for first_step in ("build_lake", "rect_lake", "verify_hypotheses"):
         monkeypatch.setattr(cli, first_step, set_up)
-    command = {"solve": "solve", "sweep": "sweep", "oracle": "oracle-test",
-               "hypotheses": "check-hypotheses", "kernel": "kernel-test"}[path.stem.split("_")[0]]
+    # the command comes from the one config-name table, which CI reads too
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import compare_outputs
+
+    command = compare_outputs.COMMANDS[path.stem.split("_")[0]]
     with pytest.raises(_Checked):
         main([command, "--config", str(path), "--out", str(tmp_path)])
 
@@ -380,14 +384,22 @@ def test_large_compatible_flux_solves_without_a_warning(tmp_path, capfd):
     assert _run_in_a_child(tmp_path, capfd, cfg) == (0, "")
 
 
+# the bathtub's line where one float step of mu moves more than the mass tolerance
+UNRESOLVED = "config error: the mass is not resolved in float to 1e-08 of the target, "
+POWER_2 = {"preset": "power", "p": 2.0}
+STEEP_TABLE = {"preset": "table", "points": [[0, 1], [0.1, 40], [1, 60]]}
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize("amplitude", [1e12, 1e200])
 def test_background_beyond_the_mass_tolerance_is_a_config_error(tmp_path, capfd, command,
                                                                 amplitude):
-    """Without the set-up rule, a cosine flux of amplitude 1e12 made the
-    bathtub miss the mass target by 3.4e-7, and one of 1e200 overflowed the
-    sparse solve's norm (numpy's warning, then a NaN residual).  Each is one
-    config error line, naming the point, before the operator is built."""
+    """A cosine flux of amplitude 1e12 leaves mu 1.2e-4 apart in float, so the
+    bathtub cannot meet the mass target (it missed by 3.4e-7 while that was a
+    numerical failure), and one of 1e200 overflowed the sparse solve's norm
+    (numpy's warning, then a NaN residual).  Each is one config error line:
+    the bathtub's names the first point, the background solve's the float
+    range."""
     from lakevortex.asymptotics import sweep_params
     from lakevortex.variational import AdmissibleParams
 
@@ -395,24 +407,62 @@ def test_background_beyond_the_mass_tolerance_is_a_config_error(tmp_path, capfd,
     code, err = _run_in_a_child(tmp_path, capfd, cfg, command)
     [line] = err.splitlines()
     assert code == 2
-    assert line.startswith("config error: flux: the background resolves mu to ")
+    if amplitude == 1e200:
+        assert line == "config error: boundary flux is out of float range for the background solve"
+        return
+    assert line.startswith(UNRESOLVED)
     first = (AdmissibleParams(**SMALL_SOLVE["params"]) if command == "solve"
              else sweep_params("critical", 1.0, 50.0, SMALL_SWEEP["sweep"]["eps_list"])[0])
     assert line.endswith(f" for {first}")
 
 
+@pytest.mark.parametrize("nonlinearity, amplitude", [
+    (POWER_2, 1.58e8), (POWER_2, 2e8), (POWER_2, 2.51e8),
+    (STEEP_TABLE, 5.01e6), (STEEP_TABLE, 6.31e6), (STEEP_TABLE, 1e7), (STEEP_TABLE, 1.58e7),
+    (STEEP_TABLE, 1e8),
+], ids=lambda v: v["preset"] if isinstance(v, dict) else f"{v:g}")
+def test_curved_f_beyond_the_mass_tolerance_is_a_config_error(tmp_path, capsys, nonlinearity,
+                                                               amplitude):
+    """A curved f moves more mass per step of mu than the band's mean slope
+    says: these amplitudes passed a set-up rule built on that slope, then
+    missed the mass target as numerical failures.  The bathtub measures the
+    step itself (1.3e-7 of mass for the table at 1e8)."""
+    cfg = _write(tmp_path, dict(SMALL_SOLVE, nonlinearity=nonlinearity,
+                                flux={"preset": "cosine", "amplitude": amplitude}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(UNRESOLVED)
+    assert line.endswith(" for AdmissibleParams(eps=0.15, delta=0.5, kappa0=1.0, lam=50.0)")
+
+
+@pytest.mark.parametrize("nonlinearity", [SMALL_SOLVE["nonlinearity"], POWER_2, STEEP_TABLE],
+                         ids=lambda v: v["preset"])
+def test_no_flux_size_is_a_numerical_failure(tmp_path, capsys, nonlinearity):
+    """Cosine amplitudes from 1e6 to 1e13 in steps of 10^0.2, and 1e50 to
+    1e300: every solve exits 0 or is a config error, whatever f, never a
+    numerical failure (tier-1 makes a numpy warning one too)."""
+    amplitudes = np.geomspace(1e6, 1e13, 36).tolist() + [1e50, 1e100, 1e150, 1e200, 1e300]
+    for amplitude in amplitudes:
+        cfg = _write(tmp_path, dict(SMALL_SOLVE, nonlinearity=nonlinearity,
+                                    flux={"preset": "cosine", "amplitude": amplitude}))
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code in (0, 2), (amplitude, capsys.readouterr().err)
+    assert "numerical failure" not in capsys.readouterr().err
+
+
 def test_no_background_size_is_a_numerical_failure(tmp_path, capsys):
     """Cosine amplitudes from 1e8 to 1e13 in steps of 10^0.1 solve or are config
-    errors.  Without the set-up rule, once the float spacing at max |q| passed
-    2.4e-7 (2.5e9 here) the bathtub's mass error was a matter of luck: 2.5e9
-    to 5e9, 1.26e10, 1.58e10, 2.5e10 and 1e11 missed the mass target, and 1e10
-    met it."""
+    errors.  Past 2e9 whether one float step of mu moves more than the mass
+    tolerance depends on the exact q, so acceptance is not monotone: 2.5e9 to
+    5e9, 1.26e10, 1.58e10, 2.5e10, 1e11, 1.26e11, 2e11 and 3.16e11 up are
+    config errors, and the others solve."""
     codes = []
     for amplitude in np.geomspace(1e8, 1e13, 51).tolist():
         cfg = _write(tmp_path, dict(SMALL_SOLVE, flux={"preset": "cosine", "amplitude": amplitude}))
         codes.append(main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]))
-    assert codes == [0] * 11 + [2] * 40  # up to 1e9; at 10^9.1, max |Q| passes 2^30
-    assert capsys.readouterr().err.count("config error: flux: the background resolves mu to ") == 40
+    assert codes == ([0] * 14 + [2] * 4 + [0] * 3 + [2] * 2 + [0, 2] + [0] * 5 + [2] * 2
+                     + [0, 2, 0] + [2] * 16)
+    assert capsys.readouterr().err.count(UNRESOLVED) == 26
 
 
 def test_constant_custom_flux_is_zero_flux(tmp_path):

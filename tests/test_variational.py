@@ -201,6 +201,16 @@ def test_mu_unattainable_target_rejected(disk_const_64, disk_const_64_handle, vf
         initial_patch(ctx, (0.0, 0.0))
 
 
+def test_bathtub_rejects_levels_too_large_to_resolve(power_fixture):
+    """psi_free shifted by 1e12, as a large background shifts it: mu moves in
+    float steps of 1.2e-4, and one such step moves more than the mass
+    tolerance.  That is the input's fault, not the numerics'."""
+    *_, state = power_fixture
+    psi_free = state.k_zeta + state.ctx.q + 1e12
+    with pytest.raises(AdmissibilityError, match=r"in float .* one step of mu, 1\.221e-04, "):
+        bathtub(state.ctx, psi_free)
+
+
 def test_solve_rejects_an_empty_class(disk_const_64, disk_const_64_handle, vf_power2):
     lake, handle = disk_const_64, disk_const_64_handle
     q = np.zeros(lake.n_cells)
