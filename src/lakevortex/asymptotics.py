@@ -128,12 +128,13 @@ def radial_monotonicity_score(bin_means: np.ndarray) -> float:
     return 1.0 - pos / tv
 
 
-def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str):
-    """Concentration target cell center(s) for a regime.
+def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str) -> int:
+    """Index of the concentration target cell for a regime.
 
     above_critical: argmax of the depth; critical: argmax of the combined
     potential kappa0*b/(4 pi) + q; below_critical: argmax of the background.
-    Returns every cell within 1e-10 of the maximum; the first is the target.
+    The target is the first cell, in index order, within 1e-10 of the maximum,
+    so a flat score (every cell ties) still gives one point.
     """
     if regime == "above_critical":
         score = lake.b_int
@@ -143,7 +144,7 @@ def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str):
         score = q
     else:
         raise AdmissibilityError(f"unknown regime {regime!r}")
-    return lake.centers[score >= score.max() - 1e-10]
+    return int(np.argmax(score >= score.max() - 1e-10))
 
 
 def mass_fraction_near(lake: Lake, zeta: np.ndarray, point, radius: float) -> float:
@@ -174,7 +175,7 @@ class Diagnostics:
     mass_frac: float = math.nan
     radial_score: float = math.nan
     converged: bool = True
-    supp_target_dist: float = math.nan  # max support distance to the target set
+    supp_target_dist: float = math.nan  # max support distance to the target
 
     def row(self) -> list:
         return [getattr(self, c) for c in DIAG_COLUMNS]
@@ -182,10 +183,10 @@ class Diagnostics:
 
 @dataclass
 class SweepReport:
-    """A sweep's rows, predicted target cells (the first is the target) and checks."""
+    """A sweep's rows, predicted target point and checks."""
 
     rows: list
-    target_ties: np.ndarray
+    target: np.ndarray
     checks: dict
 
 
@@ -197,13 +198,13 @@ def _loglog_slope(log_x: np.ndarray, y: np.ndarray) -> float | None:
     return float(np.polyfit(log_x[good], np.log(y[good]), 1)[0])
 
 
-def diagnose(state: SolveState, ties) -> Diagnostics:
+def diagnose(state: SolveState, target) -> Diagnostics:
     """Diagnostics row of one solved state, on its operator's lake.
 
-    With ties, the mass fraction is taken around the tie point nearest the
-    vorticity center and supp_target_dist is the largest distance from a
-    support cell to the ties; with ties None, the mass fraction is taken
-    around the center itself, in a ball of radius TARGET_RADIUS.
+    With a target point, the mass fraction is taken around it and
+    supp_target_dist is the largest distance from a support cell to it; with
+    target None, the mass fraction is taken around the vorticity center, in
+    either case in a ball of radius TARGET_RADIUS.
     """
     lake, params = state.ctx.handle.lake, state.ctx.params
     # vorticity_center raises on a zero field, so the support is not empty
@@ -213,14 +214,8 @@ def diagnose(state: SolveState, ties) -> Diagnostics:
     score = float("nan")  # an under-resolved support has no profile
     if diam >= MIN_PROFILE_CELLS * lake.h:
         score = radial_monotonicity_score(rescale_profile(lake, state.zeta, params, xc, diam))
-    anchor, supp_dist = xc, float("nan")
-    if ties is not None:
-        ties = np.asarray(ties, dtype=float)
-        anchor = _nearest_tie(ties, xc)
-        supp_dist = float(
-            np.hypot(ties[:, 0][None, :] - sp[:, 0][:, None],
-                     ties[:, 1][None, :] - sp[:, 1][:, None]).min(axis=1).max()
-        )
+    anchor = xc if target is None else np.asarray(target, dtype=float)
+    supp_dist = math.nan if target is None else float(np.hypot(*(sp - anchor).T).max())
     return Diagnostics(
         eps=params.eps,
         delta=params.delta,
@@ -258,8 +253,9 @@ def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
     points = sweep_params(regime, kappa0, lam, eps_list)
     lake = handle.lake
     q = solve_background(handle, np.asarray(flux, dtype=float))
-    ties = predicted_target(lake, q, kappa0, regime)
-    seed_pt = np.asarray(seed, dtype=float) if seed is not None else ties[0]
+    cell = predicted_target(lake, q, kappa0, regime)
+    target = lake.centers[cell]
+    seed_pt = np.asarray(seed, dtype=float) if seed is not None else target
 
     def solve_point(params: AdmissibleParams) -> Diagnostics:
         try:
@@ -267,20 +263,15 @@ def run_sweep(handle: OperatorHandle, flux: np.ndarray, regime: str,
         except SolverError as exc:
             log.error("sweep point eps=%g failed: %s", params.eps, exc)
             return Diagnostics(eps=params.eps, delta=params.delta, converged=False)
-        return diagnose(state, ties)
+        return diagnose(state, target)
 
     rows = [solve_point(p) for p in points]
-    checks = _regime_checks(lake, q, regime, kappa0, rows, ties)
+    checks = _regime_checks(lake, q, regime, kappa0, rows, cell)
     slope = checks["diam_slope"] = _loglog_slope(np.log([r.eps for r in rows]),
                                                  np.array([r.diam_supp for r in rows]))
     if slope is not None:
         checks["diam_slope_in_window"] = bool(0.8 <= slope <= 1.2)
-    return SweepReport(rows=rows, target_ties=ties, checks=checks)
-
-
-def _nearest_tie(ties: np.ndarray, point) -> np.ndarray:
-    d = np.hypot(ties[:, 0] - point[0], ties[:, 1] - point[1])
-    return ties[int(np.argmin(d))]
+    return SweepReport(rows=rows, target=target, checks=checks)
 
 
 def _depth_max_is_interior(lake: Lake) -> bool:
@@ -297,7 +288,7 @@ def _trend(first_dev: float, last_dev: float, tol: float) -> bool:
 
 
 def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
-                   rows: list, ties: np.ndarray) -> dict:
+                   rows: list, cell: int) -> dict:
     checks: dict = {"all_converged": all(r.converged for r in rows)}
     ok_rows = [r for r in rows if r.converged]
     if len(ok_rows) < 2:
@@ -306,7 +297,8 @@ def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
     checks["enough_points"] = True
     first, last = ok_rows[0], ok_rows[-1]
 
-    dists = np.array([np.hypot(*(_nearest_tie(ties, (r.xc, r.yc)) - (r.xc, r.yc))) for r in ok_rows])
+    target = lake.centers[cell]
+    dists = np.array([np.hypot(target[0] - r.xc, target[1] - r.yc) for r in ok_rows])
     checks["dist_to_target_final"] = float(dists[-1])
     # nonincreasing up to one grid cell of slack
     checks["dist_to_target_nonincreasing"] = bool(np.all(np.diff(dists) <= lake.h))
@@ -339,8 +331,6 @@ def _regime_checks(lake: Lake, q: np.ndarray, regime: str, kappa0: float,
     elif regime == "critical":
         fracs = np.array([r.mass_frac for r in ok_rows])
         checks["mass_frac_nondecreasing"] = bool(np.all(np.diff(fracs) >= -1e-9))
-        x_hat = ties[0]
-        cell = np.argmin(np.hypot(lake.centers[:, 0] - x_hat[0], lake.centers[:, 1] - x_hat[1]))
         mu_target = kappa0 * lake.b_int[cell] / (2 * math.pi) + q[cell]
         supk_target = kappa0 * lake.b_int[cell] / (2 * math.pi)
         checks["mu_target"] = float(mu_target)

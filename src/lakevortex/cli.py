@@ -317,12 +317,14 @@ def state_to_dict(state) -> dict:
 
 def _set_up(cfg: dict, points: list):
     """Seed, f, flux and operator for points, a solving command's params (a
-    sweep's in eps order), checked in order: seed, f, lake, each point's class,
-    and the flux; the background solve and the bathtub find a flux too large
-    for float range or for the mass tolerance."""
+    sweep's in eps order), checked in order: seed, f, lake, seed in the lake,
+    each point's class, and the flux; the background solve and the bathtub
+    find a flux too large for float range or for the mass tolerance."""
     seed = seed_from(cfg)
     vf = solver_vf_from(cfg)
     lake = build_lake_from(cfg)
+    if seed is not None and not lake.domain.contains(seed):
+        raise ConfigError(f"seed {list(seed)} lies outside the {lake.preset_id} lake")
     for params in points:
         params.check_nonempty(lake, vf)
     return seed, vf, flux_from(cfg, lake), assemble_operator(lake)
@@ -335,7 +337,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     q = elliptic.solve_background(handle, nu)
     state = solve_vortex(handle, q, params, vf, init=seed)
     chash = config_hash(cfg)
-    diag = diagnose(state, None if seed is None else [seed])
+    diag = diagnose(state, seed)
     write_json(out / "state.json", state_to_dict(state), chash)
     write_csv(out / "diag.csv", [diag], chash)
     print(f"solve: converged={state.converged} iterations={state.iterations} "
@@ -353,8 +355,8 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     slope = report.checks["diam_slope"]
     summary = {
         "regime": scfg["schedule"],
-        "target": report.target_ties[0],
-        "target_ties": report.target_ties,
+        "target": report.target,
+        "target_ties": [report.target.tolist()],  # the target alone, as the file has held it
         "diam_slope": slope,
         "checks": report.checks,
     }

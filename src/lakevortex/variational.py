@@ -201,9 +201,10 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     their order and so every mass evaluated do not depend on the set, and
     the search ends at the same segment from any start, so mu and zeta are
     the same bits for every cells.  ctx.params must pass check_nonempty,
-    which solve_vortex makes once.  A missed mass raises AdmissibilityError
-    where one float step of mu moves more than MASS_TOL_REL of the target (a
-    large background q), and SolverError otherwise.
+    which solve_vortex makes once.  A bisected mu that misses the mass by more
+    than MASS_TOL_REL of the target gives way to its next float if that meets
+    it; a miss raises AdmissibilityError where that step of mu moves more than
+    MASS_TOL_REL of the target (a large background q), and SolverError otherwise.
     """
     params, vf = ctx.params, ctx.vf
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
@@ -267,21 +268,26 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
         mu, fill, above = lower, 0.0, upper
         while mu < (mid := 0.5 * (mu + above)) < above:
             mu, above = (mid, above) if band(mid, tie_hi)[0] >= target else (mu, mid)
-    mass, (k_cap, k_sup, values) = at_level(lo) if mu == upper else band(mu, tie_hi)
 
-    zeta = np.zeros(n)
-    zeta[order[:k_cap]] = cap
-    zeta[order[k_cap:k_sup]] = values
-    zeta[order[tie_lo:tie_hi]] += fill * jump_value
-    filled = order[:tie_hi if fill > 0.0 else k_sup]  # zeta is 0 elsewhere
-    error = float(np.dot(zeta[filled], nuw[:len(filled)])) - target
-    if abs(error) > MASS_TOL_REL * target:
-        # bisected, above is mu's next float and mass(above) < target; a jump fill has no step
-        moved = mass - (at_level(lo) if above == upper else band(above, tie_hi))[0]
-        if moved > MASS_TOL_REL * target:  # the input's fault, not the numerics'
+    def fill_at(mu: float, fill: float):  # zeta at mu, the cells it fills, its mass error
+        k_cap, k_sup, values = (at_level(lo) if mu == upper else band(mu, tie_hi))[1]
+        zeta = np.zeros(n)
+        zeta[order[:k_cap]] = cap
+        zeta[order[k_cap:k_sup]] = values
+        zeta[order[tie_lo:tie_hi]] += fill * jump_value
+        filled = order[:tie_hi if fill > 0.0 else k_sup]  # zeta is 0 elsewhere
+        return zeta, filled, float(np.dot(zeta[filled], nuw[:len(filled)])) - target
+
+    tol, (zeta, filled, error) = MASS_TOL_REL * target, fill_at(mu, fill)
+    # bisected, above is mu's next float and mass(above) < target; a jump fill has no step
+    up = fill_at(above, 0.0) if abs(error) > tol and above != mu else (zeta, filled, error)
+    if abs(up[2]) <= tol < abs(error):  # mu misses the mass and its next float meets it
+        mu, (zeta, filled, error) = above, up
+    if abs(error) > tol:
+        if (moved := error - up[2]) > tol:  # the input's fault, not the numerics'
             raise AdmissibilityError(f"the mass is not resolved in float to {MASS_TOL_REL:.0e} "
-                                     f"of the target, {MASS_TOL_REL * target:.3e}: one step of "
-                                     f"mu, {above - mu:.3e}, moves it by {moved:.3e}, for {params}")
+                                     f"of the target, {tol:.3e}: one step of mu, "
+                                     f"{above - mu:.3e}, moves it by {moved:.3e}, for {params}")
         raise SolverError(f"bathtub missed the mass target by {error:.3e}")
     support = np.sort(filled)
     return Rearrangement(mu, zeta, support[zeta[support] != 0.0], order[:hi + 1])

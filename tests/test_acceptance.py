@@ -14,13 +14,15 @@ a count of the argpartitions and f calls of a bathtub call per start,
 a count of the argpartitions and repeated f levels over a 129^2 solve, a
 check of every step of that solve against the cold-started bathtub, and a
 check of the support diameter against the frozen Qhull diameter on every
-regression state, and of the exact support zeta > 0 against the relative rule
-it replaced.  The optimality and steadiness certificates are test
+regression state, of the exact support zeta > 0 against the relative rule
+it replaced, and of diagnose at one target point against the tie-set path it
+replaced.  The optimality and steadiness certificates are test
 helpers, in certificates.py.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -35,7 +37,7 @@ from plain_iteration_reference import solve_vortex as plain_solve_vortex
 from sorted_bathtub_reference import bathtub as full_sort_bathtub
 from sweep_states import sweep_with_states
 
-from lakevortex import geometry
+from lakevortex import asymptotics, geometry
 from lakevortex.asymptotics import rescale_profile
 from lakevortex.elliptic import (
     CompatibilityError,
@@ -448,7 +450,7 @@ def test_solve_partitions_the_grid_only_in_its_first_step(critical_state_129, mo
 def _regression_seeds(regime_reports) -> list:
     """The seed point of each regression state, in the fixture's order."""
     _, reports, swept, _ = regime_reports
-    seeds = [reports[regime].target_ties[0] for regime, sweep in swept.items()
+    seeds = [reports[regime].target for regime, sweep in swept.items()
              for s in sweep if s is not None]
     return seeds + [(0.0, 0.28), (0.0, 0.0)]
 
@@ -470,6 +472,43 @@ def test_mixed_iteration_matches_frozen_plain_loop(regime_reports, regression_st
         assert math.hypot(*moved) <= 1e-6 * lake.h
 
 
+def _tie_diagnose(state, ties) -> asymptotics.Diagnostics:
+    """diagnose as it was with a set of tied target points: the mass fraction
+    around the tie nearest the vorticity center, and supp_target_dist from
+    each support cell to its nearest tie, through a |support| x |ties| matrix."""
+    lake, params = state.ctx.handle.lake, state.ctx.params
+    xc = vorticity_center(lake, state.zeta)
+    sp = lake.centers[state.zeta > 0.0]
+    diam = max_pairwise_distance(sp)
+    score = float("nan")
+    if diam >= asymptotics.MIN_PROFILE_CELLS * lake.h:
+        score = asymptotics.radial_monotonicity_score(
+            rescale_profile(lake, state.zeta, params, xc, diam))
+    ties = np.asarray(ties, dtype=float)
+    nearest = ties[int(np.argmin(np.hypot(ties[:, 0] - xc[0], ties[:, 1] - xc[1])))]
+    supp_dist = float(np.hypot(ties[:, 0][None, :] - sp[:, 0][:, None],
+                               ties[:, 1][None, :] - sp[:, 1][:, None]).min(axis=1).max())
+    return asymptotics.Diagnostics(
+        eps=params.eps, delta=params.delta, diam_supp=diam, xc=float(xc[0]), yc=float(xc[1]),
+        dist_boundary=float(lake.domain.dist_to_boundary(sp).min()), mu=float(state.mu),
+        sup_K=float(state.k_zeta.max()), E_q=state.energy.e_q, F_eps=state.energy.f_eps,
+        E_total=state.energy.total,
+        mass_frac=asymptotics.mass_fraction_near(lake, state.zeta, nearest,
+                                                 asymptotics.TARGET_RADIUS),
+        radial_score=score, converged=state.converged, supp_target_dist=supp_dist)
+
+
+def test_one_target_diagnose_matches_the_tie_set_path(regime_reports, regression_states):
+    """diagnose at one target point against the tie-set diagnose it replaced,
+    fed that point alone, on every regression state at its seed: every field
+    bit for bit."""
+    assert len(regression_states) == 23
+    for (_, state), target in zip(regression_states, _regression_seeds(regime_reports)):
+        new = dataclasses.astuple(asymptotics.diagnose(state, target))
+        old = dataclasses.astuple(_tie_diagnose(state, [target]))
+        assert np.array(new, dtype=float).tobytes() == np.array(old, dtype=float).tobytes()
+
+
 def test_initial_patch_matches_frozen_loop_on_bundled_seeds(fixture_lake, regime_reports,
                                                             critical_state_129):
     """Every seed patch the bundled configs start from, bit for bit: the
@@ -479,7 +518,7 @@ def test_initial_patch_matches_frozen_loop_on_bundled_seeds(fixture_lake, regime
     _, handle257 = fixture_lake
     _, reports, _, _ = regime_reports
     cases = [(handle257, AdmissibleParams(eps=row.eps, delta=row.delta, kappa0=1.0, lam=50.0),
-              rep.target_ties[0]) for rep in reports.values() for row in rep.rows]
+              rep.target) for rep in reports.values() for row in rep.rows]
     _, handle129, _, params129, _ = critical_state_129
     cases.append((handle129, params129, (0.0, 0.28)))
     cases.extend((assemble_operator(lake), params, lake.centers[0])
@@ -514,7 +553,7 @@ def test_criterion_6_regime_classification(regime_reports, acceptance_report):
 
     rep = reports["above_critical"]
     c = rep.checks
-    target = rep.target_ties[0]
+    target = rep.target
     dists = [float(np.hypot(target[0] - r.xc, target[1] - r.yc))
              for r in rep.rows]
     a_ok = (c["all_converged"] and dists[-1] <= 0.1 and dists[-1] < dists[0]

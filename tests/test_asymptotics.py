@@ -138,13 +138,13 @@ def test_radial_score_ring_profile(disk_const_64):
 def test_predicted_target_depth_max():
     lake = build_lake("disk_interior_max_b", 64)
     q = np.zeros(lake.n_cells)
-    point = predicted_target(lake, q, 1.0, "above_critical")[0]
+    point = lake.centers[predicted_target(lake, q, 1.0, "above_critical")]
     assert np.hypot(*point) <= lake.h
 
 
 def test_predicted_target_background_max(disk_const_64, disk_const_64_handle):
     q = solve_background(disk_const_64_handle, flux_preset(disk_const_64, "cosine"))
-    point = predicted_target(disk_const_64, q, 1.0, "below_critical")[0]
+    point = disk_const_64.centers[predicted_target(disk_const_64, q, 1.0, "below_critical")]
     # top boundary-adjacent cell
     assert point[1] > 1.0 - 3 * disk_const_64.h
     assert abs(point[0]) <= 2 * disk_const_64.h
@@ -159,10 +159,10 @@ def test_predicted_target_combined_moves_with_circulation():
     lake = build_lake("disk_interior_max_b", 64)
     handle = assemble_operator(lake)
     q = solve_background(handle, flux_preset(lake, "cosine", amplitude=0.02))
-    strong = predicted_target(lake, q, 100.0, "critical")[0]
-    weak = predicted_target(lake, q, 1e-3, "critical")[0]
-    b_argmax = predicted_target(lake, q, 1.0, "above_critical")[0]
-    q_argmax = predicted_target(lake, q, 1.0, "below_critical")[0]
+    strong = lake.centers[predicted_target(lake, q, 100.0, "critical")]
+    weak = lake.centers[predicted_target(lake, q, 1e-3, "critical")]
+    b_argmax = lake.centers[predicted_target(lake, q, 1.0, "above_critical")]
+    q_argmax = lake.centers[predicted_target(lake, q, 1.0, "below_critical")]
     # strong circulation pins the combined target at the depth maximum,
     # vanishing circulation moves it to the background maximum
     assert np.hypot(*(strong - b_argmax)) <= 2 * lake.h
@@ -328,6 +328,27 @@ def test_sweep_retains_no_per_point_field():
         assert all(r.converged for r in report.rows)
         del report
     assert held[6] - held[2] < 4 * 8 * lake.n_cells
+
+
+@pytest.mark.parametrize("regime", ["above_critical", "critical", "below_critical"])
+def test_flat_score_sweep_has_one_target_and_small_memory(regime):
+    """Zero flux on constant depth makes every regime's score flat, so every
+    cell ties for its maximum.  The target is the first cell, and the sweep's
+    traced peak stays under 8 MB (99-102 MB while each point measured its
+    support against every tied cell)."""
+    lake = build_lake("disk_constant_b", 129)
+    handle = assemble_operator(lake)
+    vf = VorticityFunction("jump_linear", c=0.5)
+    tracemalloc.start()
+    try:
+        report = run_sweep(handle, flux_preset(lake, "zero"), regime, kappa0=1.0, lam=50.0,
+                           eps_list=[0.2, 0.1], vf=vf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.array_equal(report.target, lake.centers[0])
+    assert all(r.converged for r in report.rows)
 
 
 def test_sweep_propagates_an_empty_class():

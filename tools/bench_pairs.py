@@ -8,7 +8,8 @@ The base commit's files are extracted with ``git archive`` into a temporary
 directory, so the repository's own git state is not touched.  For each
 workload in ``BENCHMARK.json`` the script runs ``bench/run.py`` for the
 benchmark's ``run_seconds`` in both trees, ten times each, alternating which
-side runs first, with the pair's index as ``--seed``.  It writes one JSON file: per workload and per
+side runs first, with the pair's index as ``--seed`` and the BLAS thread
+variables set to 1.  It writes one JSON file: per workload and per
 end-to-end metric the median, the quartiles and every value of each side,
 the pairs the checkout won (ties count for neither), and whether the gain
 is resolved, that is won in at least nine tenths of the pairs and by a median
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,6 +39,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 TRACED = 3
 WIN_SHARE = 0.9
+# set to 1 in each child's environment: bench/run.py imports numpy before it
+# sets them itself, so a child started without them runs OpenBLAS's default
+# worker threads (3 OS threads after ``import run`` against 1 with them set)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def git(*args: str) -> str:
@@ -53,11 +59,13 @@ def extract(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One ``bench/run.py`` process: its result line and its stderr facts."""
+    """One ``bench/run.py`` process, BLAS on one thread: its result line and
+    its stderr facts."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", str(trace)],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, **dict.fromkeys(THREAD_VARS, "1")))
     if proc.returncode != 0:
         raise SystemExit(f"error: bench/run.py failed in {tree} ({workload}, seed {seed}):\n"
                          f"{proc.stderr[-2000:]}")

@@ -28,12 +28,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, extract, git
+from bench_pairs import ROOT, THREAD_VARS, extract, git
 
 CONFIGS = ROOT / "src" / "lakevortex" / "configs"
 COMMANDS = {"solve": "solve", "sweep": "sweep", "oracle": "oracle-test",
             "hypotheses": "check-hypotheses", "kernel": "kernel-test"}
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(tree: Path, config: Path, out: Path) -> tuple[dict, float]:
