@@ -134,7 +134,8 @@ def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str) -> i
     above_critical: argmax of the depth; critical: argmax of the combined
     potential kappa0*b/(4 pi) + q; below_critical: argmax of the background.
     The target is the first cell, in index order, within 1e-10 of the maximum,
-    so a flat score (every cell ties) still gives one point.
+    so a flat score (every cell ties) still gives one point; a WARNING says
+    when more than one cell ties.
     """
     if regime == "above_critical":
         score = lake.b_int
@@ -144,7 +145,11 @@ def predicted_target(lake: Lake, q: np.ndarray, kappa0: float, regime: str) -> i
         score = q
     else:
         raise AdmissibilityError(f"unknown regime {regime!r}")
-    return int(np.argmax(score >= score.max() - 1e-10))
+    ties = np.flatnonzero(score >= score.max() - 1e-10)
+    if ties.size > 1:
+        log.warning("%s target: %d cells lie within 1e-10 of the score's maximum; "
+                    "the first in index order is used", regime, ties.size)
+    return int(ties[0])
 
 
 def mass_fraction_near(lake: Lake, zeta: np.ndarray, point, radius: float) -> float:

@@ -43,47 +43,43 @@ class GeometryError(ValueError):
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row dot products of two (m, 2) arrays by the vector @ vector kernel: near
-    the circle |p|^2 - r^2 cancels, so other rounding moves short arms ~1e-13."""
+    the circle |p|^2 - 1 cancels, so other rounding moves short arms ~1e-13."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
 class DiskDomain:
-    """Open disk; boundary parametrized by arclength counterclockwise from angle 0."""
+    """The open unit disk at the origin, which every disk kernel below assumes;
+    boundary parametrized by arclength counterclockwise from angle 0."""
 
-    center: tuple[float, float] = (0.0, 0.0)
-    radius: float = 1.0
-
+    center = (0.0, 0.0)
+    radius = 1.0
     kind = "disk"
 
     def contains(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        d = p - np.asarray(self.center)
-        return np.hypot(d[..., 0], d[..., 1]) < self.radius
+        return np.hypot(p[..., 0], p[..., 1]) < 1.0
 
     def dist_to_boundary(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        d = p - np.asarray(self.center)
-        return self.radius - np.hypot(d[..., 0], d[..., 1])
+        return 1.0 - np.hypot(p[..., 0], p[..., 1])
 
     def perimeter(self) -> float:
-        return TWO_PI * self.radius
+        return TWO_PI
 
     def boundary_param(self, p) -> np.ndarray:
         """Arclength coordinates in [0, perimeter) of the projections of the (m, 2) points p."""
         p = np.asarray(p, dtype=float)
-        theta = np.arctan2(p[:, 1] - self.center[1], p[:, 0] - self.center[0]) % TWO_PI
-        return theta * self.radius
+        return np.arctan2(p[:, 1], p[:, 0]) % TWO_PI
 
     def cut_fraction(self, p_inside, p_outside) -> np.ndarray:
         """Fractions t in [0, 1] where the segments p_inside -> p_outside, rows of
         two (m, 2) arrays, cross the circle."""
-        c = np.asarray(self.center)
-        p = np.asarray(p_inside, dtype=float) - c
-        d = np.asarray(p_outside, dtype=float) - c - p
+        p = np.asarray(p_inside, dtype=float)
+        d = np.asarray(p_outside, dtype=float) - p
         a = _row_dot(d, d)
         b = 2.0 * _row_dot(p, d)
-        cc = _row_dot(p, p) - self.radius**2
+        cc = _row_dot(p, p) - 1.0
         disc = np.maximum(b * b - 4.0 * a * cc, 0.0)  # < 0 when grazing; on the circle
         return np.clip((-b + np.sqrt(disc)) / (2.0 * a), 0.0, 1.0)
 
@@ -213,6 +209,7 @@ class Lake:
     index : (ny, nx) int, interior cell number or -1; cells go row by row
     centers : (n, 2) coordinates of interior cell centers
     b_int : (n,) depth on interior cells
+    nu_weights, measure_nu : (n,) weighted measure b * h^2 per cell, read-only; its sum
     """
 
     preset_id: str
@@ -226,6 +223,8 @@ class Lake:
     centers: np.ndarray
     b_int: np.ndarray
     boundary: BoundaryTrace
+    nu_weights: np.ndarray
+    measure_nu: float
 
     @property
     def cell_area(self) -> float:
@@ -234,18 +233,6 @@ class Lake:
     @property
     def n_cells(self) -> int:
         return self.b_int.shape[0]
-
-    @cached_property
-    def nu_weights(self) -> np.ndarray:
-        """Per-cell weighted measure b * h^2, computed on first use; read-only."""
-        weights = self.b_int * self.cell_area
-        weights.flags.writeable = False
-        return weights
-
-    @cached_property
-    def measure_nu(self) -> float:
-        """Sum of nu_weights."""
-        return float(self.nu_weights.sum())
 
     @cached_property
     def diameter(self) -> float:
@@ -335,7 +322,12 @@ def _assemble_lake(preset: str, domain, xs: np.ndarray, ys: np.ndarray, h: float
     b_int = b_grid[rows, cols]
     if np.any(b_int <= 0.0):
         raise GeometryError("depth must be positive on interior cells")
-    lake = Lake(
+    nu_weights = b_int * (h * h)
+    nu_weights.flags.writeable = False
+    measure_nu = float(nu_weights.sum())
+    if measure_nu <= 0.0:
+        raise GeometryError("weighted measure of the lake is not positive")
+    return Lake(
         preset_id=preset,
         domain=domain,
         h=h,
@@ -347,10 +339,9 @@ def _assemble_lake(preset: str, domain, xs: np.ndarray, ys: np.ndarray, h: float
         centers=centers,
         b_int=b_int,
         boundary=_build_trace(domain, mask, xs, ys),
+        nu_weights=nu_weights,
+        measure_nu=measure_nu,
     )
-    if lake.measure_nu <= 0.0:
-        raise GeometryError("weighted measure of the lake is not positive")
-    return lake
 
 
 def build_lake(preset: str, resolution: int) -> Lake:
@@ -401,7 +392,8 @@ def rect_lake(nx: int, ny: int, h: float, depth=1.0, preset_id: str = "rect_cust
 def green_disk(x, y) -> float:
     """Dirichlet Green function of -Laplace on the unit disk (method of images).
 
-    G(x, y) = (1/2pi) ln(|x - y*| |y| / |x - y|) with y* = y/|y|^2, and
+    G(x, y) = (1/2pi) ln(|x - y*| |y| / |x - y|) with y* = y/|y|^2.  G is symmetric,
+    so for y within 1e-14 of the origin the image of x is taken instead, which gives
     G(x, 0) = (1/2pi) ln(1/|x|).  Both points must lie strictly inside.
     """
     x = np.asarray(x, dtype=float)
@@ -414,7 +406,7 @@ def green_disk(x, y) -> float:
     if d < 1e-14:
         raise GeometryError("Green function is singular at coincident points")
     if ry < 1e-14:
-        return math.log(1.0 / rx) / TWO_PI
+        x, y, ry = y, x, rx
     y_star = y / (ry * ry)
     num = float(np.hypot(*(x - y_star))) * ry
     return math.log(num / d) / TWO_PI

@@ -331,24 +331,38 @@ def test_sweep_retains_no_per_point_field():
 
 
 @pytest.mark.parametrize("regime", ["above_critical", "critical", "below_critical"])
-def test_flat_score_sweep_has_one_target_and_small_memory(regime):
+def test_flat_score_sweep_has_one_target_and_small_memory(regime, caplog):
     """Zero flux on constant depth makes every regime's score flat, so every
-    cell ties for its maximum.  The target is the first cell, and the sweep's
-    traced peak stays under 8 MB (99-102 MB while each point measured its
-    support against every tied cell)."""
+    cell ties for its maximum.  The target is the first cell, one WARNING says
+    so, and the sweep's traced peak stays under 8 MB (99-102 MB while each
+    point measured its support against every tied cell)."""
     lake = build_lake("disk_constant_b", 129)
     handle = assemble_operator(lake)
     vf = VorticityFunction("jump_linear", c=0.5)
     tracemalloc.start()
     try:
-        report = run_sweep(handle, flux_preset(lake, "zero"), regime, kappa0=1.0, lam=50.0,
-                           eps_list=[0.2, 0.1], vf=vf)
+        with caplog.at_level(logging.WARNING, logger="lakevortex.asymptotics"):
+            report = run_sweep(handle, flux_preset(lake, "zero"), regime, kappa0=1.0,
+                               lam=50.0, eps_list=[0.2, 0.1], vf=vf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
     assert np.array_equal(report.target, lake.centers[0])
     assert all(r.converged for r in report.rows)
+    tie_warnings = [r.getMessage() for r in caplog.records if "score's maximum" in r.getMessage()]
+    assert tie_warnings == [f"{regime} target: {lake.n_cells} cells lie within 1e-10 of the "
+                            "score's maximum; the first in index order is used"]
+
+
+def test_a_unique_score_maximum_logs_no_warning(caplog):
+    # the bundled sweeps' lake and flux, at 129^2: one cell at each regime's maximum
+    lake = build_lake("disk_interior_max_b", 129)
+    q = solve_background(assemble_operator(lake), flux_preset(lake, "cosine", amplitude=0.02))
+    with caplog.at_level(logging.WARNING, logger="lakevortex.asymptotics"):
+        for regime in ("above_critical", "critical", "below_critical"):
+            predicted_target(lake, q, 1.0, regime)
+    assert caplog.records == []
 
 
 def test_sweep_propagates_an_empty_class():

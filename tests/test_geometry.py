@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import loop_assembly_reference as loop_ref
@@ -16,10 +17,12 @@ from lakevortex.geometry import (
     PRESETS,
     DiskDomain,
     GeometryError,
+    Lake,
     RectDomain,
     build_lake,
     disk_box_overlap,
     green_disk,
+    green_disk_grid,
     h_kernel,
     h_kernel_bounds,
     rect_lake,
@@ -36,6 +39,14 @@ def test_constant_depth_disk(disk_const_64):
     lake = disk_const_64
     assert np.all(lake.b_int == 1.0)
     assert abs(lake.diameter - 2.0) <= lake.h
+
+
+def test_weighted_measure_is_set_when_the_lake_is_built(disk_const_64):
+    lake = disk_const_64
+    assert {"nu_weights", "measure_nu"} <= {f.name for f in dataclasses.fields(Lake)}
+    assert np.array_equal(lake.nu_weights, lake.b_int * (lake.h * lake.h))
+    assert not lake.nu_weights.flags.writeable
+    assert lake.measure_nu == float(lake.nu_weights.sum())
 
 
 def test_interior_max_depth_peaks_at_origin():
@@ -185,8 +196,8 @@ def test_boundary_trace_ordering_and_weights(disk_const_64):
     assert np.all(r >= 1.0) and np.all(r < 1.0 + disk_const_64.h)
 
 
-@pytest.mark.parametrize("domain", [DiskDomain(), DiskDomain((0.1, -0.2), 0.7),
-                                    RectDomain(-0.8, 0.8, -0.5, 0.5)])
+@pytest.mark.parametrize("domain", [DiskDomain(), RectDomain(-0.8, 0.8, -0.5, 0.5)],
+                         ids=["disk", "rect"])
 def test_array_domain_queries_match_scalar_reference(domain):
     rng = np.random.default_rng(8)
     points = rng.uniform(-1.2, 1.2, size=(400, 2))
@@ -282,6 +293,29 @@ def test_green_symmetry_random(ax, ay, bx, by):
     if np.hypot(*a) >= 0.999 or np.hypot(*b) >= 0.999 or np.hypot(*(a - b)) < 1e-6:
         return
     assert abs(green_disk(a, b) - green_disk(b, a)) <= 1e-12
+
+
+def test_green_symmetric_at_a_point_next_to_the_origin():
+    # a draw that broke test_green_symmetry_random while |y| < 1e-14 took a
+    # second formula: G(a, b) - G(b, a) was 1.77e-11
+    a, b = (0.0, 2.2e-16), (1e-6, 1e-6)
+    assert green_disk(a, b) == green_disk(b, a)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-300, 1e-150, 1e-50, 1e-15])
+@pytest.mark.parametrize("x", [(0.3, -0.4), (1e-6, 1e-6), (0.9, 0.3)])
+def test_green_near_the_origin_is_symmetric_and_matches_the_grid_form(x, r):
+    y = np.array([0.6 * r, -0.8 * r])
+    assert green_disk(x, y) == green_disk(y, x)
+    for g in (green_disk_grid(x, y[None, :])[0], green_disk_grid(y, np.array([x]))[0]):
+        assert abs(green_disk(x, y) - g) <= 1e-15
+
+
+def test_disk_domain_is_the_unit_disk():
+    with pytest.raises(TypeError):
+        DiskDomain((0.1, -0.2), 0.7)
+    disk = DiskDomain()
+    assert (disk.center, disk.radius, disk.perimeter()) == ((0.0, 0.0), 1.0, TWO_PI)
 
 
 def test_green_vanishes_at_boundary():
