@@ -11,7 +11,7 @@ is F_*(t) = integral of the inverse from 0 to t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,21 +19,30 @@ import numpy as np
 @dataclass(frozen=True)
 class VorticityFunction:
     """A nonlinearity preset: 'power' (max(s,0)^p), 'jump_linear' ((c+s) for
-    s>0, else 0), or 'table' (monotone piecewise-linear interpolation)."""
+    s>0, else 0), or 'table' (monotone piecewise-linear interpolation).
+
+    Construction reads the preset once.  It sets f_at_zero_plus and
+    strictly_increasing (f(0+) >= 0 and rising knots; a table whose first knot
+    is past 0 is flat below it), and the family's branches: f for s > 0, and
+    f_inv and F_* for t > f(0+)."""
 
     preset: str
     p: float = 2.0
     c: float = 0.0
     points: tuple = ()
-    _table: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        f0, increasing = 0.0, True
         if self.preset == "power":
             if not 1.0 < self.p < math.inf:
                 raise ValueError(f"power preset needs a finite exponent p > 1, got {self.p}")
+            p, q = self.p, (self.p + 1.0) / self.p
+            branches = (lambda x: x ** p, lambda x: x ** (1.0 / p), lambda x: x ** q / q)
         elif self.preset == "jump_linear":
             if not 0.0 <= self.c < math.inf:
                 raise ValueError(f"jump_linear preset needs a finite jump c >= 0, got {self.c}")
+            f0 = self.c
+            branches = (lambda x: f0 + x, lambda x: x - f0, lambda x: 0.5 * (x - f0) ** 2)
         elif self.preset == "table":
             pts = np.asarray(self.points, dtype=float)
             if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
@@ -46,73 +55,47 @@ class VorticityFunction:
             if s[0] > 0.0:
                 s = np.concatenate([[0.0], s])
                 v = np.concatenate([[v[0]], v])
-            # extrapolation slope beyond the last knot keeps f increasing
-            slope = (v[-1] - v[-2]) / (s[-1] - s[-2])
-            self._table.update(s=s, v=v, slope=max(slope, 1e-12))
+            with np.errstate(over="ignore", invalid="ignore"):
+                dv = np.diff(v)
+                slope = dv[-1] / (s[-1] - s[-2])
+                # exact piecewise-quadratic cumulative integral of the pw-linear
+                # inverse; an entry that overflows (or is inf times a flat
+                # segment, NaN) is read only for t past its knot
+                cum = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * dv)])
+            if not (np.all(np.isfinite(dv)) and math.isfinite(slope)):
+                raise ValueError("table f-value differences and last slope must be finite")
+            slope = max(slope, 1e-12)  # extrapolated past the last knot, f keeps increasing
+            f0, increasing = float(v[0]), bool(v[0] >= 0.0 and np.all(dv > 0.0))
+
+            def f_inv(x):
+                return _piecewise(x, x > v[-1], lambda y: s[-1] + (y - v[-1]) / slope,
+                                  lambda y: np.interp(y, v, s))
+
+            def F_star(x):
+                j = np.maximum(np.searchsorted(v, x) - 1, 0)  # the last knot below x
+                return cum[j] + 0.5 * (s[j] + f_inv(x)) * (x - v[j])
+
+            branches = (lambda x: _piecewise(x, x > s[-1], lambda y: v[-1] + slope * (y - s[-1]),
+                                             lambda y: np.interp(y, s, v)), f_inv, F_star)
         else:
             raise ValueError(f"unknown nonlinearity preset {self.preset!r}")
-
-    @property
-    def strictly_increasing(self) -> bool:
-        """f(0+) >= 0 and rising knots; a table whose first knot is past 0 is flat below it."""
-        if self.preset != "table":
-            return True
-        v = self._table["v"]
-        return bool(v[0] >= 0.0 and np.all(np.diff(v) > 0.0))
-
-    @property
-    def f_at_zero_plus(self) -> float:
-        if self.preset == "power":
-            return 0.0
-        if self.preset == "jump_linear":
-            return self.c
-        return float(self._table["v"][0])
+        for name, value in zip(("f_at_zero_plus", "strictly_increasing", "_f", "_f_inv", "_F_star"),
+                               (f0, increasing, *branches)):
+            object.__setattr__(self, name, value)
 
     def f(self, s):
         s = np.asarray(s, dtype=float)
-        if self.preset == "power":
-            return _piecewise(s, s > 0.0, lambda x: x ** self.p)
-        if self.preset == "jump_linear":
-            return _piecewise(s, s > 0.0, lambda x: self.c + x)
-        tab = self._table
-        return _piecewise(s, s > 0.0, lambda x: _piecewise(
-            x, x > tab["s"][-1],
-            lambda y: tab["v"][-1] + tab["slope"] * (y - tab["s"][-1]),
-            lambda y: np.interp(y, tab["s"], tab["v"])))
+        return _piecewise(s, s > 0.0, self._f)
 
     def f_inv(self, t):
         """Inverse of f on (f(0+), inf), identically 0 at and below f(0+)."""
         t = np.asarray(t, dtype=float)
-        f0 = self.f_at_zero_plus
-        if self.preset == "power":
-            return _piecewise(t, t > 0.0, lambda x: x ** (1.0 / self.p))
-        if self.preset == "jump_linear":
-            return _piecewise(t, t > f0, lambda x: x - f0)
-        tab = self._table
-        return _piecewise(t, t > f0, lambda x: _piecewise(
-            x, x > tab["v"][-1],
-            lambda y: tab["s"][-1] + (y - tab["v"][-1]) / tab["slope"],
-            lambda y: np.interp(y, tab["v"], tab["s"])))
+        return _piecewise(t, t > self.f_at_zero_plus, self._f_inv)
 
     def F_star(self, t):
         """Conjugate primitive: integral of f_inv from 0 to t (0 for t <= f(0+))."""
         t = np.asarray(t, dtype=float)
-        f0 = self.f_at_zero_plus
-        if self.preset == "power":
-            q = (self.p + 1.0) / self.p
-            return _piecewise(t, t > 0.0, lambda x: x ** q / q)
-        if self.preset == "jump_linear":
-            return _piecewise(t, t > f0, lambda x: 0.5 * (x - f0) ** 2)
-        v, s = self._table["v"], self._table["s"]
-        # exact piecewise-quadratic cumulative integral of the pw-linear
-        # inverse, continued past the last knot along its extrapolation
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * np.diff(v))])
-
-        def above_f0(x):
-            j = np.maximum(np.searchsorted(v, x) - 1, 0)  # the last knot below x
-            return cum[j] + 0.5 * (s[j] + self.f_inv(x)) * (x - v[j])
-
-        return _piecewise(t, t > f0, above_f0)
+        return _piecewise(t, t > self.f_at_zero_plus, self._F_star)
 
 
 def _piecewise(x: np.ndarray, live, value, other=None):
@@ -139,6 +122,7 @@ class HypothesisReport:
     degenerates to 0 as t approaches f(0+), so the jump-aware variant
     F_*(t) / ((t - f(0+)) f_inv(t)) is recorded alongside; it is the exact
     Legendre dual of the theta0 bound and stays in (0, 1) for jump families.
+    Both are NaN when the sampled f does not rise (h1_monotone is False).
     """
 
     theta0_estimate: float
@@ -194,6 +178,8 @@ def verify_hypotheses(vf: VorticityFunction, s_max: float, n: int) -> Hypothesis
     valid = denom > 0.0
     valid &= s >= 16.0 * s[1]
     theta0 = float(np.max(cum[valid] / denom[valid])) if valid.any() else float("nan")
+    if not monotone:  # an f that does not rise has no inverse to take conjugate ratios of
+        return HypothesisReport(theta0, math.nan, math.nan, monotone, s_max, n)
 
     t = np.logspace(np.log10(max(f0, 1e-12)) if f0 > 0 else np.log10(vf.f(s_max)) - 8,
                     np.log10(vf.f(s_max)), n)

@@ -1,7 +1,8 @@
 """Frozen reference: the conjugate primitive F_* of a table nonlinearity as
 three branches (below, inside and past the knots), which
 ``VorticityFunction.F_star`` replaced with one formula over the last knot
-below t.  Kept verbatim for the differential test of the two.  Test-only code.
+below t.  Kept verbatim for the differential test of the two, except that
+it rebuilds the knots and slope from ``vf.points``.  Test-only code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ def table_F_star(vf: VorticityFunction, t):
     """Conjugate primitive: integral of f_inv from 0 to t (0 for t <= f(0+))."""
     t = np.asarray(t, dtype=float)
     f0 = vf.f_at_zero_plus
-    tab = vf._table
+    # the knots and slope as the table builds them: a first knot past s = 0
+    # adds a flat first segment
+    pts = np.asarray(vf.points, dtype=float)
+    s, v = pts[:, 0], pts[:, 1]
+    if s[0] > 0.0:
+        s, v = np.concatenate([[0.0], s]), np.concatenate([[v[0]], v])
+    tab = {"s": s, "v": v, "slope": max((v[-1] - v[-2]) / (s[-1] - s[-2]), 1e-12)}
     knots_t = tab["v"]
     knots_s = tab["s"]
     # exact piecewise-quadratic cumulative integral of the pw-linear inverse

@@ -223,6 +223,9 @@ NAN = float("nan")
 # f rises by 0.01 over its first unit of s: 100 times less than s itself
 SHALLOW_TABLE = {"preset": "table", "points": [[0, 0.5], [1, 0.51], [2, 3]]}
 OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "amplitude": 1e10}
+# a table whose last slope, or whose knot f-value difference, overflows
+STEEP_SLOPE_TABLE = {"preset": "table", "points": [[0, 0], [1e-320, 1]]}
+WIDE_STEP_TABLE = {"preset": "table", "points": [[0, -1e308], [1, 1e308]]}
 
 
 @pytest.mark.parametrize("command, changes", [
@@ -254,6 +257,9 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
     ("check-hypotheses", {"nonlinearity": {"preset": "jump_linear", "c": 0.5},
                           "hypotheses": {"s_max": 1e-9, "n": 100}}),
     ("check-hypotheses", {"nonlinearity": SHALLOW_TABLE, "hypotheses": {"s_max": 1e-6, "n": 100}}),
+    ("solve", {"nonlinearity": STEEP_SLOPE_TABLE}),
+    ("check-hypotheses", {"nonlinearity": STEEP_SLOPE_TABLE}),
+    ("check-hypotheses", {"nonlinearity": WIDE_STEP_TABLE}),
     # a JSON string or boolean is not a number, and a fraction is not an integer
     ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": 64.7}}),
     ("solve", {"lake": {"preset": "disk_interior_max_b", "resolution": "64"}}),
@@ -285,6 +291,8 @@ OVERFLOWING_FLUX = {"preset": "custom", "points": [[0, 1e300], [3, -1e300]], "am
         "oracle-lam-below-jump", "solve-flux-overflow", "sweep-flux-overflow", "solve-Q-overflow",
         "hypotheses-n", "hypotheses-s_max-overflow", "hypotheses-s_max-underflow",
         "hypotheses-s_max-below-jump-resolution", "hypotheses-shallow-table-below-resolution",
+        "solve-table-slope-overflow", "hypotheses-table-slope-overflow",
+        "hypotheses-table-difference-overflow",
         "lake-resolution-fraction", "lake-resolution-string", "flux-amplitude-string",
         "seed-booleans", "jump-unread-p", "jump-unread-points", "power-unread-c",
         "lake-resolution-beyond-float", "solve-eps-1e-200", "solve-eps-1e200",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from preset_dispatch_reference import VorticityFunction as DispatchingVorticityFunction
 from table_conjugate_reference import table_F_star
 
 from lakevortex.nonlinearity import VorticityFunction, verify_hypotheses
@@ -71,22 +72,68 @@ def test_conjugate_primitive_convex(vf):
     assert np.all(second >= -1e-12)
 
 
+def _random_table(rng, knots: int, flat_start: bool):
+    """The knots (s, v) of a strictly increasing table; a first knot past
+    s = 0 adds a flat first segment."""
+    rises = np.concatenate([[0.0], rng.uniform(0.01, 2.0, knots - 1)])
+    s = np.cumsum(rises) + (rng.uniform(0.1, 1.0) if flat_start else 0.0)
+    v = np.cumsum(rises * rng.uniform(0.01, 3.0, knots)) + rng.uniform(0.0, 1.0)
+    return s, v
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 8), st.booleans(), st.integers(0, 2**32 - 1))
 def test_table_conjugate_matches_frozen_branches(knots, flat_start, seed):
     """The one-formula table F_* against the frozen three-branch form, at the
-    knots, between them and past the last one, on strictly increasing tables
-    (a first knot past s = 0 adds a flat first segment)."""
+    knots, between them and past the last one, on strictly increasing tables."""
     rng = np.random.default_rng(seed)
-    rises = np.concatenate([[0.0], rng.uniform(0.01, 2.0, knots - 1)])
-    s = np.cumsum(rises) + (rng.uniform(0.1, 1.0) if flat_start else 0.0)
-    v = np.cumsum(rises * rng.uniform(0.01, 3.0, knots)) + rng.uniform(0.0, 1.0)
+    s, v = _random_table(rng, knots, flat_start)
     vf = VorticityFunction("table", points=tuple(zip(s, v)))
-    tab_v = vf._table["v"]
-    between = tab_v[:-1] + rng.uniform(0.0, 1.0, (50, len(tab_v) - 1)) * np.diff(tab_v)
-    t = np.concatenate([tab_v, between.ravel(), tab_v[-1] + rng.uniform(0.0, 10.0, 50)])
+    between = v[:-1] + rng.uniform(0.0, 1.0, (50, knots - 1)) * np.diff(v)
+    t = np.concatenate([v, between.ravel(), v[-1] + rng.uniform(0.0, 10.0, 50)])
     assert np.allclose(vf.F_star(t), table_F_star(vf, t), rtol=1e-14, atol=0.0)
     assert vf.F_star(float(t[-1])) == pytest.approx(table_F_star(vf, float(t[-1])), rel=1e-14)
+
+
+def _same_bits(new, ref) -> bool:
+    return type(new) is type(ref) and np.asarray(new).tobytes() == np.asarray(ref).tobytes()
+
+
+def _assert_matches_dispatching(fields: dict, knots):
+    """The family's f, f_inv, F_*, f(0+) and strict increase, bit for bit
+    against the frozen form that checked its preset on every call: at
+    negative inputs, 0, f(0+), the knots, between them and past the last
+    one, as one array and each as a 0-d float."""
+    new, ref = VorticityFunction(**fields), DispatchingVorticityFunction(**fields)
+    assert _same_bits(new.f_at_zero_plus, ref.f_at_zero_plus)
+    assert _same_bits(new.strictly_increasing, ref.strictly_increasing)
+    knots = np.unique(knots)
+    x = np.concatenate([[-1.0, -1e-300, 0.0, new.f_at_zero_plus], knots,
+                        knots[:-1] + 0.37 * np.diff(knots), knots[-1] + np.array([0.5, 10.0, 1e3])])
+    for method in ("f", "f_inv", "F_star"):
+        assert _same_bits(getattr(new, method)(x), getattr(ref, method)(x)), method
+        for xi in x.tolist():
+            assert _same_bits(getattr(new, method)(xi), getattr(ref, method)(xi)), (method, xi)
+
+
+NON_MONOTONE_POINTS = ((0.0, 0.5), (1.0, 2.0), (2.0, 1.0), (3.0, 4.0))
+
+
+@pytest.mark.parametrize("fields", [
+    *({"preset": "power", "p": p} for p in (1.5, 2.0, 3.5)),
+    *({"preset": "jump_linear", "c": c} for c in (0.0, 0.5, 1.0)),
+    {"preset": "table", "points": NON_MONOTONE_POINTS},
+], ids=["power-1.5", "power-2", "power-3.5", "jump-0", "jump-0.5", "jump-1", "table-non-monotone"])
+def test_preset_dispatch_matches_frozen(fields):
+    _assert_matches_dispatching(fields, np.array([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_table_dispatch_matches_frozen(knots, flat_start, seed):
+    s, v = _random_table(np.random.default_rng(seed), knots, flat_start)
+    _assert_matches_dispatching({"preset": "table", "points": tuple(zip(s, v))},
+                                np.concatenate([s, v]))
 
 
 def test_hypothesis_estimates_power():
@@ -115,9 +162,11 @@ def test_theta0_below_one(vf):
 
 
 def test_non_monotone_table_flagged():
-    vf = VorticityFunction("table", points=((0.0, 0.5), (1.0, 2.0), (2.0, 1.0), (3.0, 4.0)))
-    rep = verify_hypotheses(vf, 3.0, 500)
+    rep = verify_hypotheses(VorticityFunction("table", points=NON_MONOTONE_POINTS), 3.0, 500)
     assert rep.h1_monotone is False
+    # f has no inverse, so no conjugate ratio; theta0 reads f alone
+    assert math.isnan(rep.theta1_estimate) and math.isnan(rep.theta1_jump_adjusted)
+    assert math.isfinite(rep.theta0_estimate)
 
 
 def test_bad_parameters_rejected():
@@ -129,7 +178,9 @@ def test_bad_parameters_rejected():
         VorticityFunction("table", points=((0.0, 1.0),))
     with pytest.raises(ValueError):
         verify_hypotheses(VorticityFunction("power", p=2.0), 10.0, 50)
-    for points in (((0.0, 0.0), (1.0, math.inf)), ((0.0, math.nan), (1.0, 1.0))):
+    # infinite or NaN knots; a last slope, or a knot f-value difference, that overflows
+    for points in (((0.0, 0.0), (1.0, math.inf)), ((0.0, math.nan), (1.0, 1.0)),
+                   ((0.0, 0.0), (1e-320, 1.0)), ((0.0, -1e308), (1.0, 1e308))):
         with pytest.raises(ValueError, match="finite"):
             VorticityFunction("table", points=points)
     for points in (((0.0, 0.0), (0.0, 1.0), (1.0, 2.0)), ((1.0, 0.0), (0.5, 1.0))):
@@ -144,6 +195,10 @@ def test_bad_parameters_rejected():
 
 STEEP_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1.0, 1e300)))  # slope 1e300
 FLAT_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1.0, 1e-20)))  # slope clamped at 1e-12
+# F_*'s cumulative integral overflows on the last segment (inf times a flat
+# segment: NaN), and is read only past its knot
+WIDE_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1.0, 1.0), (1e300, 1e300)))
+FLAT_WIDE_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1e308, 1.0), (1.7e308, 1.0)))
 
 
 @pytest.mark.parametrize("vf, method, t", [
@@ -154,7 +209,10 @@ FLAT_TABLE = VorticityFunction("table", points=((0.0, 0.0), (1.0, 1e-20)))  # sl
     (STEEP_TABLE, "f", [-1e10, 1.5]),
     (FLAT_TABLE, "f_inv", [-1e300, 2e-20]),
     (FLAT_TABLE, "F_star", [-1e300, 2e-20]),
-], ids=["jump-F_star", "jump-f_inv", "table-f", "table-f_inv", "table-F_star"])
+    (WIDE_TABLE, "F_star", [0.0, 0.5]),
+    (FLAT_WIDE_TABLE, "F_star", [0.0, 0.5]),
+], ids=["jump-F_star", "jump-f_inv", "table-f", "table-f_inv", "table-F_star",
+        "wide-table-F_star", "flat-wide-table-F_star"])
 def test_discarded_branches_are_not_evaluated(vf, method, t):
     """An entry at or below f(0+) (0 for f) is 0 and its branch is not
     evaluated, so it cannot warn; every other entry is its value alone."""
