@@ -356,7 +356,6 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     summary = {
         "regime": scfg["schedule"],
         "target": report.target,
-        "target_ties": [report.target.tolist()],  # the target alone, as the file has held it
         "diam_slope": slope,
         "checks": report.checks,
     }

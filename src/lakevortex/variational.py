@@ -348,7 +348,9 @@ def iterate_step(ctx: SolveContext, zeta: np.ndarray, k_zeta: np.ndarray, cells=
     k_new = apply_K(ctx.handle, new.zeta)
     e_new = energy(ctx, new.zeta, k_new, new.support)
     change = new.zeta - zeta
-    return new, k_new, e_new, float(np.dot(np.abs(change, out=change), ctx.handle.lake.nu_weights))
+    # numpy's own sum, not a BLAS dot, whose order depends on the thread count
+    change = np.multiply(np.abs(change, out=change), ctx.handle.lake.nu_weights, out=change)
+    return new, k_new, e_new, float(np.add.reduce(change))
 
 
 def solve_vortex(handle: OperatorHandle, q: np.ndarray, params: AdmissibleParams,
@@ -440,12 +442,17 @@ def _anderson_mix(history, nu: np.ndarray):
 
 
 def vorticity_center(lake: Lake, zeta: np.ndarray) -> np.ndarray:
-    """Area-weighted first moment (plain area measure, not the depth-weighted one)."""
+    """Area-weighted first moment (plain area measure, not the depth-weighted one).
+
+    Every sum is numpy's own, not a BLAS dot: a dot over more than about 1e4
+    cells splits across BLAS threads, and the centre's last digits then
+    depend on the thread count."""
     w = zeta * lake.cell_area
     total = w.sum()
     if total <= 0.0:
         raise ValueError("vorticity center of a zero field is undefined")
-    return np.array([np.dot(lake.centers[:, 0], w), np.dot(lake.centers[:, 1], w)]) / total
+    return np.array([np.add.reduce(lake.centers[:, 0] * w),
+                     np.add.reduce(lake.centers[:, 1] * w)]) / total
 
 
 # ---------------------------------------------------------------------------

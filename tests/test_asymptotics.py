@@ -12,6 +12,7 @@ from sweep_states import sweep_with_states
 
 from lakevortex.asymptotics import (
     MIN_PROFILE_CELLS,
+    _loglog_slope,
     delta_of_eps,
     mass_fraction_near,
     predicted_target,
@@ -254,7 +255,49 @@ def test_boundary_depth_max_records_decay_not_floor():
     good = dist_b > 0
     assert good.sum() == 3
     fitted = float(-np.polyfit(logs[good], np.log(dist_b[good]), 1)[0])
-    assert report.checks["boundary_decay_exponent"] == fitted
+    assert report.checks["boundary_decay_exponent"] == pytest.approx(fitted, rel=1e-12)
+
+
+def test_loglog_slope_matches_polyfit():
+    # the closed form against LAPACK's least squares, over the entries with y > 0
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m = int(rng.integers(2, 12))
+        log_x = np.sort(rng.uniform(-6.0, 2.0, m))
+        y = rng.lognormal(0.0, 2.0, m) * rng.choice([-1.0, 0.0, 1.0, 1.0, 1.0], m)
+        good = y > 0.0
+        if good.sum() < 2:
+            assert _loglog_slope(log_x, y) is None
+            continue
+        fitted = float(np.polyfit(log_x[good], np.log(y[good]), 1)[0])
+        assert _loglog_slope(log_x, y) == pytest.approx(fitted, rel=1e-12, abs=1e-12)
+
+
+def test_loglog_slope_on_a_line_and_below_two_points():
+    log_x = np.log([0.2, 0.14, 0.1, 0.07])
+    assert _loglog_slope(log_x, np.exp(1.5 * log_x + 0.25)) == pytest.approx(1.5, rel=1e-14)
+    assert _loglog_slope(log_x, np.ones(4)) == 0.0
+    assert _loglog_slope(log_x, np.array([1.0, 0.0, -1.0, np.nan])) is None
+    assert _loglog_slope(log_x[:1], np.array([1.0])) is None
+
+
+@pytest.mark.parametrize("preset, regime", [("disk_interior_max_b", "critical"),
+                                            ("disk_boundary_max_b", "above_critical")])
+def test_sweep_fits_without_lapack(monkeypatch, preset, regime):
+    """A sweep's slopes (diam_slope, and the shore's decay exponent where the
+    depth peaks at the shore) need no LAPACK least squares, whose first call
+    raised a 257^2 sweep's peak RSS by about 1 MB."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep called LAPACK least squares")
+
+    monkeypatch.setattr(np, "polyfit", refused)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    lake = build_lake(preset, 48)
+    report = run_sweep(assemble_operator(lake), flux_preset(lake, "zero"), regime,
+                       kappa0=1.0, lam=50.0, eps_list=[0.2, 0.14, 0.1],
+                       vf=VorticityFunction("jump_linear", c=0.5))
+    assert report.checks["diam_slope"] is not None
+    assert ("boundary_decay_exponent" in report.checks) == (regime == "above_critical")
 
 
 def test_sweep_continues_past_failed_point(monkeypatch, caplog):
