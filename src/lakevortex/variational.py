@@ -7,9 +7,9 @@ linearized subproblem exactly, whose solution is the capped level-set
 ("bathtub") profile zeta = min((delta/eps^2) f(psi_free - mu), cap) with the
 multiplier mu found exactly from the sorted levels of psi_free and the prefix
 sums of their weights.  Convexity of E_q makes every step an ascent step.
-Each step's bathtub starts its search from the candidate cells the previous
-step's carried and keeps the support it filled, so the step's bookkeeping
-stays on the support.
+Each step's bathtub sorts the cells at or above one level, at first the
+lowest among the candidates the previous step carried, and keeps the support
+it filled, so the step's bookkeeping stays on the support.
 In the tail, where the support stops changing, steps start from an Anderson
 mix of the last two outputs and are kept only if the energy does not fall.
 """
@@ -180,13 +180,12 @@ class Rearrangement(NamedTuple):
 def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     """zeta = min((delta/eps^2) f(psi_free - mu), cap) of target mass, with its mu.
 
-    Only a candidate set of the highest levels is sorted, by level and, at
-    equal levels, by cell index, with t the lowest level among them.  Every
-    cell above t is a candidate, so the mass at t is exact from the
-    candidates alone; once it reaches the target, mu >= t and the support
-    lies inside the set.  Otherwise the set is the top cells of a rung that
-    grows fourfold, up to every cell.  Over the sorted levels with prefix
-    sums W of nu, the cells above mu + f_inv(lam) weigh cap*W and f is
+    Only a candidate set, every cell at or above a level t, is sorted, by
+    level and, at equal levels, by cell index.  The mass at t is exact from
+    the set alone; once it reaches the target, mu >= t and the support lies
+    inside the set.  Otherwise t drops to the level of the top cells of a
+    rung that grows fourfold, up to every cell.  Over the sorted levels with
+    prefix sums W of nu, the cells above mu + f_inv(lam) weigh cap*W and f is
     evaluated on the band below them only, once per level of a set.  A search
     over the levels finds the segment holding the target and bisection finds
     mu in it; a target inside the jump of f at 0+ at a level sets mu to it
@@ -194,17 +193,16 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
 
     cells, the candidates of the output for a nearby psi_free (the previous
     fixed-point step's) or the seed patch's support, only moves where the
-    work begins: the first set is every cell at or above the lowest level
-    among cells, found by one comparison and already in index order; the
-    first rung holds 2 len(cells) + 1 cells, and the level search gallops
-    out from level len(cells) before it bisects.  The cells above any level,
-    their order and so every mass evaluated do not depend on the set, and
-    the search ends at the same segment from any start, so mu and zeta are
-    the same bits for every cells.  ctx.params must pass check_nonempty,
-    which solve_vortex makes once.  A bisected mu that misses the mass by more
-    than MASS_TOL_REL of the target gives way to its next float if that meets
-    it; a miss raises AdmissibilityError where that step of mu moves more than
-    MASS_TOL_REL of the target (a large background q), and SolverError otherwise.
+    work begins: the first t is the lowest level among cells, the first rung
+    holds 2 len(cells) + 1 cells, and the level search gallops out from
+    level len(cells) before it bisects.  Each set is fixed by its level, and
+    the search ends at the same segment from any start, so mu, zeta, the
+    support and the candidates are the same bits for every cells.
+    ctx.params must pass check_nonempty, which solve_vortex makes once.  A
+    bisected mu that misses the mass by more than MASS_TOL_REL of the target
+    gives way to its next float if that meets it; a miss raises
+    AdmissibilityError where that step of mu moves more than MASS_TOL_REL of
+    the target (a large background q), and SolverError otherwise.
     """
     params, vf = ctx.params, ctx.vf
     scale, cap, target = params.delta / params.eps**2, params.cap, params.target_mass
@@ -212,8 +210,8 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
     nu_all, n = ctx.handle.lake.nu_weights, len(psi_free)
 
     # the closures read the sorted candidate set in hand; array methods skip numpy's wrappers
-    def count_above(t: float, side: str = "left") -> int:
-        return int(neg_levels.searchsorted(-t, side))
+    def count_above(level: float, side: str = "left") -> int:
+        return int(neg_levels.searchsorted(-level, side))
 
     def band(mu: float, k_sup: int):  # the mass at mu given count_above(mu), and the band
         k_cap = count_above(mu + reach)
@@ -223,28 +221,25 @@ def bathtub(ctx: SolveContext, psi_free: np.ndarray, cells=()) -> Rearrangement:
 
     def at_level(j: int):  # band(levels[j]), once per candidate set
         if j not in memo:
-            memo[j] = band(t := float(levels[j]), count_above(t))
+            memo[j] = band(level := float(levels[j]), count_above(level))
         return memo[j]
 
     def reaches(j: int) -> bool:
         return at_level(j)[0] >= target
 
-    cand = (psi_free >= psi_free[cells].min()).nonzero()[0] if len(cells) else None
-    rung = min(n, 2 * len(cells) + 1)  # the top cells taken if that set falls short
+    t = psi_free[cells].min() if len(cells) else math.inf  # no cells: an empty first set
+    rung = min(n, 2 * len(cells) + 1)  # the top cells whose level is t if that set falls short
     while True:
-        if cand is None:
-            cand = np.argpartition(psi_free, n - rung)[n - rung:]
-            cand.sort()  # ties in index order, whatever the rung
-            rung = min(n, 4 * rung)
-        order = cand[(-psi_free[cand]).argsort(kind="stable")]
+        order = (psi_free >= t).nonzero()[0]  # in index order, so ties stay in it
+        order = order[(-psi_free[order]).argsort(kind="stable")]
         levels = psi_free[order]
         neg_levels = -levels  # ascending, for searchsorted
         nuw = nu_all[order]
         prefix = np.concatenate(([0.0], nuw.cumsum()))
         memo, k = {}, len(order)
-        if k == n or reaches(k - 1):
+        if k == n or k and reaches(k - 1):
             break
-        cand = None
+        t, rung = np.partition(psi_free, n - rung)[n - rung], min(n, 4 * rung)
 
     # smallest j with mass(levels[j]) >= target (j = n: all capped, the bracket bottom)
     lo, hi = 0, k  # mass(levels[0]) = 0 < target

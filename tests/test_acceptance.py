@@ -10,8 +10,8 @@ no cells, unrelated cells, the support, carried candidates and every cell
 against the frozen cold-started one on every regression state, of the mixed iteration against the frozen plain loop from
 the same seeds, of the seed patch against its frozen per-cell loop on every
 bundled seed, a count of the cells the bathtub passes to f on a 257^2 state,
-a count of the argpartitions and f calls of a bathtub call per start,
-a count of the argpartitions and repeated f levels over a 129^2 solve, a
+a count of the full-grid partitions and f calls of a bathtub call per start,
+a count of the partitions and repeated f levels over a 129^2 solve, a
 check of every step of that solve against the cold-started bathtub, and a
 check of the support diameter against the frozen Qhull diameter on every
 regression state, of the exact support zeta > 0 against the relative rule
@@ -370,17 +370,17 @@ def test_every_step_of_the_solve_matches_cold_bit_for_bit(critical_state_129, mo
 
 
 class _Counts:
-    """Counts the full-grid argpartitions and the f calls of each bathtub
+    """Counts the full-grid partitions and the f calls of each bathtub
     call, and the levels at which f was evaluated twice in one call."""
 
     def __init__(self, monkeypatch):
-        self.argpartition = self.f = self.repeats = 0
+        self.partitions = self.f = self.repeats = 0
         self.seen = set()
-        argpartition, f = np.argpartition, VorticityFunction.f
+        partition, f = np.partition, VorticityFunction.f
 
-        def counting_argpartition(a, *args, **kwargs):
-            self.argpartition += 1
-            return argpartition(a, *args, **kwargs)
+        def counting_partition(a, *args, **kwargs):
+            self.partitions += 1
+            return partition(a, *args, **kwargs)
 
         def counting_f(vf, s):
             self.f += 1
@@ -389,11 +389,11 @@ class _Counts:
             self.seen.add(key)
             return f(vf, s)
 
-        monkeypatch.setattr(np, "argpartition", counting_argpartition)
+        monkeypatch.setattr(np, "partition", counting_partition)
         monkeypatch.setattr(VorticityFunction, "f", counting_f)
 
     def reset(self) -> None:
-        self.argpartition = self.f = self.repeats = 0
+        self.partitions = self.f = self.repeats = 0
         self.seen.clear()
 
 
@@ -414,9 +414,9 @@ def test_warm_bathtub_sorts_once_and_calls_f_less(critical_state_129, monkeypatc
         counts.reset()
         warm = bathtub(state.ctx, psi_free, cells)
         if name in ("carried", "all"):
-            assert counts.argpartition == 0 and counts.repeats == 0
+            assert counts.partitions == 0 and counts.repeats == 0
         if name == "empty":
-            assert counts.argpartition >= 1
+            assert counts.partitions >= 1
         if name == "carried":
             assert counts.f < cold_f
             assert len(warm.candidates) <= 2 * len(warm.support)
@@ -436,7 +436,7 @@ def test_solve_partitions_the_grid_only_in_its_first_step(critical_state_129, mo
     def counting_bathtub(*args, **kwargs):
         counts.reset()
         out = live_bathtub(*args, **kwargs)
-        partitions.append(counts.argpartition)
+        partitions.append(counts.partitions)
         repeats.append(counts.repeats)
         return out
 

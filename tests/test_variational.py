@@ -323,7 +323,7 @@ def test_bathtub_matches_full_sort_on_random_lakes(family, seed, nx, ny, distinc
 def test_warm_bathtub_matches_cold_on_tied_levels(family):
     # thousands of cells share each of a few levels and weigh differently, so
     # the prefix sums depend on the order of tied cells: it must not depend
-    # on which candidates a start sorts
+    # on which candidates a start sorts, nor must the candidates it carries
     vf = VorticityFunction(family, p=2.0, c=0.5)
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -338,9 +338,11 @@ def test_warm_bathtub_matches_cold_on_tied_levels(family):
         starts = [rng.choice(lake.n_cells, size, replace=False) for size in (0, 10, 100, 1000)]
         starts += [cold.support, np.arange(lake.n_cells)]
         starts.append(bathtub(ctx, psi, starts[0]).candidates)
+        carried = bathtub(ctx, psi).candidates
         for cells in starts:
             warm = bathtub(ctx, psi, cells)
             assert warm.mu == cold.mu and np.array_equal(warm.zeta, cold.zeta)
+            assert np.array_equal(warm.candidates, carried)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,18 @@ The base commit's files are extracted with ``git archive`` into a temporary
 directory, as ``tools/bench_pairs.py`` does.  Each file in the checkout's
 ``src/lakevortex/configs/`` is run in both trees, one process at a time, with
 the command taken from the file name's first word (``solve``, ``sweep``,
-``oracle``, ``hypotheses``, ``kernel``) and BLAS on one thread.  The script
-compares each run's exit code, stdout, stderr and every output file (so a new
-warning or log line differs too), prints one line per config with each run's
-peak RSS, lists the files that differ and exits 1 if any does.  The peak RSS
-is the child's own ``ru_maxrss``, read with ``os.wait4``, so it also covers
-the configs the benchmark does not run.  It also prints the line counts of
-``src/lakevortex/*.py`` and of ``tests/*.py`` in both trees: code moved from
-the package into the tests is not a reduction.  Standard library only.
+``oracle``, ``hypotheses``, ``kernel``), with ``-v`` and BLAS on one thread.
+The script compares each run's exit code, stdout, stderr and every output
+file (so a new warning or log line differs too).  With ``-v`` each solve
+writes one DEBUG line per fixed-point step to stderr (E, residual, mu,
+support and candidate count), so every step is compared, not only the final
+state; ``kernel-test`` and ``check-hypotheses`` log none.  It prints one
+line per config with each run's peak RSS, lists the files that differ and
+exits 1 if any does.  The peak RSS is the child's own ``ru_maxrss``, read
+with ``os.wait4``, so it also covers the configs the benchmark does not run.
+It also prints the line counts of ``src/lakevortex/*.py`` and of
+``tests/*.py`` in both trees: code moved from the package into the tests is
+not a reduction.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ def run(tree: Path, config: Path, out: Path) -> tuple[dict, float]:
     command = COMMANDS[config.stem.split("_")[0]]
     with tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-m", "lakevortex.cli", command, "--config",
-                                 str(config), "--out", str(out)], cwd=tree, env=env,
+                                 str(config), "--out", str(out), "-v"], cwd=tree, env=env,
                                 stdout=subprocess.PIPE, stderr=err)
         with proc.stdout:
             stdout = proc.stdout.read()
